@@ -14,15 +14,13 @@ from .characters import (
     teichmuller_character,
     unit_group,
 )
-from .symbols import SymbolSpace, build_presentation, cd_symbol, diamond_action, enumerate_symbols
+from .symbols import SymbolSpace, build_presentation, cd_symbol, enumerate_symbols
 from .linalg import (
     HowellAccumulator,
-    QuotientModule,
     Submodule,
     elementary_divisors,
     howell_form,
     membership,
-    quotient,
 )
 from .eigen import (
     EigenContext,
@@ -32,7 +30,6 @@ from .eigen import (
     cd_eigensymbol,
     cd_span,
     check_generation,
-    eigenspace,
     eigensymbol,
     idempotent_projector,
 )
@@ -57,15 +54,12 @@ __all__ = [
     "SymbolSpace",
     "build_presentation",
     "cd_symbol",
-    "diamond_action",
     "enumerate_symbols",
     "HowellAccumulator",
-    "QuotientModule",
     "Submodule",
     "elementary_divisors",
     "howell_form",
     "membership",
-    "quotient",
     "EigenContext",
     "GenerationReport",
     "bezout_units",
@@ -73,7 +67,6 @@ __all__ = [
     "cd_eigensymbol",
     "cd_span",
     "check_generation",
-    "eigenspace",
     "eigensymbol",
     "idempotent_projector",
     "QuotientSpec",

@@ -210,11 +210,24 @@ def _grid_summary(reports, errors) -> dict:
     }
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _worker_count(ns) -> int:
-    if getattr(ns, "workers", None):
-        return ns.workers
-    env = os.environ.get(WORKERS_ENV)
-    return max(1, int(env)) if env else 1
+    """Workers from --workers, else $CDSYMBOLS_WORKERS, else 1; clamped to
+    [1, os.cpu_count()]."""
+    workers = getattr(ns, "workers", None)
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV, "").strip()
+        try:
+            workers = int(env) if env else 1
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    return max(1, min(workers, os.cpu_count() or 1))
 
 
 def main(argv=None) -> int:
@@ -240,8 +253,8 @@ def main(argv=None) -> int:
     pg.add_argument("--csv", help="write the CSV mirror to this path")
     pg.add_argument("--assert", dest="assert_mode", action="store_true")
     pg.add_argument("--stable", action="store_true")
-    pg.add_argument("--workers", type=int, default=None,
-                    help=f"worker processes (default: ${WORKERS_ENV} or 1)")
+    pg.add_argument("--workers", type=_positive_int, default=None,
+                    help=f"worker processes, at most the CPU count (default: ${WORKERS_ENV} or 1)")
 
     pp = sub.add_parser("properties", help="run the seeded identity suites")
     pp.add_argument("--seed", type=int, default=0)
@@ -284,7 +297,11 @@ def main(argv=None) -> int:
             cfg = _parse_grid_line(line, line_parser)
             cfg["stable"] = ns.stable
             configs.append(cfg)
-        workers = _worker_count(ns)
+        try:
+            workers = _worker_count(ns)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         reports: list = []
         errors: list[dict] = []
         if workers > 1:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from math import gcd
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .characters import (
     teichmuller_character,
     unit_group,
 )
-from .linalg import HowellAccumulator, Submodule, elementary_divisors, format_divisors
+from .linalg import HowellAccumulator, elementary_divisors, format_divisors
 from .rings import CoeffRing, RingError, is_prime, make_coeff_ring
 from .symbols import CUSP0, FULL, SymbolSpace, build_presentation
 
@@ -39,7 +40,6 @@ __all__ = [
     "GenerationReport",
     "build_eigen_context",
     "idempotent_projector",
-    "eigenspace",
     "eigensymbol",
     "cd_eigensymbol",
     "cd_span",
@@ -74,20 +74,29 @@ def bezout_units(N: int, g: int, h: int):
 
 @dataclass
 class EigenContext:
-    """Everything needed to work inside the theta-eigenspace of a presented
-    symbol space: the relation span, the projected orbit columns, and the
-    character data classifying the scenario."""
+    """The theta-eigenspace of a presented symbol space in orbit coordinates.
+
+    Since p does not divide phi(N), e_theta of the free module has a basis
+    of diamond-orbit representatives, with e_theta[<a> rep] = theta(a)
+    e_theta[rep].  An orbit whose stabilizer theta moved would be zero, but
+    <a>[u:v] = [u:v] forces a = +-1 (gcd(u, v, N) = 1) and theta is even,
+    so every orbit is a column and H_theta is R^r modulo `rel_acc`, the
+    projected relations.  `project` is the coordinate map
+    pi([i]) = theta(trans[i]) x_{orbit_of[i]} on ambient rows of shape
+    (..., nsym, m); `basis` holds the unit columns reduced against the
+    relations."""
 
     space: SymbolSpace
     ring: CoeffRing
     p: int
     M: int
     theta: DirichletCharacter
+    project: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     rel_acc: HowellAccumulator = field(repr=False)
     reps: tuple[int, ...] = field(repr=False)
     orbit_of: np.ndarray = field(repr=False)
     trans: np.ndarray = field(repr=False)
-    red_cols: list[np.ndarray] = field(repr=False)
+    basis: list[np.ndarray] = field(repr=False)
     theta_values: dict[int, tuple[int, ...]] = field(repr=False)
     omega: DirichletCharacter = field(repr=False)
     eta: DirichletCharacter = field(repr=False)
@@ -101,40 +110,55 @@ class EigenContext:
     def rel_length(self) -> int:
         return self.rel_acc.length
 
+    @property
+    def dim_H(self) -> int:
+        """Module length of H_theta = R^r / (projected relations)."""
+        return len(self.basis) * self.ring.k - self.rel_length
+
     def psi(self, chi: DirichletCharacter) -> DirichletCharacter:
         return self.theta * chi.inverse()
 
-    def theta_of(self, a: int):
-        return self.ring.el(self.theta_values[a % self.N])
+    def _key(self, i: int) -> tuple:
+        """(column, theta value) of e_theta[symbol i]."""
+        return (int(self.orbit_of[i]), self.theta_values[int(self.trans[i])])
+
+    def _column(self, key: tuple) -> np.ndarray:
+        col, t = key
+        return self.ring.vscale(self.basis[col], np.array(t, dtype=np.int64))
 
     def etheta_column(self, u: int, v: int) -> np.ndarray:
         """Reduced representative of e_theta applied to the symbol (u, v)."""
-        i = self.space.idx(u, v)
-        col = self.red_cols[int(self.orbit_of[i])]
-        t = self.theta_values[int(self.trans[i])]
-        return self.ring.vscale(col, np.array(t, dtype=np.int64))
+        return self._column(self._key(self.space.idx(u, v)))
 
     def htheta_target(self) -> HowellAccumulator:
         acc = self.rel_acc.copy()
-        for col in self.red_cols:
+        for col in self.basis:
             acc.add(col)
         return acc
 
 
-_REL_CACHE: dict = {}
-_CTX_CACHE: dict = {}
+def _orbit_projection(ring: CoeffRing, orbit_of: np.ndarray, scalars, r: int):
+    """pi on ambient rows (..., nsym, m): scale entry i by scalars[i] and add
+    it into column orbit_of[i]."""
+    smat = np.array([ring.smatrix(s) for s in scalars], dtype=np.int64)
+    incidence = np.zeros((len(orbit_of), r), dtype=np.int64)
+    incidence[np.arange(len(orbit_of)), orbit_of] = 1
+
+    def project(vec: np.ndarray) -> np.ndarray:
+        scaled = np.einsum("...ni,nic->...cn", np.asarray(vec, dtype=np.int64), smat) % ring.pk
+        return np.swapaxes(scaled @ incidence, -1, -2) % ring.pk
+
+    return project
 
 
-def _relations_accumulator(space: SymbolSpace, extra_rows, cache_key):
-    key = (space.N, space.variant, space.ring, cache_key)
-    acc = _REL_CACHE.get(key) if cache_key is not None else None
-    if acc is None:
-        acc = HowellAccumulator(space.ring, space.nsym, list(space.relation_rows))
-        for row in extra_rows:
-            acc.add(row)
-        if cache_key is not None:
-            _REL_CACHE[key] = acc
-    return acc.copy()
+def _relations_accumulator(space: SymbolSpace, project, r: int, extra_rows) -> HowellAccumulator:
+    """Howell form of pi of every Manin relation row and every quotient row."""
+    acc = HowellAccumulator(space.ring, r)
+    for rows in (space.relation_rows, extra_rows):
+        if len(rows):
+            for row in project(np.stack(rows)):
+                acc.add(row)
+    return acc
 
 
 def build_eigen_context(
@@ -143,27 +167,9 @@ def build_eigen_context(
     M: int,
     theta: DirichletCharacter,
     extra_rows=(),
-    cache_key="none",
 ) -> EigenContext:
-    """Contexts are immutable in use, so they are cached per scenario; the
-    cache key names the imposed quotient rows (callers pass matching rows)."""
-    key = (space.N, space.variant, space.ring, p, M, theta, cache_key)
-    ctx = _CTX_CACHE.get(key) if cache_key is not None else None
-    if ctx is None:
-        ctx = _build_eigen_context(space, p, M, theta, extra_rows, cache_key)
-        if cache_key is not None and len(_CTX_CACHE) < 256:
-            _CTX_CACHE[key] = ctx
-    return ctx
-
-
-def _build_eigen_context(
-    space: SymbolSpace,
-    p: int,
-    M: int,
-    theta: DirichletCharacter,
-    extra_rows=(),
-    cache_key="none",
-) -> EigenContext:
+    """Present the theta-eigenspace of the space modulo its relations and the
+    quotient rows `extra_rows` (ambient vectors, a diamond-stable set)."""
     ring = space.ring
     N = space.N
     ug = unit_group(N)
@@ -173,19 +179,16 @@ def _build_eigen_context(
         raise ValueError("theta must be an even character")
     if theta.N != N or theta.ring != ring:
         raise ValueError("theta does not live on this space")
-    rel_acc = _relations_accumulator(space, extra_rows, cache_key)
     reps, orbit_of, trans = space.orbits()
-    inv_phi = ring.from_int(ug.phi).inverse()
-    theta_inv = theta.inverse()
     theta_values = {a: theta(a).coeffs for a in ug.units}
-    tinv_values = {a: (theta_inv(a) * inv_phi).coeffs for a in ug.units}
-    red_cols = []
-    for rep in reps:
-        col = ring.vzeros(space.nsym)
-        for a in ug.units:
-            j = int(space.diamond_perm(a)[rep])
-            col[j] = (col[j] + np.array(tinv_values[a], dtype=np.int64)) % ring.pk
-        red_cols.append(rel_acc.reduce_full(col))
+    r = len(reps)
+    project = _orbit_projection(ring, orbit_of, [theta_values[int(a)] for a in trans], r)
+    rel_acc = _relations_accumulator(space, project, r, extra_rows)
+    basis = []
+    for o in range(r):
+        unit = ring.vzeros(r)
+        unit[o, 0] = 1
+        basis.append(rel_acc.reduce_full(unit))
     omega = teichmuller_character(M, p, ring)
     theta_mp = theta if N == M * p else theta.extend(M * p)
     eta = theta_mp * omega ** (-2)
@@ -195,11 +198,12 @@ def _build_eigen_context(
         p=p,
         M=M,
         theta=theta,
+        project=project,
         rel_acc=rel_acc,
         reps=reps,
         orbit_of=orbit_of,
         trans=trans,
-        red_cols=red_cols,
+        basis=basis,
         theta_values=theta_values,
         omega=omega,
         eta=eta,
@@ -208,7 +212,7 @@ def _build_eigen_context(
 
 
 # ---------------------------------------------------------------------------
-# projector and eigenspaces
+# the dense projector, kept as the reference that pi is checked against
 
 
 def idempotent_projector(space: SymbolSpace, theta: DirichletCharacter, strict: bool = True) -> np.ndarray:
@@ -235,27 +239,13 @@ def idempotent_projector(space: SymbolSpace, theta: DirichletCharacter, strict: 
 
 def apply_matrix(ring: CoeffRing, P: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Apply an (n, n, m) matrix to an (n, m) vector over the ring."""
-    if ring.m == 1:
-        return ((P[:, :, 0] @ vec[:, 0]) % ring.pk).reshape(-1, 1)
-    prod = np.einsum("nku,kv,uvc->nc", P, vec, ring._mult_tensor)
-    return prod % ring.pk
+    smat = np.array([ring.smatrix(x) for x in vec], dtype=np.int64)
+    products = sum(P[:, :, u, None] * smat[:, u, :] for u in range(ring.m)) % ring.pk
+    return products.sum(axis=1) % ring.pk
 
 
 def matrix_product(ring: CoeffRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if ring.m == 1:
-        return ((A[:, :, 0] @ B[:, :, 0]) % ring.pk)[:, :, None]
-    return np.einsum("nku,kmv,uvc->nmc", A, B, ring._mult_tensor) % ring.pk
-
-
-def eigenspace(space: SymbolSpace, theta: DirichletCharacter) -> Submodule:
-    """Howell form of the theta-eigenspace of the presented quotient, given
-    in ambient coordinates together with the relation rows."""
-    ctx = build_eigen_context(space, space.ring.p, _infer_m_part(space.N, space.ring.p), theta)
-    return ctx.htheta_target().finalize()
-
-
-def _infer_m_part(N: int, p: int) -> int:
-    return N // p if N % p == 0 else N
+    return np.stack([apply_matrix(ring, A, B[:, j]) for j in range(B.shape[1])], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -284,27 +274,29 @@ def eigensymbol_free(
     psi_inv = psi.inverse()
     cvals = {a: chi_inv(a).coeffs for a in ug.units}
     pvals = {b: psi_inv(b).coeffs for b in ug.units}
-    acc = ring.vzeros(space.nsym)
+    sums: dict[int, tuple[int, ...]] = {}
     for a in ug.units:
         ca = cvals[a]
         for b in ug.units:
             idx = space.idx(g * a, h * b)
-            if ring.m == 1:
-                acc[idx, 0] += ca[0] * pvals[b][0]
-            else:
-                acc[idx] += np.array(ring._mul(ca, pvals[b]), dtype=np.int64)
-    acc %= ring.pk
+            term = ring._mul(ca, pvals[b])
+            sums[idx] = ring._add(sums[idx], term) if idx in sums else term
+    acc = ring.vzeros(space.nsym)
+    for idx, val in sums.items():
+        acc[idx] = val
     inv_phi2 = (ring.from_int(ug.phi) ** 2).inverse()
     return ring.vscale(acc, np.array(inv_phi2.coeffs, dtype=np.int64))
 
 
 def eigensymbol(ctx: EigenContext, chi: DirichletCharacter, g: int, h: int) -> np.ndarray:
-    """alpha_{chi,psi}^{g,h} with psi = theta chi^{-1}, as an ambient vector."""
-    return eigensymbol_free(ctx.space, chi, ctx.psi(chi), g, h)
+    """alpha_{chi,psi}^{g,h} with psi = theta chi^{-1}, in orbit coordinates
+    (pi of the ambient vector, which e_theta fixes)."""
+    return ctx.project(eigensymbol_free(ctx.space, chi, ctx.psi(chi), g, h))
 
 
 def cd_eigensymbol(ctx: EigenContext, c: int, d: int, chi: DirichletCharacter, g: int, h: int) -> np.ndarray:
-    """The (c,d)-eigensymbol: the same character average over (c,d)-symbols."""
+    """The (c,d)-eigensymbol: the same character average over (c,d)-symbols,
+    as an ambient vector."""
     from .symbols import cd_symbol
 
     space = ctx.space
@@ -368,45 +360,36 @@ def cd_span(
     def done() -> bool:
         return stop_at_length is not None and acc.length >= stop_at_length
 
-    reps = ctx.reps
-    orbit_of = ctx.orbit_of
-    trans = ctx.trans
-    for rep in reps:
+    for rep in ctx.reps:
         u0, v0 = space.symbols[rep]
-        x0 = ctx.red_cols[int(orbit_of[rep])]
+        x0 = ctx.etheta_column(u0, v0)
         xa: dict[int, np.ndarray] = {}
         keya: dict[int, tuple] = {}
         bases: dict[int, tuple[int, ...]] = {}
         for a in units:
-            i = space.idx(a * u0, v0)
-            t = ctx.theta_values[int(trans[i])]
-            keya[a] = (int(orbit_of[i]), t)
-            xa[a] = ring.vscale(ctx.red_cols[int(orbit_of[i])], np.array(t, dtype=np.int64))
+            keya[a] = ctx._key(space.idx(a * u0, v0))
+            xa[a] = ctx._column(keya[a])
             bases[a] = _scalar_bases(p, pk, N, a)
         xb: dict[int, np.ndarray] = {}
         keyb: dict[int, tuple] = {}
         for b in units:
-            i = space.idx(u0, b * v0)
-            t = ctx.theta_values[int(trans[i])]
-            keyb[b] = (int(orbit_of[i]), t)
-            xb[b] = ring.vscale(ctx.red_cols[int(orbit_of[i])], np.array(t, dtype=np.int64))
+            keyb[b] = ctx._key(space.idx(u0, b * v0))
+            xb[b] = ctx._column(keyb[b])
         seen: set = set()
         for a in units:
             x2 = xa[a]
             for b in units:
                 x1 = xb[b]
-                i3 = space.idx(a * u0, b * v0)
-                t3 = ctx.theta_values[int(trans[i3])]
-                o3 = int(orbit_of[i3])
+                key3 = ctx._key(space.idx(a * u0, b * v0))
                 x3 = None
                 for s0 in bases[a]:
                     for t0 in bases[b]:
-                        dedupe = (s0, t0, o3, t3, keya[a], keyb[b])
+                        dedupe = (s0, t0, key3, keya[a], keyb[b])
                         if dedupe in seen:
                             continue
                         seen.add(dedupe)
                         if x3 is None:
-                            x3 = ring.vscale(ctx.red_cols[o3], np.array(t3, dtype=np.int64))
+                            x3 = ctx._column(key3)
                         vec = (x0 * (s0 * t0 % pk) - x1 * s0 - x2 * t0 + x3) % pk
                         acc.add(vec)
                         if done():
@@ -415,17 +398,17 @@ def cd_span(
             for b in units:
                 x1 = xb[b]
                 for t0 in bases[b]:
-                    acc.add(((x0 * t0 - x1) * p) % pk)
+                    acc.add((x0 * t0 - x1) % pk * p % pk)
                     if done():
                         return acc, exhausted
             for a in units:
                 x2 = xa[a]
                 for s0 in bases[a]:
-                    acc.add(((x0 * s0 - x2) * p) % pk)
+                    acc.add((x0 * s0 - x2) % pk * p % pk)
                     if done():
                         return acc, exhausted
         if ring.k >= 3:
-            acc.add((x0 * (p * p)) % pk)
+            acc.add(x0 * (p * p) % pk)
             if done():
                 return acc, exhausted
     return acc, exhausted
@@ -433,8 +416,8 @@ def cd_span(
 
 def cd_span_bruteforce(ctx: EigenContext) -> HowellAccumulator:
     """Literal enumeration over all residue classes of (c, d) modulo
-    L = lcm(6N, p^k) prime to 6N, applied to every symbol.  Exponentially
-    slower; exists as the oracle for cd_span."""
+    L = lcm(6N, p^k) prime to 6N, applied to every symbol and projected
+    through pi.  Exponentially slower; exists as the oracle for cd_span."""
     from .symbols import cd_symbol
 
     ring = ctx.ring
@@ -442,15 +425,14 @@ def cd_span_bruteforce(ctx: EigenContext) -> HowellAccumulator:
     N = space.N
     L = 6 * N * ring.pk // gcd(6 * N, ring.pk)
     classes = [c for c in range(1, L + 1) if gcd(c, 6 * N) == 1]
-    pcols = idempotent_projector(space, ctx.theta)
     acc = ctx.rel_acc.copy()
     for c in classes:
         cc = c if c > 1 else c + L
         for d in classes:
             dd = d if d > 1 else d + L
-            for (u, v) in space.symbols:
-                vec = cd_symbol(space, cc, dd, u, v)
-                acc.add(apply_matrix(ring, pcols, vec))
+            vecs = np.stack([cd_symbol(space, cc, dd, u, v) for (u, v) in space.symbols])
+            for vec in ctx.project(vecs):
+                acc.add(vec)
     return acc
 
 
@@ -590,11 +572,11 @@ def _generation_core(
     space = build_presentation(N, variant, ring)
     if isinstance(theta, str):
         theta = parse_theta(theta, N, p, ring)
-    ctx = build_eigen_context(space, p, M, theta, extra_rows, cache_key=quotient_label)
+    ctx = build_eigen_context(space, p, M, theta, extra_rows)
     case = _classify(ctx, variant, trivial_u, t2)
     target = ctx.htheta_target()
     c_acc, exhausted = cd_span(ctx, stop_at_length=target.length, unit_bound=cd_bound)
-    dim_h = target.length - ctx.rel_length
+    dim_h = ctx.dim_H
     dim_c = c_acc.length - ctx.rel_length
     equal = c_acc.length == target.length
     extras: list[str] = []

@@ -120,7 +120,7 @@ def t2_eisenstein_relations(space: SymbolSpace, ring: CoeffRing, p: int, allow_f
             perm = space.diamond_perm(a)
             permuted = np.zeros_like(raw)
             permuted[perm] = raw
-            row = (row + _scale_rows(ring, permuted, coeffs[a])) % ring.pk
+            row = (row + ring.vscale(permuted, coeffs[a])) % ring.pk
         rows.append(row)
     return rows
 
@@ -149,10 +149,6 @@ def _t2_vector(space: SymbolSpace, u: int, v: int) -> np.ndarray:
     vec[space.idx(u, v), 0] -= 2
     vec[space.idx(2 * u, 2 * v), 0] -= 1
     return vec
-
-
-def _scale_rows(ring: CoeffRing, row: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    return ring.vscale(row, coeff)
 
 
 def quotient_rows(space: SymbolSpace, ring: CoeffRing, p: int, spec: QuotientSpec):

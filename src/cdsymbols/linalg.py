@@ -19,10 +19,8 @@ from .rings import CoeffRing
 __all__ = [
     "HowellAccumulator",
     "Submodule",
-    "QuotientModule",
     "howell_form",
     "membership",
-    "quotient",
     "elementary_divisors",
     "format_divisors",
 ]
@@ -240,36 +238,6 @@ def membership(vec, sub: Submodule):
     if rem.any():
         return False, None
     return True, witness
-
-
-class QuotientModule:
-    """Ambient free module modulo a relation Submodule, with canonical
-    coset coordinates given by full Howell reduction."""
-
-    def __init__(self, ncols: int, relations: Submodule):
-        if relations.ncols != ncols:
-            raise ValueError("relation rows do not match the ambient dimension")
-        self.ncols = ncols
-        self.ring = relations.ring
-        self.relations = relations
-        self._acc = relations.accumulator()
-
-    @property
-    def length(self) -> int:
-        return self.ncols * self.ring.k - self.relations.length
-
-    def reduce(self, vec) -> np.ndarray:
-        v = np.asarray(vec, dtype=np.int64)
-        if v.ndim == 1 and self.ring.m == 1:
-            v = v.reshape(-1, 1)
-        return self._acc.reduce_full(v)
-
-    def is_zero(self, vec) -> bool:
-        return not self.reduce(vec).any()
-
-
-def quotient(ncols: int, relations: Submodule) -> QuotientModule:
-    return QuotientModule(ncols, relations)
 
 
 def elementary_divisors(A: Submodule, B: Submodule) -> list[int]:

@@ -33,6 +33,23 @@ class RingError(ValueError):
     """A ring construction or arithmetic precondition failed."""
 
 
+# The row arithmetic runs in int64 on residues in [0, p^k).  Its widest
+# intermediate is a sum of at most 2m products of two residues: a vscale
+# entry sums m of them (the matrix product with smatrix(s)), and a (c,d)
+# generator adds two scaled rows to two more before reducing.  Requiring
+# 2 m p^(2k) <= 2^63 keeps every such sum exact; sums of residues alone
+# (at most one per symbol) stay far below it.
+
+
+def check_int64_precision(p: int, k: int, m: int) -> None:
+    """Reject rings whose row arithmetic could wrap in int64."""
+    if 2 * m * p ** (2 * k) > 2**63:
+        raise RingError(
+            f"p^k = {p}^{k} with residue degree m = {m} is too large for exact int64 "
+            f"row arithmetic: need 2*m*p^(2k) <= 2^63"
+        )
+
+
 # ---------------------------------------------------------------------------
 # small integer number theory
 
@@ -336,9 +353,10 @@ class CoeffRing:
                 carry = prev[m - 1]
                 pows[t] = (shifted + carry * red) % self.pk
         self._pows = pows
-        # multiplication tensor: T[i, j] = coefficient vector of x^(i+j)
+        # multiplication tensor T[i, j] = coefficient vector of x^(i+j),
+        # flattened to (m, m*m) so that s @ T is the matrix of s
         idx = np.add.outer(np.arange(m), np.arange(m))
-        self._mult_tensor = pows[idx]  # (m, m, m)
+        self._mult_tensor = pows[idx].reshape(m, m * m)
         self._teich_gen_coeffs: tuple[int, ...] | None = None
 
     # -- identity / comparison ------------------------------------------------
@@ -507,12 +525,17 @@ class CoeffRing:
     def vmod(self, row: np.ndarray) -> np.ndarray:
         return row % self.pk
 
+    def smatrix(self, s) -> np.ndarray:
+        """The (m, m) matrix of multiplication by the scalar s (coefficient
+        vector): `entry @ smatrix(s)` is the coefficient vector of s * entry."""
+        return (np.asarray(s, dtype=np.int64) @ self._mult_tensor).reshape(self.m, self.m) % self.pk
+
     def vscale(self, row: np.ndarray, s) -> np.ndarray:
         """Multiply every entry of the row by the scalar s (coefficient vector)."""
         s = np.asarray(s, dtype=np.int64)
         if self.m == 1:
             return (row * int(s[0])) % self.pk
-        return np.einsum("i,nj,ijc->nc", s, row, self._mult_tensor) % self.pk
+        return (row @ self.smatrix(s)) % self.pk
 
     def vlead(self, row: np.ndarray, start: int = 0):
         """Index of the first nonzero entry at or after `start`, or None."""
@@ -537,7 +560,8 @@ def make_coeff_ring(p: int, k: int, e: int = 1) -> CoeffRing:
     The residue degree m is the multiplicative order of p modulo e, and the
     modulus polynomial is the Hensel lift (inside x^e - 1) of the
     lexicographically smallest irreducible degree-m factor of the e-th
-    cyclotomic polynomial over F_p.
+    cyclotomic polynomial over F_p.  Rings beyond the int64 bound
+    2 m p^(2k) <= 2^63 are rejected with a RingError.
     """
     if not is_prime(p) or p == 2:
         raise RingError(f"p must be an odd prime, got {p}")
@@ -548,6 +572,7 @@ def make_coeff_ring(p: int, k: int, e: int = 1) -> CoeffRing:
     if e % p == 0:
         raise RingError(f"root order {e} is divisible by p = {p}")
     m = multiplicative_order(p, e) if e > 1 else 1
+    check_int64_precision(p, k, m)
     if m == 1:
         return CoeffRing(p, k, 1, None, e)
     f0 = _choose_modulus(p, m, e)
@@ -567,6 +592,7 @@ def chain_ring(p: int, k: int) -> CoeffRing:
         raise RingError(f"{p} is not prime")
     if k < 1:
         raise RingError("precision k must be at least 1")
+    check_int64_precision(p, k, 1)
     return CoeffRing(p, k, 1, None, 1)
 
 

@@ -25,8 +25,6 @@ __all__ = [
     "enumerate_symbols",
     "SymbolSpace",
     "build_presentation",
-    "DiamondAction",
-    "diamond_action",
     "cd_symbol",
     "vector_to_dict",
     "cusp0_agreement",
@@ -89,9 +87,6 @@ class SymbolSpace:
             return self.index[key]
         except KeyError:
             raise ValueError(f"({u}, {v}) is not a symbol of this space") from None
-
-    def has_pair(self, u: int, v: int) -> bool:
-        return canonical_pair(self.N, u, v) in self.index
 
     # -- relations ---------------------------------------------------------
     def _build_rows(self) -> np.ndarray:
@@ -162,27 +157,6 @@ def build_presentation(N: int, variant: str, ring: CoeffRing) -> SymbolSpace:
     """Presentation with the sign rows, the parabolic rows admissible for the
     variant, and the diamond permutation table."""
     return SymbolSpace(N, variant, ring)
-
-
-class DiamondAction:
-    """The endomorphism induced by <a>; a signed-free permutation of symbols."""
-
-    def __init__(self, space: SymbolSpace, a: int):
-        self.space = space
-        self.a = a % space.N
-        self.perm = space.diamond_perm(a)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vec)
-        out[self.perm] = vec
-        return out
-
-    def compose(self, other: "DiamondAction") -> "DiamondAction":
-        return DiamondAction(self.space, self.a * other.a)
-
-
-def diamond_action(space: SymbolSpace, a: int) -> DiamondAction:
-    return DiamondAction(space, a)
 
 
 def cd_symbol(space: SymbolSpace, c: int, d: int, u: int, v: int) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 The grid fixture runs the built-in acceptance grid once (timing every
-scenario) and once more in stable mode for the byte-determinism check.
+scenario) and once more in stable mode for the byte-determinism check; the
+stable run is also compared with the pinned output in
+data/acceptance_stable.json.
 """
 
 import json
 import random
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,7 @@ import argparse
 from cdsymbols.cli import _add_scenario_args
 
 SEED = 20260811
+PINNED_STABLE = Path(__file__).parent / "data" / "acceptance_stable.json"
 
 
 def _line_parser():
@@ -45,6 +49,23 @@ def grid_results():
         rows.append((cfg, report, time.perf_counter() - t0))
     wall = time.perf_counter() - t_total0
     return {"rows": rows, "wall": wall}
+
+
+@pytest.fixture(scope="session")
+def stable_payload():
+    """The acceptance grid rerun in stable mode, serialized as
+    `cdsymbols grid --acceptance --stable` prints it (without the final
+    newline)."""
+    parser = _line_parser()
+    rows2 = []
+    reports2 = []
+    for line in acceptance_grid():
+        cfg = _parse_grid_line(line, parser)
+        cfg["stable"] = True
+        rep = run_config(cfg)
+        reports2.append(rep)
+        rows2.append(rep.to_json_dict())
+    return json.dumps({"reports": rows2, "summary": _grid_summary(reports2, [])}, indent=2)
 
 
 def _verdict(name, ok, detail=""):
@@ -318,12 +339,11 @@ def test_criterion_09_nakayama_stability(grid_results):
     assert _verdict("criterion 9", ok, f"{pairs} matched precision pairs")
 
 
-def test_criterion_10_grid_time_and_determinism(grid_results):
+def test_criterion_10_grid_time_and_determinism(grid_results, stable_payload):
     wall = grid_results["wall"]
     ok_time = wall < 900.0
     # byte-determinism: serialize run 1 with zeroed timings, rerun in stable
     # mode, compare the full payloads
-    parser = _line_parser()
     rows1 = []
     for cfg, report, _ in grid_results["rows"]:
         d = report.to_json_dict()
@@ -333,14 +353,11 @@ def test_criterion_10_grid_time_and_determinism(grid_results):
         {"reports": rows1, "summary": _grid_summary([r for _, r, _ in grid_results["rows"]], [])},
         indent=2,
     )
-    rows2 = []
-    reports2 = []
-    for line in acceptance_grid():
-        cfg = _parse_grid_line(line, parser)
-        cfg["stable"] = True
-        rep = run_config(cfg)
-        reports2.append(rep)
-        rows2.append(rep.to_json_dict())
-    payload2 = json.dumps({"reports": rows2, "summary": _grid_summary(reports2, [])}, indent=2)
-    ok = ok_time and payload1 == payload2
+    ok = ok_time and payload1 == stable_payload
     assert _verdict("criterion 10", ok, f"wall={wall:.1f}s")
+
+
+def test_acceptance_stable_output_matches_pinned_bytes(stable_payload):
+    """The stable acceptance report is byte-identical to the pinned output
+    of `cdsymbols grid --acceptance --stable`."""
+    assert (stable_payload + "\n").encode() == PINNED_STABLE.read_bytes()

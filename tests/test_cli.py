@@ -1,18 +1,25 @@
+import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from cdsymbols.cli import acceptance_grid, main, parse_quotient
+from cdsymbols.cli import WORKERS_ENV, _worker_count, acceptance_grid, main, parse_quotient
 from cdsymbols.hecke import QuotientSpec
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(args, **kw):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "cdsymbols.cli", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
         **kw,
     )
 
@@ -59,6 +66,11 @@ def test_verify_rejects_bad_config():
     assert "phi" in r.stderr
     r2 = run_cli(["verify", "--p", "5", "--k", "1", "--M", "1", "--theta", "nonsense"])
     assert r2.returncode == 2
+
+
+def test_verify_rejects_precision_beyond_int64_bound(capsys):
+    assert main(["verify", "--p", "3", "--k", "20", "--M", "4", "--theta", "[0,0]"]) == 2
+    assert "2^63" in capsys.readouterr().err
 
 
 def test_grid_runs_config_file(tmp_path):
@@ -109,6 +121,30 @@ def test_grid_worker_pool_subprocess(tmp_path):
     assert payload["summary"]["scenarios"] == 2 and payload["summary"]["errors"] == 0
     # order follows the config file regardless of completion order
     assert [row["params"]["p"] for row in payload["reports"]] == [5, 7]
+
+
+def test_worker_count_is_clamped_and_validated(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    assert _worker_count(argparse.Namespace(workers=None)) == 1
+    assert _worker_count(argparse.Namespace(workers=1)) == 1
+    assert _worker_count(argparse.Namespace(workers=10**6)) == 2
+    monkeypatch.setenv(WORKERS_ENV, "64")
+    assert _worker_count(argparse.Namespace(workers=None)) == 2
+    assert _worker_count(argparse.Namespace(workers=1)) == 1  # the flag wins
+    monkeypatch.setenv(WORKERS_ENV, "0")
+    assert _worker_count(argparse.Namespace(workers=None)) == 1
+    monkeypatch.setenv(WORKERS_ENV, "two")
+    with pytest.raises(ValueError, match=WORKERS_ENV):
+        _worker_count(argparse.Namespace(workers=None))
+    cfg = tmp_path / "grid.txt"
+    cfg.write_text("--p 5 --k 1 --M 1 --theta [0]\n")
+    assert main(["grid", "--config", str(cfg)]) == 2
+    assert WORKERS_ENV in capsys.readouterr().err
+    for bad in ("0", "-3", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["grid", "--config", str(cfg), "--workers", bad])
+        assert exc.value.code == 2
 
 
 def test_properties_cli_deterministic(tmp_path):

@@ -14,7 +14,6 @@ from cdsymbols.eigen import (
     check_generation,
     eigensymbol,
     eigensymbol_free,
-    eigenspace,
     idempotent_projector,
     verify_cd_span_of_one_p,
 )
@@ -122,16 +121,45 @@ def test_eigenspace_dims_sum_to_quotient_length():
         for theta in enumerate_characters(N, ring):
             if not theta.is_even():
                 continue
-            sub = eigenspace(sp, theta)
-            total += sub.length - acc.length
+            total += build_eigen_context(sp, p, M, theta).dim_H
         assert total == qlen
+
+
+@pytest.mark.parametrize("p,k,M", [(3, 1, 4), (3, 2, 4), (5, 1, 3), (5, 2, 3), (7, 1, 5), (7, 2, 5)])
+def test_orbit_projection_matches_dense_projector(p, k, M):
+    """pi presents e_theta.  Each orbit representative has stabilizer
+    {1, -1}, so e_theta[rep] has entry 2/phi(N) at rep and pi(v) is
+    phi(N)/2 times the representative entries of P v.  And for seeded random
+    sets V (the largest spans the eigenspace), V adds as much length over the
+    ambient relations after P as pi(V) adds over the projected relations."""
+    N, ring, sp = scenario(p, k, M)
+    amb = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows))
+    reps = list(sp.orbits()[0])
+    half_phi = ring.from_int(unit_group(N).phi // 2).as_array()
+    rng = random.Random(1000 * N + k)
+    for theta in enumerate_characters(N, ring):
+        if not theta.is_even():
+            continue
+        ctx = build_eigen_context(sp, p, M, theta)
+        P = idempotent_projector(sp, theta)
+        for size in (1, 3, 12):
+            amb_v = amb.copy()
+            proj_v = ctx.rel_acc.copy()
+            for _ in range(size):
+                vec = np.array([[rng.randrange(ring.pk) for _ in range(ring.m)] for _ in range(sp.nsym)])
+                pvec = apply_matrix(ring, P, vec)
+                assert np.array_equal(ctx.project(vec), ring.vscale(pvec[reps], half_phi))
+                amb_v.add(pvec)
+                proj_v.add(ctx.project(vec))
+            assert amb_v.length - amb.length == proj_v.length - ctx.rel_length, theta.label()
+        assert proj_v.length - ctx.rel_length == ctx.dim_H
 
 
 def test_eigenspace_of_zero_module_is_zero():
     N, ring, sp = scenario(5, 1, 1)
     theta = [c for c in enumerate_characters(5, ring) if c.is_even()][0]
     kill = [np.eye(sp.nsym, dtype=np.int64)[:, :, None][i] for i in range(sp.nsym)]
-    ctx = build_eigen_context(sp, 5, 1, theta, extra_rows=tuple(kill), cache_key=None)
+    ctx = build_eigen_context(sp, 5, 1, theta, extra_rows=tuple(kill))
     assert ctx.htheta_target().length - ctx.rel_length == 0
 
 
@@ -162,6 +190,7 @@ def test_eigensymbol_conductor_support_vanishing():
 def test_eigensymbol_antisymmetry_in_quotient():
     N, ring, sp = scenario(5, 2, 1)
     ctx = build_eigen_context(sp, 5, 1, [c for c in enumerate_characters(5, ring) if c.is_even()][1])
+    rel = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows))
     chars = enumerate_characters(5, ring)
     for chi in chars:
         psi = ctx.theta * chi.inverse()
@@ -169,7 +198,7 @@ def test_eigensymbol_antisymmetry_in_quotient():
             v1 = eigensymbol_free(sp, chi, psi, g, h)
             v2 = eigensymbol_free(sp, psi, chi, h, g)
             tot = (v1 + ring.vscale(v2, np.array(chi(-1).coeffs, dtype=np.int64))) % ring.pk
-            assert ctx.rel_acc.contains(tot)
+            assert rel.contains(tot)
 
 
 def test_alpha_omega2_omega2_vanishes_at_p5():
@@ -178,8 +207,8 @@ def test_alpha_omega2_omega2_vanishes_at_p5():
     theta = [c for c in enumerate_characters(5, ring) if c.is_trivial()][0]
     ctx = build_eigen_context(sp, 5, 1, theta)
     om2 = ctx.omega**2
-    beta = eigensymbol(ctx, om2, 1, 1)
-    assert ctx.rel_acc.contains(beta)
+    beta = eigensymbol_free(sp, om2, ctx.psi(om2), 1, 1)
+    assert HowellAccumulator(ring, sp.nsym, list(sp.relation_rows)).contains(beta)
 
 
 def test_cusp0_alpha_with_g_equal_N_is_zero():
@@ -364,9 +393,8 @@ def test_eigensymbols_span_the_eigenspace():
             ctx = build_eigen_context(sp, p, M, theta)
             acc = ctx.rel_acc.copy()
             for chi in chars:
-                psi = theta * chi.inverse()
                 for (g, h) in pairs:
-                    acc.add(eigensymbol_free(sp, chi, psi, g, h))
+                    acc.add(eigensymbol(ctx, chi, g, h))
             assert acc.length == ctx.htheta_target().length
 
 

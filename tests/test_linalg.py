@@ -12,7 +12,6 @@ from cdsymbols.linalg import (
     format_divisors,
     howell_form,
     membership,
-    quotient,
 )
 from cdsymbols.rings import chain_ring, make_coeff_ring
 
@@ -85,27 +84,6 @@ def test_membership_witness_recombines_exactly():
         for j, q in wit.items():
             total = (total + ring.vscale(sub.rows[cols.index(j)], q)) % 25
         assert list(total[:, 0]) == list(combo)
-
-
-def test_quotient_module():
-    ring = chain_ring(5, 2)
-    free = quotient(2, howell_form([], ring, ncols=2))
-    v = np.array([3, 7])
-    assert list(free.reduce(v)[:, 0]) == [3, 7]
-    full = quotient(2, howell_form([[1, 0], [0, 1]], ring, ncols=2))
-    assert full.length == 0 and not full.reduce(v).any()
-    tors = quotient(1, howell_form([[5]], ring, ncols=1))
-    assert tors.length == 1
-    assert tors.reduce([7])[0, 0] == 2
-    # reduce(v) == reduce(w) iff v - w is a relation
-    rng = random.Random(5)
-    rel = howell_form([[5, 10], [0, 5]], ring, ncols=2)
-    q = quotient(2, rel)
-    for _ in range(40):
-        v = np.array([rng.randrange(25), rng.randrange(25)])
-        w = np.array([rng.randrange(25), rng.randrange(25)])
-        same = np.array_equal(q.reduce(v), q.reduce(w))
-        assert same == rel.contains((v - w).reshape(-1, 1) % 25)
 
 
 def test_elementary_divisors_examples():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cdsymbols.rings import (
@@ -164,3 +165,35 @@ def test_vector_helpers_match_scalar_ops():
         assert tuple(int(c) for c in scaled[i]) == (s * elems[i]).coeffs
     assert ring.vlead(ring.vzeros(4)) is None
     assert ring.vval_entry((ring.from_int(49)).as_array()) == 2
+
+
+@pytest.mark.parametrize("p,e,top", [(3, 2, 19), (7, 24, 10), (13, 24, 8)])
+def test_precision_ladder_straddles_int64_bound(p, e, top):
+    """Up to the largest k with 2 m p^(2k) <= 2^63 the vector helpers agree
+    with scalar RingElem arithmetic, extremes included; above it the ring
+    is rejected."""
+    rng = random.Random(1000 * p + top)
+    for k in range(top - 2, top + 3):
+        if k > top:
+            with pytest.raises(RingError, match="2\\^63"):
+                make_coeff_ring(p, k, e)
+            continue
+        ring = make_coeff_ring(p, k, e)
+        top_elem = ring.el([ring.pk - 1] * ring.m)
+        for _ in range(40):
+            elems = [ring.el([rng.randrange(ring.pk) for _ in range(ring.m)]) for _ in range(4)]
+            elems.append(top_elem)
+            row = np.array([x.coeffs for x in elems], dtype=np.int64)
+            for s in (ring.el([rng.randrange(ring.pk) for _ in range(ring.m)]), top_elem):
+                scaled = ring.vscale(row, s.as_array())
+                assert [tuple(int(c) for c in r) for r in scaled] == [(s * x).coeffs for x in elems]
+                assert ring.vscale(row[:1], s.as_array()).tolist() == [list((s * elems[0]).coeffs)]
+        # the widest (c,d)-generator combination, at its extreme, stays exact
+        top_row = np.full((1, ring.m), ring.pk - 1, dtype=np.int64)
+        s0 = t0 = ring.pk - 1
+        combo = (top_row * (s0 * t0 % ring.pk) - top_row * s0 - top_row * t0 + top_row) % ring.pk
+        exact = ((ring.pk - 1) * (s0 * t0 % ring.pk - s0 - t0 + 1)) % ring.pk
+        assert combo.tolist() == [[exact] * ring.m]
+    if e == 2:
+        with pytest.raises(RingError, match="2\\^63"):
+            chain_ring(p, top + 1)
