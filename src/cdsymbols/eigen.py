@@ -84,7 +84,8 @@ class EigenContext:
     projected relations.  `project` is the coordinate map
     pi([i]) = theta(trans[i]) x_{orbit_of[i]} on ambient rows of shape
     (..., nsym, m); `basis` holds the unit columns reduced against the
-    relations."""
+    relations, and `columns[i]` the reduced column of symbol i,
+    theta(trans[i]) basis[orbit_of[i]]."""
 
     space: SymbolSpace
     ring: CoeffRing
@@ -96,8 +97,8 @@ class EigenContext:
     reps: tuple[int, ...] = field(repr=False)
     orbit_of: np.ndarray = field(repr=False)
     trans: np.ndarray = field(repr=False)
-    basis: list[np.ndarray] = field(repr=False)
-    theta_values: dict[int, tuple[int, ...]] = field(repr=False)
+    basis: np.ndarray = field(repr=False)
+    columns: np.ndarray = field(repr=False)
     omega: DirichletCharacter = field(repr=False)
     eta: DirichletCharacter = field(repr=False)
     f: int = 0
@@ -118,35 +119,27 @@ class EigenContext:
     def psi(self, chi: DirichletCharacter) -> DirichletCharacter:
         return self.theta * chi.inverse()
 
-    def _key(self, i: int) -> tuple:
-        """(column, theta value) of e_theta[symbol i]."""
-        return (int(self.orbit_of[i]), self.theta_values[int(self.trans[i])])
-
-    def _column(self, key: tuple) -> np.ndarray:
-        col, t = key
-        return self.ring.vscale(self.basis[col], np.array(t, dtype=np.int64))
-
     def etheta_column(self, u: int, v: int) -> np.ndarray:
         """Reduced representative of e_theta applied to the symbol (u, v)."""
-        return self._column(self._key(self.space.idx(u, v)))
+        return self.columns[self.space.idx(u, v)].copy()
 
     def htheta_target(self) -> HowellAccumulator:
         acc = self.rel_acc.copy()
-        for col in self.basis:
-            acc.add(col)
+        acc.add_rows(self.basis)
         return acc
 
 
 def _orbit_projection(ring: CoeffRing, orbit_of: np.ndarray, scalars, r: int):
     """pi on ambient rows (..., nsym, m): scale entry i by scalars[i] and add
-    it into column orbit_of[i]."""
-    smat = np.array([ring.smatrix(s) for s in scalars], dtype=np.int64)
-    incidence = np.zeros((len(orbit_of), r), dtype=np.int64)
-    incidence[np.arange(len(orbit_of)), orbit_of] = 1
+    it into column orbit_of[i] (a sum of at most nsym residues per entry)."""
+    order = np.argsort(orbit_of, kind="stable")  # symbols grouped by orbit
+    starts = np.searchsorted(orbit_of[order], np.arange(r))
+    smat = np.array([ring.smatrix(scalars[i]) for i in order], dtype=np.int64)
 
     def project(vec: np.ndarray) -> np.ndarray:
-        scaled = np.einsum("...ni,nic->...cn", np.asarray(vec, dtype=np.int64), smat) % ring.pk
-        return np.swapaxes(scaled @ incidence, -1, -2) % ring.pk
+        vec = np.asarray(vec, dtype=np.int64)[..., order, :]
+        scaled = np.einsum("...ni,nic->...nc", vec, smat) % ring.pk
+        return np.add.reduceat(scaled, starts, axis=-2) % ring.pk
 
     return project
 
@@ -156,8 +149,7 @@ def _relations_accumulator(space: SymbolSpace, project, r: int, extra_rows) -> H
     acc = HowellAccumulator(space.ring, r)
     for rows in (space.relation_rows, extra_rows):
         if len(rows):
-            for row in project(np.stack(rows)):
-                acc.add(row)
+            acc.add_rows(project(np.stack(rows)))
     return acc
 
 
@@ -181,14 +173,17 @@ def build_eigen_context(
         raise ValueError("theta does not live on this space")
     reps, orbit_of, trans = space.orbits()
     theta_values = {a: theta(a).coeffs for a in ug.units}
+    scalars = np.array([theta_values[int(a)] for a in trans], dtype=np.int64)
     r = len(reps)
-    project = _orbit_projection(ring, orbit_of, [theta_values[int(a)] for a in trans], r)
+    project = _orbit_projection(ring, orbit_of, scalars, r)
     rel_acc = _relations_accumulator(space, project, r, extra_rows)
-    basis = []
+    identity = np.zeros((r, r, ring.m), dtype=np.int64)
+    identity[np.arange(r), np.arange(r), 0] = 1
+    basis = rel_acc.reduce_rows(identity)
+    columns = np.zeros((space.nsym, r, ring.m), dtype=np.int64)
     for o in range(r):
-        unit = ring.vzeros(r)
-        unit[o, 0] = 1
-        basis.append(rel_acc.reduce_full(unit))
+        members = np.flatnonzero(orbit_of == o)
+        columns[members] = ring.vscale_stack(basis[o], scalars[members])
     omega = teichmuller_character(M, p, ring)
     theta_mp = theta if N == M * p else theta.extend(M * p)
     eta = theta_mp * omega ** (-2)
@@ -204,7 +199,7 @@ def build_eigen_context(
         orbit_of=orbit_of,
         trans=trans,
         basis=basis,
-        theta_values=theta_values,
+        columns=columns,
         omega=omega,
         eta=eta,
         f=eta.conductor(),
@@ -324,11 +319,46 @@ def cd_eigensymbol(ctx: EigenContext, c: int, d: int, chi: DirichletCharacter, g
 # the (c,d)-span
 
 
-def _scalar_bases(p: int, pk: int, N: int, a: int) -> tuple[int, ...]:
-    """Base values s0 of the fibers {c^2 mod p^k : c in the class of a}."""
+def _scalar_bases(p: int, pk: int, N: int, units: np.ndarray) -> np.ndarray:
+    """Base values s0 of the fibers {c^2 mod p^k : c in the class of a}, one
+    row per unit a."""
     if N % p == 0:
-        return ((a % p) ** 2 % pk,)
-    return tuple(sorted({(x * x) % p for x in range(1, p)}))
+        return ((units % p) ** 2 % pk)[:, None]
+    squares = sorted({(x * x) % p for x in range(1, p)})
+    return np.tile(np.array(squares, dtype=np.int64), (len(units), 1))
+
+
+def _cd_generators(ctx: EigenContext, rep: int, units: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """The generator stream of one orbit representative [u0:v0], as a stack:
+    for every (a, b, s0, t0), s0 t0 x0 - s0 x1 - t0 x2 + x3 with x0, x1, x2,
+    x3 the columns of [u0:v0], [u0:b v0], [a u0:v0], [a u0:b v0], then the
+    fiber generators p(t0 x0 - x1), p(s0 x0 - x2) (k >= 2) and p^2 x0
+    (k >= 3)."""
+    space, ring = ctx.space, ctx.ring
+    p, pk, N = ring.p, ring.pk, space.N
+    u0, v0 = space.symbols[rep]
+    au, bv = units * u0 % N, units * v0 % N
+    x0 = ctx.columns[rep]
+    x1 = ctx.columns[space.table[u0, bv]]  # (b, r, m)
+    x2 = ctx.columns[space.table[au, v0]]  # (a, r, m)
+    x3 = ctx.columns[space.table[au[:, None], bv[None, :]]]  # (a, b, r, m)
+    s = bases[:, None, :, None, None, None]  # s0 on the axes (a, b, s0, t0, r, m)
+    t = bases[None, :, None, :, None, None]  # t0 on the same axes
+    # each product is below p^(2k), so the sum stays inside the int64 bound
+    main = (
+        x0 * (s * t % pk)
+        - x1[None, :, None, None] * s
+        - x2[:, None, None, None] * t
+        + x3[:, :, None, None]
+    ) % pk
+    stacks = [main]
+    if ring.k >= 2:
+        fiber = bases[:, :, None, None]  # (a or b, s0 or t0, r, m)
+        stacks.append((x0 * fiber - x1[:, None]) % pk * p % pk)
+        stacks.append((x0 * fiber - x2[:, None]) % pk * p % pk)
+    if ring.k >= 3:
+        stacks.append(x0 * (p * p) % pk)
+    return np.concatenate([g.reshape(-1, *x0.shape) for g in stacks])
 
 
 def cd_span(
@@ -345,79 +375,30 @@ def cd_span(
     restricts the c mod N and d mod N residues to representatives <= bound;
     the result is then marked not exhaustive."""
     ring = ctx.ring
-    space = ctx.space
-    p, pk = ring.p, ring.pk
-    N = space.N
-    units = list(unit_group(N).units)
+    N = ctx.space.N
+    units = np.array(unit_group(N).units, dtype=np.int64)
     exhausted = True
     if unit_bound is not None:
-        units = [a for a in units if a <= unit_bound]
-        if not units:
+        units = units[units <= unit_bound]
+        if not len(units):
             raise ValueError("cd bound excludes every residue class")
         exhausted = False
+    bases = _scalar_bases(ring.p, ring.pk, N, units)
     acc = ctx.rel_acc.copy()
-
-    def done() -> bool:
-        return stop_at_length is not None and acc.length >= stop_at_length
-
     for rep in ctx.reps:
-        u0, v0 = space.symbols[rep]
-        x0 = ctx.etheta_column(u0, v0)
-        xa: dict[int, np.ndarray] = {}
-        keya: dict[int, tuple] = {}
-        bases: dict[int, tuple[int, ...]] = {}
-        for a in units:
-            keya[a] = ctx._key(space.idx(a * u0, v0))
-            xa[a] = ctx._column(keya[a])
-            bases[a] = _scalar_bases(p, pk, N, a)
-        xb: dict[int, np.ndarray] = {}
-        keyb: dict[int, tuple] = {}
-        for b in units:
-            keyb[b] = ctx._key(space.idx(u0, b * v0))
-            xb[b] = ctx._column(keyb[b])
-        seen: set = set()
-        for a in units:
-            x2 = xa[a]
-            for b in units:
-                x1 = xb[b]
-                key3 = ctx._key(space.idx(a * u0, b * v0))
-                x3 = None
-                for s0 in bases[a]:
-                    for t0 in bases[b]:
-                        dedupe = (s0, t0, key3, keya[a], keyb[b])
-                        if dedupe in seen:
-                            continue
-                        seen.add(dedupe)
-                        if x3 is None:
-                            x3 = ctx._column(key3)
-                        vec = (x0 * (s0 * t0 % pk) - x1 * s0 - x2 * t0 + x3) % pk
-                        acc.add(vec)
-                        if done():
-                            return acc, exhausted
-        if ring.k >= 2:
-            for b in units:
-                x1 = xb[b]
-                for t0 in bases[b]:
-                    acc.add((x0 * t0 - x1) % pk * p % pk)
-                    if done():
-                        return acc, exhausted
-            for a in units:
-                x2 = xa[a]
-                for s0 in bases[a]:
-                    acc.add((x0 * s0 - x2) % pk * p % pk)
-                    if done():
-                        return acc, exhausted
-        if ring.k >= 3:
-            acc.add(x0 * (p * p) % pk)
-            if done():
-                return acc, exhausted
+        acc.add_rows(_cd_generators(ctx, rep, units, bases), stop_at=stop_at_length)
+        if stop_at_length is not None and acc.length >= stop_at_length:
+            break
     return acc, exhausted
 
 
 def cd_span_bruteforce(ctx: EigenContext) -> HowellAccumulator:
     """Literal enumeration over all residue classes of (c, d) modulo
     L = lcm(6N, p^k) prime to 6N, applied to every symbol and projected
-    through pi.  Exponentially slower; exists as the oracle for cd_span."""
+    through pi.  Exponentially slower; exists as the oracle for cd_span.  It
+    inserts one row at a time with `add` and never calls `add_rows`, so the
+    comparison also checks cd_span's batched insertion against code that
+    does not share it."""
     from .symbols import cd_symbol
 
     ring = ctx.ring

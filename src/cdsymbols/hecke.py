@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import teichmuller_character, unit_group
-from .eigen import GenerationReport, _generation_core
+from .eigen import GenerationReport, _generation_core, _validate_scenario
 from .rings import CoeffRing, is_prime
 from .symbols import CUSP0, SymbolSpace, build_presentation
 
@@ -106,7 +106,8 @@ def t2_eisenstein_relations(space: SymbolSpace, ring: CoeffRing, p: int, allow_f
     ug = unit_group(N)
     inv_phi = ring.from_int(ug.phi).inverse()
     om2_inv = omega2.inverse()
-    coeffs = {a: np.array((om2_inv(a) * inv_phi).coeffs, dtype=np.int64) for a in ug.units}
+    coeffs = np.array([(om2_inv(a) * inv_phi).coeffs for a in ug.units], dtype=np.int64)
+    moves = np.stack([space.diamond_perm(a) for a in ug.units])  # <units[t]> sends i to moves[t, i]
     reps, orbit_of, _ = space.orbits()
     rows = []
     for rep in reps:
@@ -114,14 +115,12 @@ def t2_eisenstein_relations(space: SymbolSpace, ring: CoeffRing, p: int, allow_f
         # cusp0 admissibility: u, v, u+v nonzero (u, v nonzero already hold)
         if space.variant == CUSP0 and (u + v) % N == 0:
             continue
-        raw = _t2_vector(space, u, v)
+        raw = _t2_vector(space, u, v)[:, 0]
+        support = np.flatnonzero(raw)
+        terms = raw[support][None, :, None] * coeffs[:, None, :]  # (unit, support, m)
         row = ring.vzeros(space.nsym)
-        for a in ug.units:
-            perm = space.diamond_perm(a)
-            permuted = np.zeros_like(raw)
-            permuted[perm] = raw
-            row = (row + ring.vscale(permuted, coeffs[a])) % ring.pk
-        rows.append(row)
+        np.add.at(row, moves[:, support].ravel(), terms.reshape(-1, ring.m))
+        rows.append(row % ring.pk)
     return rows
 
 
@@ -176,13 +175,11 @@ def check_generation_with_quotient(
 ) -> GenerationReport:
     """Impose the requested Hecke-type relations, recompute the spans in the
     quotient, and report the applicable strengthened case."""
-    from .characters import unit_group as _ug
     from .rings import make_coeff_ring
 
-    N = M if level == "M" else M * p
-    ring = make_coeff_ring(p, k, _ug(N).phi)
+    N = _validate_scenario(p, k, M, level)
+    ring = make_coeff_ring(p, k, unit_group(N).phi)
     space = build_presentation(N, variant, ring)
-    spec.validate(N, variant)
     rows = quotient_rows(space, ring, p, spec)
     return _generation_core(
         p,

@@ -45,8 +45,15 @@ def _as_rows(rows, ring: CoeffRing, ncols):
     return out, ncols
 
 
+# add_rows hands the rows that survive its first reduction to `add` in chunks
+# of this size, each reduced again against the pivots the earlier chunks
+# produced: every row is reduced at most twice, and at most one chunk of
+# rows the span already covers reaches `add` between two reductions.
+_INSERT_CHUNK = 64
+
+
 class HowellAccumulator:
-    """Growing Howell basis; add rows one at a time, query span properties.
+    """Growing Howell basis; add rows singly or as stacks, query span properties.
 
     The basis is a map pivot-column -> normalized row (pivot entry equal to
     p^v exactly).  `length` is the module length of the span, the sum of
@@ -100,22 +107,32 @@ class HowellAccumulator:
                 witness[j] = q
             start = j + 1
 
-    def reduce_full(self, vec: np.ndarray, witness: dict | None = None) -> np.ndarray:
-        """Canonical coset representative: entry at each pivot column is
-        brought into the residues [0, p^v)^m.  Two vectors reduce to the
-        same representative iff they differ by an element of the span."""
+    def reduce_rows(self, rows: np.ndarray, witness: dict | None = None) -> np.ndarray:
+        """Canonical coset representatives of a stack of rows (B, ncols, m):
+        one vectorised step per pivot column, in sorted order, brings every
+        row's entry there into the residues [0, p^v)^m.  Two rows reduce to
+        the same representative iff they differ by an element of the span.
+        Records the (B, m) quotients per pivot column if asked."""
         ring = self.ring
-        vec = vec % ring.pk
+        rows = np.asarray(rows, dtype=np.int64) % ring.pk
         for j in self._pivot_cols():
-            e = vec[j]
-            if not e.any():
-                continue
-            q = e // ring.p ** self.vals[j]
+            q = rows[:, j] // ring.p ** self.vals[j]
             if q.any():
-                vec = (vec - ring.vscale(self.pivots[j], q)) % ring.pk
+                # the pivot row is zero before column j
+                tail = rows[:, j:] - ring.vscale_stack(self.pivots[j][j:], q)
+                rows[:, j:] = tail % ring.pk
                 if witness is not None:
                     witness[j] = q
-        return vec
+        return rows
+
+    def reduce_full(self, vec: np.ndarray, witness: dict | None = None) -> np.ndarray:
+        """Canonical coset representative of one row: reduce_rows with
+        B = 1, the witness recording the quotient used at each pivot."""
+        quotients = None if witness is None else {}
+        out = self.reduce_rows(vec[None], quotients)[0]
+        if witness is not None:
+            witness.update((j, q[0]) for j, q in quotients.items())
+        return out
 
     def contains(self, vec: np.ndarray) -> bool:
         return not self.reduce(vec).any()
@@ -149,6 +166,26 @@ class HowellAccumulator:
             if v > 0:
                 stack.append((r * ring.p ** (ring.k - v)) % ring.pk)
         return self.length > before
+
+    def add_rows(self, rows, stop_at: int | None = None) -> bool:
+        """Insert a stack of rows (B, ncols, m); returns True if the span grew.
+
+        The stack is reduced against the current pivots in one vectorised
+        pass, and the rows that reduce to zero are dropped.  The rest go
+        through `add` in order, in chunks that are first reduced again
+        against the pivots the earlier chunks produced.  With stop_at,
+        insertion ends as soon as the length reaches it."""
+        before = self.length
+        rest = self._nonzero(self.reduce_rows(rows))
+        for start in range(0, len(rest), _INSERT_CHUNK):
+            for row in self._nonzero(self.reduce_rows(rest[start : start + _INSERT_CHUNK])):
+                if stop_at is not None and self.length >= stop_at:
+                    return self.length > before
+                self.add(row)
+        return self.length > before
+
+    def _nonzero(self, rows: np.ndarray) -> np.ndarray:
+        return rows[rows.reshape(len(rows), self.ncols * self.ring.m).any(axis=1)]
 
     def finalize(self) -> "Submodule":
         """Back-substituted canonical form as an immutable Submodule."""
@@ -256,11 +293,9 @@ def elementary_divisors(A: Submodule, B: Submodule) -> list[int]:
             raise ValueError("A is not contained in B")
     lengths = []
     for j in range(ring.k + 1):
-        acc = HowellAccumulator(ring, A.ncols, list(A.rows))
-        scale = ring.p**j
+        acc = A.accumulator()
         if j < ring.k:
-            for row in B.rows:
-                acc.add((row * scale) % ring.pk)
+            acc.add_rows(B.rows * ring.p**j)
         lengths.append(acc.length)
     out: list[int] = []
     for t in range(1, ring.k + 1):

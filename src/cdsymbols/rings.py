@@ -537,6 +537,19 @@ class CoeffRing:
             return (row * int(s[0])) % self.pk
         return (row @ self.smatrix(s)) % self.pk
 
+    def vscale_stack(self, row: np.ndarray, scalars: np.ndarray) -> np.ndarray:
+        """The stack (B, ncols, m) of the row multiplied by each scalar of
+        `scalars` (B, m).  For m > 1 it contracts the scalars with the row's
+        (m, ncols, m) multiplication tensor (the row times x^0 .. x^(m-1)),
+        a sum of m products of two residues per entry."""
+        scalars = np.asarray(scalars, dtype=np.int64)
+        if self.m == 1:
+            return (row[None] * scalars[:, None, :]) % self.pk
+        m = self.m
+        tensor = (row @ self._mult_tensor.reshape(m, m, m)) % self.pk
+        flat = scalars @ tensor.reshape(m, -1)
+        return flat.reshape(len(scalars), *row.shape) % self.pk
+
     def vlead(self, row: np.ndarray, start: int = 0):
         """Index of the first nonzero entry at or after `start`, or None."""
         sub = row[start:]

@@ -65,7 +65,10 @@ class SymbolSpace:
     """Presentation of a level-N modular-symbol space over a coefficient ring.
 
     Holds the canonical generator list, the relation rows as dense vectors,
-    and the diamond permutation table.  Immutable after construction.
+    and `table`, the N x N array of symbol indices of all pairs (u, v) mod N
+    (both signs of a symbol share its index; -1 where (u, v) is not a
+    symbol), through which indexing and the diamond action are gathers.
+    Immutable after construction.
     """
 
     def __init__(self, N: int, variant: str, ring: CoeffRing):
@@ -74,41 +77,44 @@ class SymbolSpace:
         self.ring = ring
         self.symbols = enumerate_symbols(N, variant)
         self.nsym = len(self.symbols)
-        self.index = {s: i for i, s in enumerate(self.symbols)}
         self.units = unit_group(N).units
-        self._diamond: dict[int, np.ndarray] = {}
+        uv = np.array(self.symbols, dtype=np.int64).reshape(-1, 2)
+        self._u, self._v = uv[:, 0], uv[:, 1]
+        self.table = np.full((N, N), -1, dtype=np.int64)
+        self.table[(-self._u) % N, (-self._v) % N] = np.arange(self.nsym)
+        self.table[self._u, self._v] = np.arange(self.nsym)
         self.relation_rows = self._build_rows()
         self._orbit_data = None
 
     # -- indexing ---------------------------------------------------------
     def idx(self, u: int, v: int) -> int:
-        key = canonical_pair(self.N, u, v)
-        try:
-            return self.index[key]
-        except KeyError:
-            raise ValueError(f"({u}, {v}) is not a symbol of this space") from None
+        i = int(self.table[u % self.N, v % self.N])
+        if i < 0:
+            raise ValueError(f"({u}, {v}) is not a symbol of this space")
+        return i
 
     # -- relations ---------------------------------------------------------
     def _build_rows(self) -> np.ndarray:
-        ring = self.ring
-        N = self.N
-        rows = []
-        for (u, v) in self.symbols:
-            i_sign = self.idx(-v, u)
-            me = self.idx(u, v)
-            if me <= i_sign:
-                r = ring.vzeros(self.nsym)
-                r[me, 0] += 1
-                r[i_sign, 0] += 1
-                rows.append(r % ring.pk)
-            w = (u + v) % N
-            if self.variant == FULL or w != 0:
-                r = ring.vzeros(self.nsym)
-                r[me, 0] += 1
-                r[self.idx(u, w), 0] -= 1
-                r[self.idx(w, v), 0] -= 1
-                rows.append(r % ring.pk)
-        return np.stack(rows)
+        """Per symbol [u:v] in order: the sign row [u:v] + [-v:u] (once per
+        pair) and the parabolic row [u:v] - [u:u+v] - [u+v:v]."""
+        N, n = self.N, self.nsym
+        me = np.arange(n)
+        u, v = self._u, self._v
+        w = (u + v) % N
+        sign_partner = self.table[-v % N, u]
+        keep = np.stack([me <= sign_partner, (w != 0) | (self.variant == FULL)], axis=1)
+        row_of = (np.cumsum(keep) - 1).reshape(n, 2)  # row of each kept (symbol, kind)
+        rows = np.zeros((int(keep.sum()), n, self.ring.m), dtype=np.int64)
+        terms = (
+            (0, (me, sign_partner), (1, 1)),
+            (1, (me, self.table[u, w], self.table[w, v]), (1, -1, -1)),
+        )
+        for kind, cols, coeffs in terms:
+            sel = keep[:, kind]
+            for col, c in zip(cols, coeffs):
+                np.add.at(rows[..., 0], (row_of[sel, kind], col[sel]), c)
+        rows %= self.ring.pk
+        return rows
 
     # -- diamond action ------------------------------------------------------
     def diamond_perm(self, a: int) -> np.ndarray:
@@ -116,36 +122,27 @@ class SymbolSpace:
         a %= self.N
         if gcd(a, self.N) != 1:
             raise ValueError(f"{a} is not a unit modulo {self.N}")
-        perm = self._diamond.get(a)
-        if perm is None:
-            perm = np.array([self.idx(a * u, a * v) for (u, v) in self.symbols], dtype=np.int64)
-            self._diamond[a] = perm
-        return perm
+        return self.table[a * self._u % self.N, a * self._v % self.N]
 
     def orbits(self):
         """Diamond-orbit decomposition: (reps, orbit_of, transporter) where
-        transporter[i] is a unit a with <a> rep = symbol i."""
+        transporter[i] is the first unit a (in unit-group order) with
+        <a> rep = symbol i.  The orbit of i is the column {<a> i} of the
+        action table, and its representative is the least index in it."""
         if self._orbit_data is None:
-            orbit_of = np.full(self.nsym, -1, dtype=np.int64)
+            units = np.array(self.units, dtype=np.int64)
+            action = self.table[
+                units[:, None] * self._u % self.N, units[:, None] * self._v % self.N
+            ]  # action[t, i] = index of <units[t]> symbol i
+            least = action.min(axis=0)
+            reps = np.unique(least)
+            orbit_of = np.searchsorted(reps, least)
+            # action[:, reps] in unit-major order: the first hit of each
+            # symbol comes from the first unit that reaches it
+            hits, first = np.unique(action[:, reps].ravel(), return_index=True)
             trans = np.zeros(self.nsym, dtype=np.int64)
-            reps = []
-            for i in range(self.nsym):
-                if orbit_of[i] >= 0:
-                    continue
-                o = len(reps)
-                reps.append(i)
-                orbit_of[i] = o
-                trans[i] = 1
-                frontier = [i]
-                while frontier:
-                    j = frontier.pop()
-                    for a in self.units:
-                        t = int(self.diamond_perm(a)[j])
-                        if orbit_of[t] < 0:
-                            orbit_of[t] = o
-                            trans[t] = a * trans[j] % self.N
-                            frontier.append(t)
-            self._orbit_data = (tuple(reps), orbit_of, trans)
+            trans[hits] = units[first // len(reps)]
+            self._orbit_data = (tuple(int(i) for i in reps), orbit_of, trans)
         return self._orbit_data
 
     def __repr__(self):

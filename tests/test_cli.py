@@ -68,6 +68,25 @@ def test_verify_rejects_bad_config():
     assert r2.returncode == 2
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--p", "3", "--M", "3"], "error: p divides M*phi(M): p=3, M=3, phi(M)=2\n"),
+    (["--p", "5", "--M", "2", "--level", "M"], "error: level N = 2 must be at least 4\n"),
+])
+def test_quotient_path_validates_the_scenario_first(args, message, capsys):
+    for quotient in ("none", "trivU:2"):
+        assert main(["verify", *args, "--theta", "[0]", "--quotient", quotient]) == 2
+        assert capsys.readouterr().err == message
+
+
+def test_cd_exhaustive_spells_the_default(capsys):
+    args = ["verify", "--p", "5", "--k", "2", "--M", "1", "--theta", "[2]", "--stable"]
+    assert main(args) == 0
+    default = capsys.readouterr().out
+    assert main(args + ["--cd-exhaustive"]) == 0
+    assert capsys.readouterr().out == default
+    assert '"cd": "exhaustive"' in default
+
+
 def test_verify_rejects_precision_beyond_int64_bound(capsys):
     assert main(["verify", "--p", "3", "--k", "20", "--M", "4", "--theta", "[0,0]"]) == 2
     assert "2^63" in capsys.readouterr().err

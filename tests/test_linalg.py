@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdsymbols.linalg import (
+    _INSERT_CHUNK,
     HowellAccumulator,
     elementary_divisors,
     format_divisors,
@@ -180,3 +181,107 @@ def test_empty_input_is_zero_module():
     ring = chain_ring(3, 2)
     sub = howell_form([], ring)
     assert sub.nrows() == 0 and sub.length == 0
+
+
+# ---------------------------------------------------------------------------
+# batched insertion: reduce_rows and add_rows against row-at-a-time code
+
+KERNEL_RINGS = [
+    pytest.param(lambda: chain_ring(2, 2), id="Z/4"),
+    pytest.param(lambda: chain_ring(2, 3), id="Z/8"),
+    pytest.param(lambda: chain_ring(3, 2), id="Z/9"),
+    pytest.param(lambda: chain_ring(5, 2), id="Z/25"),
+    pytest.param(lambda: make_coeff_ring(7, 1, 24), id="GR(7,2)"),
+    pytest.param(lambda: make_coeff_ring(7, 2, 24), id="GR(49,2)"),
+]
+
+
+def _random_stack(rng, ring, nrows, ncols):
+    """Rows with a random p-power factor, so pivots of every valuation occur."""
+    rows = rng.integers(0, ring.pk, size=(nrows, ncols, ring.m))
+    scale = ring.p ** rng.integers(0, ring.k + 1, size=(nrows, 1, 1))
+    return rows * scale % ring.pk
+
+
+def _reduce_reference(acc, vec):
+    """Full reduction of one row, one pivot column at a time with vscale."""
+    ring = acc.ring
+    for j in sorted(acc.pivots):
+        q = vec[j] // ring.p ** acc.vals[j]
+        vec = (vec - ring.vscale(acc.pivots[j], q)) % ring.pk
+    return vec
+
+
+@pytest.mark.parametrize("make_ring", KERNEL_RINGS)
+def test_reduce_rows_is_rowwise_canonical_reduction(make_ring):
+    ring = make_ring()
+    rng = np.random.default_rng(ring.pk * 10 + ring.m)
+    for trial in range(6):
+        ncols = int(rng.integers(3, 7))
+        acc = HowellAccumulator(ring, ncols)
+        for row in _random_stack(rng, ring, int(rng.integers(1, ncols + 2)), ncols):
+            acc.add(row)
+        V = _random_stack(rng, ring, 12, ncols)
+        R = acc.reduce_rows(V)
+        span = acc.finalize().rows
+        for v, r in zip(V, R):
+            assert np.array_equal(r, _reduce_reference(acc, v))
+            assert np.array_equal(r, acc.reduce_full(v))
+            assert acc.contains((v - r) % ring.pk)
+            for j in acc.pivots:
+                assert (r[j] < ring.p ** acc.vals[j]).all()
+            # a canonical representative: shifting by the span changes nothing
+            coeffs = rng.integers(0, ring.pk, size=(len(span), ring.m))
+            shift = sum((ring.vscale(s, c) for s, c in zip(span, coeffs)), ring.vzeros(ncols))
+            assert np.array_equal(acc.reduce_rows(((v + shift) % ring.pk)[None])[0], r)
+
+
+@pytest.mark.parametrize("make_ring", KERNEL_RINGS)
+def test_add_rows_matches_sequential_add(make_ring):
+    ring = make_ring()
+    rng = np.random.default_rng(ring.pk * 10 + ring.m + 1)
+    for trial in range(6):
+        ncols = int(rng.integers(2, 7))
+        base = _random_stack(rng, ring, int(rng.integers(0, 3)), ncols)
+        # up to two chunks of the insertion loop
+        stack = _random_stack(rng, ring, int(rng.integers(1, 2 * _INSERT_CHUNK)), ncols)
+        # repeats and members of the span must be skipped, not double counted
+        stack = np.concatenate([stack[:2], base, stack])
+        seq = HowellAccumulator(ring, ncols, list(base))
+        batched = seq.copy()
+        for row in stack:
+            seq.add(row)
+        before = batched.length
+        grew = batched.add_rows(stack)
+        assert batched.finalize() == seq.finalize()
+        assert grew == (batched.length > before)
+        assert batched.add_rows(stack) is False
+
+
+@pytest.mark.parametrize("make_ring", KERNEL_RINGS)
+def test_add_rows_stops_at_first_length_reaching_bound(make_ring):
+    ring = make_ring()
+    rng = np.random.default_rng(ring.pk * 10 + ring.m + 2)
+    ncols = 5
+    start = HowellAccumulator(ring, ncols, list(_random_stack(rng, ring, 1, ncols)))
+    # unit multiples of one row outside the start span fill more than the
+    # first insertion chunk; the span grows again in the second chunk
+    r0 = rng.integers(0, ring.pk, size=(ncols, ring.m))
+    units = 1 + ring.p * rng.integers(0, ring.pk // ring.p, size=(_INSERT_CHUNK + 6, 1, 1))
+    stack = np.concatenate([units * r0 % ring.pk, _random_stack(rng, ring, 10, ncols)])
+    first_chunk = start.copy()
+    first_chunk.add(r0)
+    full = start.copy()
+    full.add_rows(stack)
+    assert first_chunk.length > start.length and full.length > first_chunk.length
+    for bound in range(start.length, full.length + 2):
+        seq = start.copy()
+        for row in stack:
+            if seq.length >= bound:
+                break
+            seq.add(row)
+        batched = start.copy()
+        batched.add_rows(stack, stop_at=bound)
+        assert batched.length == seq.length
+        assert batched.finalize() == seq.finalize()
+        assert batched.length >= bound or batched.length == full.length
