@@ -8,8 +8,10 @@ is a stable label for a character across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
+
+import numpy as np
 
 from .rings import (
     CoeffRing,
@@ -134,6 +136,24 @@ class DirichletCharacter:
         if len(self.images) != len(ug.generators):
             raise ValueError("one image per unit-group generator required")
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """chi(a) for every unit a in `group.units` order, as a read-only
+        (phi(N), m) array, built from the powers of the generator images."""
+        ug, ring = self.group, self.ring
+        table = ring.one().as_array()[None]  # on exponent vectors, first generator slowest
+        position = np.zeros(len(ug.units), dtype=np.int64)  # of each unit in that order
+        for i, (img, order) in enumerate(zip(self.images, ug.orders)):
+            powers = [ring.one()]
+            for _ in range(order - 1):
+                powers.append(powers[-1] * img)
+            powers = np.array([x.coeffs for x in powers], dtype=np.int64)
+            table = ring.vscale_stack(powers, table).reshape(-1, ring.m)
+            position = position * order + [ug.dlog[a][i] for a in ug.units]
+        out = table[position]
+        out.setflags(write=False)
+        return out
+
     def __call__(self, a: int) -> RingElem:
         expo = self.group.exponents(a)
         out = self.ring.one()
@@ -231,12 +251,10 @@ def enumerate_characters(N: int, ring: CoeffRing) -> list[DirichletCharacter]:
 def conductor(chi: DirichletCharacter) -> int:
     """Minimal f | N such that chi factors through (Z/fZ)^x."""
     N = chi.N
-    ug = chi.group
-    one = chi.ring.one()
-    divisors = sorted(d for d in range(1, N + 1) if N % d == 0)
-    values = {a: chi(a) for a in ug.units}
-    for f in divisors:
-        if all(values[a] == one for a in ug.units if a % f == 1 % f):
+    units = np.array(chi.group.units, dtype=np.int64)
+    is_one = (chi.values == chi.ring.one().as_array()).all(axis=1)
+    for f in range(1, N + 1):
+        if N % f == 0 and is_one[units % f == 1 % f].all():
             return f
     return N
 

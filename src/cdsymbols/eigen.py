@@ -31,7 +31,7 @@ from .characters import (
     teichmuller_character,
     unit_group,
 )
-from .linalg import HowellAccumulator, elementary_divisors, format_divisors
+from .linalg import HowellAccumulator, Submodule, elementary_divisors, format_divisors
 from .rings import CoeffRing, RingError, is_prime, make_coeff_ring
 from .symbols import CUSP0, FULL, SymbolSpace, build_presentation
 
@@ -124,9 +124,15 @@ class EigenContext:
         return self.columns[self.space.idx(u, v)].copy()
 
     def htheta_target(self) -> HowellAccumulator:
-        acc = self.rel_acc.copy()
-        acc.add_rows(self.basis)
-        return acc
+        """The relations plus the reduced unit columns: all of R^r, whose
+        Howell form is the identity (pivots e_j of valuation 0)."""
+        r = len(self.basis)
+        identity = Submodule(self.ring, r, _identity(self.ring, r), tuple(range(r)), (0,) * r)
+        return identity.accumulator()
+
+
+def _identity(ring: CoeffRing, r: int) -> np.ndarray:
+    return np.eye(r, dtype=np.int64)[..., None] * ring.one().as_array()
 
 
 def _orbit_projection(ring: CoeffRing, orbit_of: np.ndarray, scalars, r: int):
@@ -134,7 +140,7 @@ def _orbit_projection(ring: CoeffRing, orbit_of: np.ndarray, scalars, r: int):
     it into column orbit_of[i] (a sum of at most nsym residues per entry)."""
     order = np.argsort(orbit_of, kind="stable")  # symbols grouped by orbit
     starts = np.searchsorted(orbit_of[order], np.arange(r))
-    smat = np.array([ring.smatrix(scalars[i]) for i in order], dtype=np.int64)
+    smat = ring.smatrix(scalars[order])
 
     def project(vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec, dtype=np.int64)[..., order, :]
@@ -144,12 +150,20 @@ def _orbit_projection(ring: CoeffRing, orbit_of: np.ndarray, scalars, r: int):
     return project
 
 
-def _relations_accumulator(space: SymbolSpace, project, r: int, extra_rows) -> HowellAccumulator:
-    """Howell form of pi of every Manin relation row and every quotient row."""
-    acc = HowellAccumulator(space.ring, r)
-    for rows in (space.relation_rows, extra_rows):
-        if len(rows):
-            acc.add_rows(project(np.stack(rows)))
+def _relations_accumulator(space: SymbolSpace, project, orbit_of, scalars, r: int, extra_rows):
+    """Howell form of pi of every Manin relation and every quotient row.  A
+    relation's terms c [i] go straight to c theta(trans[i]) in column
+    orbit_of[i] (a sum of at most three residues per entry)."""
+    ring = space.ring
+    cols = space.relation_rows
+    rows = np.zeros((len(cols), r, ring.m), dtype=np.int64)
+    terms = space.relation_coeffs[..., None] * scalars[cols]
+    np.add.at(rows, (np.arange(len(cols))[:, None], orbit_of[cols]), terms)
+    stack = [rows % ring.pk]
+    if len(extra_rows):
+        stack.append(project(np.stack(extra_rows)))
+    acc = HowellAccumulator(ring, r)
+    acc.add_rows(np.concatenate(stack))
     return acc
 
 
@@ -172,18 +186,12 @@ def build_eigen_context(
     if theta.N != N or theta.ring != ring:
         raise ValueError("theta does not live on this space")
     reps, orbit_of, trans = space.orbits()
-    theta_values = {a: theta(a).coeffs for a in ug.units}
-    scalars = np.array([theta_values[int(a)] for a in trans], dtype=np.int64)
+    scalars = theta.values[np.searchsorted(ug.units, trans)]
     r = len(reps)
     project = _orbit_projection(ring, orbit_of, scalars, r)
-    rel_acc = _relations_accumulator(space, project, r, extra_rows)
-    identity = np.zeros((r, r, ring.m), dtype=np.int64)
-    identity[np.arange(r), np.arange(r), 0] = 1
-    basis = rel_acc.reduce_rows(identity)
-    columns = np.zeros((space.nsym, r, ring.m), dtype=np.int64)
-    for o in range(r):
-        members = np.flatnonzero(orbit_of == o)
-        columns[members] = ring.vscale_stack(basis[o], scalars[members])
+    rel_acc = _relations_accumulator(space, project, orbit_of, scalars, r, extra_rows)
+    basis = rel_acc.reduce_rows(_identity(ring, r))
+    columns = np.einsum("nrc,ncd->nrd", basis[orbit_of], ring.smatrix(scalars)) % ring.pk
     omega = teichmuller_character(M, p, ring)
     theta_mp = theta if N == M * p else theta.extend(M * p)
     eta = theta_mp * omega ** (-2)
@@ -265,20 +273,14 @@ def eigensymbol_free(
     if space.variant == CUSP0 and (g == N or h == N):
         return ring.vzeros(space.nsym)
     ug = unit_group(N)
-    chi_inv = chi.inverse()
-    psi_inv = psi.inverse()
-    cvals = {a: chi_inv(a).coeffs for a in ug.units}
-    pvals = {b: psi_inv(b).coeffs for b in ug.units}
-    sums: dict[int, tuple[int, ...]] = {}
-    for a in ug.units:
-        ca = cvals[a]
-        for b in ug.units:
-            idx = space.idx(g * a, h * b)
-            term = ring._mul(ca, pvals[b])
-            sums[idx] = ring._add(sums[idx], term) if idx in sums else term
+    units = np.array(ug.units, dtype=np.int64)
+    inv = np.searchsorted(units, [pow(int(a), -1, N) for a in units])  # position of 1/a
+    # terms[a, b] = chi(1/a) psi(1/b), added into the index of [ga:hb]
+    terms = ring.vscale_stack(psi.values[inv], chi.values[inv])
+    idx = space.table[g * units[:, None] % N, h * units[None, :] % N]
     acc = ring.vzeros(space.nsym)
-    for idx, val in sums.items():
-        acc[idx] = val
+    np.add.at(acc, idx.ravel(), terms.reshape(-1, ring.m))
+    acc %= ring.pk
     inv_phi2 = (ring.from_int(ug.phi) ** 2).inverse()
     return ring.vscale(acc, np.array(inv_phi2.coeffs, dtype=np.int64))
 
@@ -371,9 +373,10 @@ def cd_span(
     lcm(6N, p^k).  Returns (accumulator, exhausted).
 
     If stop_at_length is given (the length of a module known to contain the
-    span), accumulation stops once that length is reached.  A unit_bound
-    restricts the c mod N and d mod N residues to representatives <= bound;
-    the result is then marked not exhaustive."""
+    span), accumulation stops after the first orbit representative whose
+    generators bring the length there.  A unit_bound restricts the c mod N
+    and d mod N residues to representatives <= bound; the result is then
+    marked not exhaustive."""
     ring = ctx.ring
     N = ctx.space.N
     units = np.array(unit_group(N).units, dtype=np.int64)
@@ -386,7 +389,7 @@ def cd_span(
     bases = _scalar_bases(ring.p, ring.pk, N, units)
     acc = ctx.rel_acc.copy()
     for rep in ctx.reps:
-        acc.add_rows(_cd_generators(ctx, rep, units, bases), stop_at=stop_at_length)
+        acc.add_rows(_cd_generators(ctx, rep, units, bases))
         if stop_at_length is not None and acc.length >= stop_at_length:
             break
     return acc, exhausted

@@ -105,8 +105,7 @@ def t2_eisenstein_relations(space: SymbolSpace, ring: CoeffRing, p: int, allow_f
     omega2 = teichmuller_character(N // p, p, ring) ** 2
     ug = unit_group(N)
     inv_phi = ring.from_int(ug.phi).inverse()
-    om2_inv = omega2.inverse()
-    coeffs = np.array([(om2_inv(a) * inv_phi).coeffs for a in ug.units], dtype=np.int64)
+    coeffs = ring.vscale(omega2.inverse().values, inv_phi.as_array())
     moves = np.stack([space.diamond_perm(a) for a in ug.units])  # <units[t]> sends i to moves[t, i]
     reps, orbit_of, _ = space.orbits()
     rows = []

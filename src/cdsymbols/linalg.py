@@ -45,13 +45,6 @@ def _as_rows(rows, ring: CoeffRing, ncols):
     return out, ncols
 
 
-# add_rows hands the rows that survive its first reduction to `add` in chunks
-# of this size, each reduced again against the pivots the earlier chunks
-# produced: every row is reduced at most twice, and at most one chunk of
-# rows the span already covers reaches `add` between two reductions.
-_INSERT_CHUNK = 64
-
-
 class HowellAccumulator:
     """Growing Howell basis; add rows singly or as stacks, query span properties.
 
@@ -148,12 +141,7 @@ class HowellAccumulator:
             if j is None:
                 continue
             v = ring.vval_entry(r[j])
-            u = r[j] // ring.p**v
-            if ring.m == 1:
-                inv = pow(int(u[0]), -1, ring.pk)
-                r = (r * inv) % ring.pk
-            else:
-                r = ring.vscale(r, ring._inv(tuple(int(c) for c in u)))
+            r = self._monic(r, j, v)
             old = self.pivots.get(j)
             self.pivots[j] = r
             if old is not None:
@@ -167,25 +155,59 @@ class HowellAccumulator:
                 stack.append((r * ring.p ** (ring.k - v)) % ring.pk)
         return self.length > before
 
-    def add_rows(self, rows, stop_at: int | None = None) -> bool:
+    def _monic(self, row: np.ndarray, j: int, v: int) -> np.ndarray:
+        """The row divided by the unit part of its entry p^v u at column j."""
+        ring = self.ring
+        u = row[j] // ring.p**v
+        if ring.m == 1:
+            return (row * pow(int(u[0]), -1, ring.pk)) % ring.pk
+        return ring.vscale(row, ring._inv(tuple(int(c) for c in u)))
+
+    def add_rows(self, rows) -> bool:
         """Insert a stack of rows (B, ncols, m); returns True if the span grew.
 
-        The stack is reduced against the current pivots in one vectorised
-        pass, and the rows that reduce to zero are dropped.  The rest go
-        through `add` in order, in chunks that are first reduced again
-        against the pivots the earlier chunks produced.  With stop_at,
-        insertion ends as soon as the length reaches it."""
+        The stack is reduced against the pivots in one vectorised pass and
+        its zero rows dropped.  The survivors and the pivots from the first
+        column a survivor touches on are then brought to Howell form
+        together (Storjohann and Mulders, ESA 1998), a column at a time: the
+        row of least valuation v becomes the monic pivot, one vectorised
+        step clears the column in the other rows, and the saturation row
+        p^(k-v) pivot joins them."""
+        ring = self.ring
+        work = self._nonzero(self.reduce_rows(rows))
+        if not len(work):
+            return False
         before = self.length
-        rest = self._nonzero(self.reduce_rows(rows))
-        for start in range(0, len(rest), _INSERT_CHUNK):
-            for row in self._nonzero(self.reduce_rows(rest[start : start + _INSERT_CHUNK])):
-                if stop_at is not None and self.length >= stop_at:
-                    return self.length > before
-                self.add(row)
+        start = self._lead(work)
+        work = np.concatenate([work] + [row[None] for j, row in self.pivots.items() if j >= start])
+        self.pivots = {j: row for j, row in self.pivots.items() if j < start}
+        self.vals = {j: v for j, v in self.vals.items() if j < start}
+        powers = ring.p ** np.arange(1, ring.k + 1)
+        while len(work):
+            j = self._lead(work)
+            # valuation of every row's entry at j (k where it is zero)
+            vals = (work[:, j, None, :] % powers[:, None] == 0).all(axis=2).sum(axis=1)
+            i = int(vals.argmin())
+            v = int(vals[i])
+            pivot = self._monic(work[i], j, v)
+            rest = np.delete(work, i, axis=0)
+            q = rest[:, j] // ring.p**v
+            rest[:, j:] = (rest[:, j:] - ring.vscale_stack(pivot[j:], q)) % ring.pk
+            if v > 0:
+                rest = np.concatenate([rest, (pivot * ring.p ** (ring.k - v) % ring.pk)[None]])
+            self.pivots[j] = pivot
+            self.vals[j] = v
+            work = self._nonzero(rest)
+        self._sorted = None
+        self.length = sum(ring.k - v for v in self.vals.values())
         return self.length > before
 
     def _nonzero(self, rows: np.ndarray) -> np.ndarray:
         return rows[rows.reshape(len(rows), self.ncols * self.ring.m).any(axis=1)]
+
+    def _lead(self, rows: np.ndarray) -> int:
+        """The first column any row of a stack of nonzero rows touches."""
+        return int(rows.any(axis=2).argmax(axis=1).min())
 
     def finalize(self) -> "Submodule":
         """Back-substituted canonical form as an immutable Submodule."""

@@ -71,7 +71,7 @@ def _even_characters(N, ring):
 def _ambient_relations(space, p: int, spec: QuotientSpec = QuotientSpec()) -> HowellAccumulator:
     """Howell form of the ambient relation rows plus the quotient rows of
     spec: the eigensymbol identities are checked in the ambient quotient."""
-    rows = list(space.relation_rows) + quotient_rows(space, space.ring, p, spec)
+    rows = list(space.dense_relation_rows()) + quotient_rows(space, space.ring, p, spec)
     return HowellAccumulator(space.ring, space.nsym, rows)
 
 

@@ -522,13 +522,12 @@ class CoeffRing:
     def vzeros(self, ncols: int) -> np.ndarray:
         return np.zeros((ncols, self.m), dtype=np.int64)
 
-    def vmod(self, row: np.ndarray) -> np.ndarray:
-        return row % self.pk
-
     def smatrix(self, s) -> np.ndarray:
         """The (m, m) matrix of multiplication by the scalar s (coefficient
-        vector): `entry @ smatrix(s)` is the coefficient vector of s * entry."""
-        return (np.asarray(s, dtype=np.int64) @ self._mult_tensor).reshape(self.m, self.m) % self.pk
+        vector): `entry @ smatrix(s)` is the coefficient vector of s * entry.
+        A stack of scalars (..., m) gives a stack of matrices (..., m, m)."""
+        s = np.asarray(s, dtype=np.int64)
+        return (s @ self._mult_tensor).reshape(*s.shape[:-1], self.m, self.m) % self.pk
 
     def vscale(self, row: np.ndarray, s) -> np.ndarray:
         """Multiply every entry of the row by the scalar s (coefficient vector)."""

@@ -3,9 +3,9 @@
 Generators are unimodular pairs (u, v) in (Z/NZ)^2 identified with
 (-u, -v); that identification is performed at the index level, while the
 sign relation [u:v] + [-v:u] = 0 and the parabolic relation
-[u:v] - [u:u+v] - [u+v:v] = 0 are kept as explicit rows.  The
-cuspidal-at-zero variant drops symbols with a zero coordinate and emits the
-parabolic row only when u, v and u+v are all nonzero.
+[u:v] - [u:u+v] - [u+v:v] = 0 are kept as their (symbol, coefficient)
+terms.  The cuspidal-at-zero variant drops symbols with a zero coordinate
+and emits the parabolic relation only when u, v and u+v are all nonzero.
 """
 
 from __future__ import annotations
@@ -64,11 +64,12 @@ def enumerate_symbols(N: int, variant: str) -> tuple[tuple[int, int], ...]:
 class SymbolSpace:
     """Presentation of a level-N modular-symbol space over a coefficient ring.
 
-    Holds the canonical generator list, the relation rows as dense vectors,
-    and `table`, the N x N array of symbol indices of all pairs (u, v) mod N
-    (both signs of a symbol share its index; -1 where (u, v) is not a
-    symbol), through which indexing and the diamond action are gathers.
-    Immutable after construction.
+    Holds the canonical generator list, the relations as sparse terms
+    (relation t is sum_s relation_coeffs[t, s] [relation_rows[t, s]], both
+    arrays (nrel, 3) over symbol indices), and `table`, the N x N array of
+    symbol indices of all pairs (u, v) mod N (both signs of a symbol share
+    its index; -1 where (u, v) is not a symbol), through which indexing and
+    the diamond action are gathers.  Immutable after construction.
     """
 
     def __init__(self, N: int, variant: str, ring: CoeffRing):
@@ -83,7 +84,7 @@ class SymbolSpace:
         self.table = np.full((N, N), -1, dtype=np.int64)
         self.table[(-self._u) % N, (-self._v) % N] = np.arange(self.nsym)
         self.table[self._u, self._v] = np.arange(self.nsym)
-        self.relation_rows = self._build_rows()
+        self.relation_rows, self.relation_coeffs = self._relation_terms()
         self._orbit_data = None
 
     # -- indexing ---------------------------------------------------------
@@ -94,7 +95,7 @@ class SymbolSpace:
         return i
 
     # -- relations ---------------------------------------------------------
-    def _build_rows(self) -> np.ndarray:
+    def _relation_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """Per symbol [u:v] in order: the sign row [u:v] + [-v:u] (once per
         pair) and the parabolic row [u:v] - [u:u+v] - [u+v:v]."""
         N, n = self.N, self.nsym
@@ -103,18 +104,20 @@ class SymbolSpace:
         w = (u + v) % N
         sign_partner = self.table[-v % N, u]
         keep = np.stack([me <= sign_partner, (w != 0) | (self.variant == FULL)], axis=1)
-        row_of = (np.cumsum(keep) - 1).reshape(n, 2)  # row of each kept (symbol, kind)
-        rows = np.zeros((int(keep.sum()), n, self.ring.m), dtype=np.int64)
-        terms = (
-            (0, (me, sign_partner), (1, 1)),
-            (1, (me, self.table[u, w], self.table[w, v]), (1, -1, -1)),
-        )
-        for kind, cols, coeffs in terms:
-            sel = keep[:, kind]
-            for col, c in zip(cols, coeffs):
-                np.add.at(rows[..., 0], (row_of[sel, kind], col[sel]), c)
-        rows %= self.ring.pk
-        return rows
+        # (symbol, kind, term); the sign row's third term has coefficient 0
+        sign = np.stack([me, sign_partner, me], axis=1)
+        parabolic = np.stack([me, self.table[u, w], self.table[w, v]], axis=1)
+        cols = np.stack([sign, parabolic], axis=1)
+        coeffs = np.broadcast_to(np.array([[1, 1, 0], [1, -1, -1]], dtype=np.int64), cols.shape)
+        return cols[keep], coeffs[keep]
+
+    def dense_relation_rows(self) -> np.ndarray:
+        """The relations as dense rows (nrel, nsym, m), for reference checks
+        in the ambient space; the verdict path never builds them."""
+        cols = self.relation_rows
+        rows = np.zeros((len(cols), self.nsym, self.ring.m), dtype=np.int64)
+        np.add.at(rows[..., 0], (np.arange(len(cols))[:, None], cols), self.relation_coeffs)
+        return rows % self.ring.pk
 
     # -- diamond action ------------------------------------------------------
     def diamond_perm(self, a: int) -> np.ndarray:
@@ -200,9 +203,9 @@ def cusp0_agreement(N: int, ring: CoeffRing) -> dict:
 
     full = build_presentation(N, FULL, ring)
     cusp = build_presentation(N, CUSP0, ring)
-    acc_c = HowellAccumulator(ring, cusp.nsym, list(cusp.relation_rows))
+    acc_c = HowellAccumulator(ring, cusp.nsym, cusp.dense_relation_rows())
     abstract_len = cusp.nsym * ring.k - acc_c.length
-    acc_f = HowellAccumulator(ring, full.nsym, list(full.relation_rows))
+    acc_f = HowellAccumulator(ring, full.nsym, full.dense_relation_rows())
     base = acc_f.length
     for (u, v) in cusp.symbols:
         row = ring.vzeros(full.nsym)

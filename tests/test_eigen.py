@@ -6,6 +6,7 @@ import pytest
 
 from cdsymbols.characters import enumerate_characters, parse_theta, unit_group
 from cdsymbols.eigen import (
+    _classify,
     bezout_units,
     build_eigen_context,
     cd_eigensymbol,
@@ -94,7 +95,7 @@ def test_projectors_idempotent_orthogonal_and_complete():
         assert np.array_equal(matrix_product(ring, P, P), P)
     assert not matrix_product(ring, mats[0], mats[1]).any()
     # the even projectors sum to the identity on the presented quotient
-    acc = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows))
+    acc = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()))
     total = (mats[0] + mats[1]) % ring.pk
     for j in range(sp.nsym):
         vec = ring.vzeros(sp.nsym)
@@ -115,7 +116,7 @@ def test_projector_commutes_with_diamonds():
 def test_eigenspace_dims_sum_to_quotient_length():
     for (p, k, M) in [(5, 1, 1), (7, 1, 1), (3, 1, 4)]:
         N, ring, sp = scenario(p, k, M)
-        acc = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows))
+        acc = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()))
         qlen = sp.nsym * ring.k - acc.length
         total = 0
         for theta in enumerate_characters(N, ring):
@@ -133,7 +134,7 @@ def test_orbit_projection_matches_dense_projector(p, k, M):
     sets V (the largest spans the eigenspace), V adds as much length over the
     ambient relations after P as pi(V) adds over the projected relations."""
     N, ring, sp = scenario(p, k, M)
-    amb = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows))
+    amb = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()))
     reps = list(sp.orbits()[0])
     half_phi = ring.from_int(unit_group(N).phi // 2).as_array()
     rng = random.Random(1000 * N + k)
@@ -155,6 +156,57 @@ def test_orbit_projection_matches_dense_projector(p, k, M):
         assert proj_v.length - ctx.rel_length == ctx.dim_H
 
 
+# (N, p, M): Z/p^k and GR(p^k, 2) at N = 12, 15 and 35, as in the relation
+# grid of test_symbols
+PROJECTION_GRID = [
+    pytest.param(12, 5, 12, id="N12-Z/5^k"),
+    pytest.param(12, 7, 12, id="N12-GR(7^k,2)"),
+    pytest.param(15, 17, 15, id="N15-Z/17^k"),
+    pytest.param(15, 7, 15, id="N15-GR(7^k,2)"),
+    pytest.param(35, 73, 35, id="N35-Z/73^k"),
+    pytest.param(35, 7, 5, id="N35-GR(7^k,2)"),
+]
+
+
+@pytest.mark.parametrize("N,p,M", PROJECTION_GRID)
+def test_projected_relations_equal_projected_dense_rows(N, p, M, monkeypatch):
+    """The stack _relations_accumulator builds from the sparse terms (and
+    the quotient rows of trivial U_ell for the least prime ell | N) is pi of
+    the dense relation rows, row for row; its Howell form agrees with
+    sequential `add`, and the H_theta target is all of R^r."""
+    from cdsymbols.hecke import trivial_Ul_relations
+
+    stacks = []
+    add_rows = HowellAccumulator.add_rows
+
+    def recording(acc, rows):
+        stacks.append(np.array(rows))
+        return add_rows(acc, rows)
+
+    ell = min(q for q in (2, 3, 5, 7) if N % q == 0)
+    for k in (1, 2):
+        ring = make_coeff_ring(p, k, unit_group(N).phi)
+        evens = [c for c in enumerate_characters(N, ring) if c.is_even()]
+        for variant in ("full", "cusp0"):
+            sp = build_presentation(N, variant, ring)
+            quotient = tuple(trivial_Ul_relations(sp, ell))
+            for theta, extra in ((evens[0], ()), (evens[-1], quotient)):
+                stacks.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(HowellAccumulator, "add_rows", recording)
+                    ctx = build_eigen_context(sp, p, M, theta, extra)
+                rows = list(sp.dense_relation_rows()) + list(extra)
+                expected = ctx.project(np.stack(rows))
+                assert len(stacks) == 1 and np.array_equal(stacks[0], expected)
+                r = len(ctx.reps)
+                assert ctx.rel_acc.finalize() == HowellAccumulator(ring, r, list(expected)).finalize()
+                target = ctx.rel_acc.copy()
+                for row in ctx.basis:
+                    target.add(row)
+                assert ctx.htheta_target().finalize() == target.finalize()
+                assert target.length == r * k
+
+
 def test_eigenspace_of_zero_module_is_zero():
     N, ring, sp = scenario(5, 1, 1)
     theta = [c for c in enumerate_characters(5, ring) if c.is_even()][0]
@@ -165,6 +217,33 @@ def test_eigenspace_of_zero_module_is_zero():
 
 # ---------------------------------------------------------------------------
 # eigensymbols
+
+
+@pytest.mark.parametrize("p,k,M", [(3, 1, 4), (5, 2, 3), (7, 1, 5)])
+def test_eigensymbol_free_matches_scalar_sum(p, k, M):
+    """The vectorised character sum equals the literal double loop over unit
+    pairs in RingElem arithmetic, for every g, h and a seeded set of
+    character pairs, in both variants."""
+    rng = random.Random(100 * p + M)
+    for variant in ("full", "cusp0"):
+        N, ring, sp = scenario(p, k, M, variant=variant)
+        chars = enumerate_characters(N, ring)
+        units = unit_group(N).units
+        inv_phi2 = (ring.from_int(len(units)) ** 2).inverse()
+        divs = [d for d in range(1, N + 1) if N % d == 0]
+        for g in divs:
+            for h in divs:
+                if gcd(g, h) != 1:
+                    continue
+                chi, psi = rng.choice(chars), rng.choice(chars)
+                ref = [ring.zero() for _ in range(sp.nsym)]
+                if variant == "full" or N not in (g, h):
+                    for a in units:
+                        for b in units:
+                            i = sp.idx(g * a, h * b)
+                            ref[i] = ref[i] + chi.inverse()(a) * psi.inverse()(b) * inv_phi2
+                expected = np.array([x.coeffs for x in ref], dtype=np.int64)
+                assert np.array_equal(eigensymbol_free(sp, chi, psi, g, h), expected)
 
 
 def test_eigensymbol_conductor_support_vanishing():
@@ -190,7 +269,7 @@ def test_eigensymbol_conductor_support_vanishing():
 def test_eigensymbol_antisymmetry_in_quotient():
     N, ring, sp = scenario(5, 2, 1)
     ctx = build_eigen_context(sp, 5, 1, [c for c in enumerate_characters(5, ring) if c.is_even()][1])
-    rel = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows))
+    rel = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()))
     chars = enumerate_characters(5, ring)
     for chi in chars:
         psi = ctx.theta * chi.inverse()
@@ -208,7 +287,7 @@ def test_alpha_omega2_omega2_vanishes_at_p5():
     ctx = build_eigen_context(sp, 5, 1, theta)
     om2 = ctx.omega**2
     beta = eigensymbol_free(sp, om2, ctx.psi(om2), 1, 1)
-    assert HowellAccumulator(ring, sp.nsym, list(sp.relation_rows)).contains(beta)
+    assert HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows())).contains(beta)
 
 
 def test_cusp0_alpha_with_g_equal_N_is_zero():
@@ -277,6 +356,48 @@ def test_cd_span_matches_bruteforce(p, k, M, level, variant):
         assert exhausted
         brute = cd_span_bruteforce(ctx)
         assert opt.finalize() == brute.finalize()
+
+
+@pytest.mark.parametrize(
+    "p,k,M,level,variant,theta",
+    [
+        (7, 1, 1, "Mp", "full", "omega^4"),
+        (7, 2, 1, "Mp", "cusp0", "omega^4"),
+        (11, 1, 1, "Mp", "full", "omega^6"),
+        (13, 1, 9, "M", "full", "[2]"),
+        (7, 1, 5, "Mp", "full", "[2,4]"),
+        (7, 1, 5, "Mp", "full", "[0,4]"),
+    ],
+)
+def test_cd_span_stops_at_target_with_the_exhaustive_length(p, k, M, level, variant, theta, monkeypatch):
+    """With stop_at_length = the target length, cd_span returns the
+    exhaustive span's length, and its Howell form when that span is the
+    target; it stops before the last orbit representative in the case-a
+    scenarios, and runs through all of them when the span falls short."""
+    import cdsymbols.eigen as eigen
+
+    N, ring, sp = scenario(p, k, M, level, variant)
+    ctx = build_eigen_context(sp, p, M, parse_theta(theta, N, p, ring))
+    target = ctx.htheta_target()
+    full, _ = cd_span(ctx)
+    seen = []
+    generators = eigen._cd_generators
+
+    def recording(ctx, rep, *args):
+        seen.append(rep)
+        return generators(ctx, rep, *args)
+
+    monkeypatch.setattr(eigen, "_cd_generators", recording)
+    stopped, exhausted = cd_span(ctx, stop_at_length=target.length)
+    assert exhausted
+    assert stopped.length == full.length
+    if full.length == target.length:
+        assert stopped.finalize() == full.finalize()
+    if _classify(ctx, variant, (), False) == "a":
+        assert full.length == target.length
+        assert len(seen) < len(ctx.reps)
+    if full.length < target.length:
+        assert seen == list(ctx.reps)
 
 
 def test_cd_span_containment_and_bound_mode():

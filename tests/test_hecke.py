@@ -43,15 +43,15 @@ def test_quotient_spec_validation():
 def test_trivial_ul_relations_idempotent():
     N, ring, sp = scenario(7, 1, 5)
     rows = trivial_Ul_relations(sp, 7)
-    acc1 = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows) + rows)
-    acc2 = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows) + rows + rows)
+    acc1 = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()) + rows)
+    acc2 = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()) + rows + rows)
     assert acc1.finalize() == acc2.finalize()
 
 
 def test_trivial_ul_relations_are_diamond_stable():
     N, ring, sp = scenario(3, 1, 4)
     rows = trivial_Ul_relations(sp, 2)
-    acc = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows) + rows)
+    acc = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()) + rows)
     rng = random.Random(51)
     units = unit_group(12).units
     for row in rows[:10]:
@@ -66,7 +66,7 @@ def test_u_operator_identity_at_35():
     N, ring, sp = scenario(7, 1, 5)
     rows = tuple(trivial_Ul_relations(sp, 7))
     theta = parse_theta("[2,2]", N, 7, ring)
-    rel = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows) + list(rows))
+    rel = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()) + list(rows))
     rng = random.Random(52)
     chars = enumerate_characters(N, ring)
     checked = 0
@@ -95,7 +95,7 @@ def test_u_operator_t_less_than_s_at_45():
     N, ring, sp = scenario(5, 1, 9)
     rows = tuple(trivial_Ul_relations(sp, 3))
     theta = parse_theta("[0,0]", N, 5, ring)
-    rel = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows) + list(rows))
+    rel = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()) + list(rows))
     chars = enumerate_characters(N, ring)
     rng = random.Random(53)
     checked = 0
@@ -201,3 +201,22 @@ def test_quotient_monotonicity():
     for col in up.pivots.values():
         pushed.add(col)
     assert pushed.finalize() == down.finalize()
+
+
+def test_verdict_path_never_densifies_relations(monkeypatch):
+    """Plain and quotient verdicts, including the case-b route through the
+    extras and the elementary divisors, run with the dense relation helper
+    disabled: the relations reach the eigenspace only as sparse terms."""
+    from cdsymbols.eigen import check_generation
+    from cdsymbols.symbols import SymbolSpace
+
+    def refuse(space):
+        raise AssertionError("the verdict path densified the relations")
+
+    monkeypatch.setattr(SymbolSpace, "dense_relation_rows", refuse)
+    report = check_generation(7, 1, 5, "Mp", "full", "[2,4]")
+    assert (report.case, report.dim_H, report.dim_C, report.divisors) == ("b", 8, 6, (">=7",))
+    u = check_generation_with_quotient(7, 1, 1, "Mp", "full", "omega^4", QuotientSpec(trivial_u=(7,)))
+    t2 = check_generation_with_quotient(7, 2, 1, "Mp", "cusp0", "omega^2", QuotientSpec(t2=True))
+    assert (u.case, t2.case) == ("U-i", "T2")
+    assert u.equal and t2.equal

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdsymbols.linalg import (
-    _INSERT_CHUNK,
     HowellAccumulator,
     elementary_divisors,
     format_divisors,
@@ -243,8 +242,7 @@ def test_add_rows_matches_sequential_add(make_ring):
     for trial in range(6):
         ncols = int(rng.integers(2, 7))
         base = _random_stack(rng, ring, int(rng.integers(0, 3)), ncols)
-        # up to two chunks of the insertion loop
-        stack = _random_stack(rng, ring, int(rng.integers(1, 2 * _INSERT_CHUNK)), ncols)
+        stack = _random_stack(rng, ring, int(rng.integers(1, 128)), ncols)
         # repeats and members of the span must be skipped, not double counted
         stack = np.concatenate([stack[:2], base, stack])
         seq = HowellAccumulator(ring, ncols, list(base))
@@ -259,29 +257,48 @@ def test_add_rows_matches_sequential_add(make_ring):
 
 
 @pytest.mark.parametrize("make_ring", KERNEL_RINGS)
-def test_add_rows_stops_at_first_length_reaching_bound(make_ring):
+def test_add_rows_replaces_pivots_and_saturates_like_add(make_ring):
+    """A stack whose elimination must replace a pivot, take the row of least
+    valuation where a row of larger valuation comes first, and keep a pivot
+    that only a saturation row reaches.  Over the span of p e0:
+    e0 + e1 replaces the pivot p e0, which moves on to -p e1; p e2 + e3
+    saturates to p^(k-1) e3; p e4 precedes e4 + e5, the pivot at column 4,
+    and leaves -p e5.  Each row is scaled by a random unit.  Then random
+    stacks shorter than the number of columns."""
     ring = make_ring()
+    p, k, pk = ring.p, ring.k, ring.pk
     rng = np.random.default_rng(ring.pk * 10 + ring.m + 2)
-    ncols = 5
-    start = HowellAccumulator(ring, ncols, list(_random_stack(rng, ring, 1, ncols)))
-    # unit multiples of one row outside the start span fill more than the
-    # first insertion chunk; the span grows again in the second chunk
-    r0 = rng.integers(0, ring.pk, size=(ncols, ring.m))
-    units = 1 + ring.p * rng.integers(0, ring.pk // ring.p, size=(_INSERT_CHUNK + 6, 1, 1))
-    stack = np.concatenate([units * r0 % ring.pk, _random_stack(rng, ring, 10, ncols)])
-    first_chunk = start.copy()
-    first_chunk.add(r0)
-    full = start.copy()
-    full.add_rows(stack)
-    assert first_chunk.length > start.length and full.length > first_chunk.length
-    for bound in range(start.length, full.length + 2):
-        seq = start.copy()
+    e = np.zeros((6, 6, ring.m), dtype=np.int64)
+    e[np.arange(6), np.arange(6), 0] = 1
+    rows = [e[0] + e[1], p * e[2] + e[3], p * e[4], e[4] + e[5]]
+    for trial in range(6):
+        base = HowellAccumulator(ring, 6, [ring.vscale(p * e[0] % pk, _random_unit(rng, ring))])
+        stack = np.stack([ring.vscale(r % pk, _random_unit(rng, ring)) for r in rows])
+        seq = base.copy()
         for row in stack:
-            if seq.length >= bound:
-                break
             seq.add(row)
-        batched = start.copy()
-        batched.add_rows(stack, stop_at=bound)
-        assert batched.length == seq.length
+        batched = base.copy()
+        assert batched.add_rows(stack)
         assert batched.finalize() == seq.finalize()
-        assert batched.length >= bound or batched.length == full.length
+        if k >= 2:
+            assert base.vals == {0: 1}
+            assert batched.vals == {0: 0, 1: 1, 2: 1, 3: k - 1, 4: 0, 5: 1}
+    # random stacks too short to fill the ambient, so that a lost pivot or
+    # saturation row is not covered by the other rows
+    for trial in range(40):
+        ncols = int(rng.integers(4, 9))
+        base = HowellAccumulator(ring, ncols, list(_random_stack(rng, ring, int(rng.integers(0, 3)), ncols)))
+        stack = _random_stack(rng, ring, int(rng.integers(1, ncols)), ncols)
+        seq = base.copy()
+        for row in stack:
+            seq.add(row)
+        batched = base.copy()
+        batched.add_rows(stack)
+        assert batched.finalize() == seq.finalize()
+
+
+def _random_unit(rng, ring):
+    while True:
+        u = rng.integers(0, ring.pk, size=ring.m)
+        if (u % ring.p).any():
+            return u

@@ -65,7 +65,7 @@ def test_symbol_counts():
 
 def presentation_dim(N, variant, ring):
     sp = build_presentation(N, variant, ring)
-    acc = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows))
+    acc = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()))
     return sp, sp.nsym * ring.k - acc.length
 
 
@@ -73,11 +73,11 @@ def test_presentation_dimensions_full():
     r5 = make_coeff_ring(5, 1, 4)
     sp, dim = presentation_dim(5, "full", r5)
     assert dim == 3
-    assert rank_mod_p_oracle([row[:, 0] for row in sp.relation_rows], 5) == sp.nsym - 3
+    assert rank_mod_p_oracle([row[:, 0] for row in sp.dense_relation_rows()], 5) == sp.nsym - 3
     r7 = make_coeff_ring(7, 1, 6)
     sp7, dim7 = presentation_dim(7, "full", r7)
     assert dim7 == 5
-    assert rank_mod_p_oracle([row[:, 0] for row in sp7.relation_rows], 7) == sp7.nsym - 5
+    assert rank_mod_p_oracle([row[:, 0] for row in sp7.dense_relation_rows()], 7) == sp7.nsym - 5
 
 
 def test_presentation_dimension_cusp0_and_full_space_image():
@@ -87,7 +87,7 @@ def test_presentation_dimension_cusp0_and_full_space_image():
     r5 = make_coeff_ring(5, 1, 4)
     sp, dim = presentation_dim(5, "cusp0", r5)
     assert dim == 2
-    assert rank_mod_p_oracle([row[:, 0] for row in sp.relation_rows], 5) == sp.nsym - 2
+    assert rank_mod_p_oracle([row[:, 0] for row in sp.dense_relation_rows()], 5) == sp.nsym - 2
     agree = cusp0_agreement(5, r5)
     assert agree["abstract_length"] == 2
     assert agree["submodule_length"] == 1
@@ -98,8 +98,8 @@ def test_cusp0_natural_map_carries_relations():
     ring = make_coeff_ring(5, 1, 4)
     full = build_presentation(5, "full", ring)
     cusp = build_presentation(5, "cusp0", ring)
-    acc = HowellAccumulator(ring, full.nsym, list(full.relation_rows))
-    for row in cusp.relation_rows:
+    acc = HowellAccumulator(ring, full.nsym, list(full.dense_relation_rows()))
+    for row in cusp.dense_relation_rows():
         mapped = ring.vzeros(full.nsym)
         for i, (u, v) in enumerate(cusp.symbols):
             if row[i].any():
@@ -125,12 +125,13 @@ def test_diamond_action():
 def test_diamond_preserves_relation_span():
     ring = make_coeff_ring(3, 1, 4)
     sp = build_presentation(12, "full", ring)
-    acc = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows))
+    rows = sp.dense_relation_rows()
+    acc = HowellAccumulator(ring, sp.nsym, list(rows))
     rng = random.Random(32)
     units = unit_group(12).units
     for _ in range(20):
         a = rng.choice(units)
-        row = sp.relation_rows[rng.randrange(len(sp.relation_rows))]
+        row = rows[rng.randrange(len(rows))]
         moved = np.zeros_like(row)
         moved[sp.diamond_perm(a)] = row
         assert acc.contains(moved)
@@ -162,7 +163,7 @@ def test_cd_symbol_congruent_c_gives_zero():
 def test_cd_symbol_swap_antisymmetry():
     ring = make_coeff_ring(5, 1, 4)
     sp = build_presentation(5, "full", ring)
-    acc = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows))
+    acc = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()))
     rng = random.Random(33)
     for _ in range(25):
         u, v = sp.symbols[rng.randrange(sp.nsym)]
@@ -199,7 +200,7 @@ def test_parabolic_row_with_zero_sum_forces_diagonal_symbol():
     # the u + v = 0 instance of the three-term relation makes [1:1] a boundary
     ring = make_coeff_ring(5, 1, 4)
     sp = build_presentation(5, "full", ring)
-    acc = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows))
+    acc = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()))
     e11 = ring.vzeros(sp.nsym)
     e11[sp.idx(1, 1), 0] = 1
     assert acc.contains(e11)
@@ -209,11 +210,11 @@ def test_quotient_dimension_invariant_under_relabeling():
     rng = random.Random(34)
     ring = make_coeff_ring(3, 1, 4)
     sp = build_presentation(12, "full", ring)
-    base = HowellAccumulator(ring, sp.nsym, list(sp.relation_rows)).length
+    base = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows())).length
     for _ in range(5):
         perm = list(range(sp.nsym))
         rng.shuffle(perm)
-        shuffled = [row[perm] for row in sp.relation_rows]
+        shuffled = [row[perm] for row in sp.dense_relation_rows()]
         assert HowellAccumulator(ring, sp.nsym, shuffled).length == base
 
 
@@ -228,3 +229,46 @@ def test_orbits_partition_and_transporters():
         rep = reps[int(orbit_of[i])]
         a = int(trans[i])
         assert int(sp.diamond_perm(a)[rep]) == i
+
+
+# rings at N = 12, 15 and 35: Z/p^k (p = 1 mod phi(N)) and GR(p^k, 2)
+RELATION_GRID = [
+    pytest.param(12, 5, id="N12-Z/5^k"),
+    pytest.param(12, 7, id="N12-GR(7^k,2)"),
+    pytest.param(15, 17, id="N15-Z/17^k"),
+    pytest.param(15, 7, id="N15-GR(7^k,2)"),
+    pytest.param(35, 73, id="N35-Z/73^k"),
+    pytest.param(35, 7, id="N35-GR(7^k,2)"),
+]
+
+
+def reference_relation_rows(sp):
+    """The sign and parabolic rows, built one symbol at a time with idx: per
+    symbol [u:v] in order, [u:v] + [-v:u] when [u:v] comes first of the
+    pair, then [u:v] - [u:u+v] - [u+v:v] unless a cusp0 term would vanish."""
+    ring = sp.ring
+    rows = []
+    for i, (u, v) in enumerate(sp.symbols):
+        terms = []
+        if i <= sp.idx(-v, u):
+            terms.append([(i, 1), (sp.idx(-v, u), 1)])
+        if sp.variant == "full" or (u + v) % sp.N:
+            terms.append([(i, 1), (sp.idx(u, u + v), -1), (sp.idx(u + v, v), -1)])
+        for term in terms:
+            row = ring.vzeros(sp.nsym)
+            for j, c in term:
+                row[j, 0] += c
+            rows.append(row % ring.pk)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("N,p", RELATION_GRID)
+def test_relation_terms_densify_to_reference_rows(N, p):
+    for k in (1, 2):
+        ring = make_coeff_ring(p, k, unit_group(N).phi)
+        assert ring.m == (2 if p == 7 else 1)
+        for variant in ("full", "cusp0"):
+            sp = build_presentation(N, variant, ring)
+            dense = sp.dense_relation_rows()
+            assert len(sp.relation_rows) == len(dense)
+            assert np.array_equal(dense, reference_relation_rows(sp))
