@@ -31,7 +31,6 @@ from .eigen import (
     cd_span,
     check_generation,
     eigensymbol,
-    idempotent_projector,
 )
 from .hecke import QuotientSpec, check_generation_with_quotient
 from .properties import run_properties
@@ -68,7 +67,6 @@ __all__ = [
     "cd_span",
     "check_generation",
     "eigensymbol",
-    "idempotent_projector",
     "QuotientSpec",
     "check_generation_with_quotient",
     "run_properties",

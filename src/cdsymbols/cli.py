@@ -28,13 +28,12 @@ WORKERS_ENV = "CDSYMBOLS_WORKERS"
 
 
 def parse_quotient(text: str) -> QuotientSpec:
-    """Parse 'trivU:5,7', 't2eis', 't2eis-global', or '+'-combinations."""
+    """Parse 'trivU:5,7', 't2eis', 't2eis-global', or '+'-combinations.  At
+    most one of the T2 modes t2eis, t2eis-global and t2eis-full may appear."""
     if not text or text == "none":
         return QuotientSpec()
     trivial: list[int] = []
-    t2 = False
-    t2_global = False
-    t2_allow_full = False
+    t2_mode = None
     for part in text.split("+"):
         part = part.strip()
         if part.startswith("trivU:"):
@@ -44,13 +43,16 @@ def parse_quotient(text: str) -> QuotientSpec:
             except ValueError:
                 raise ValueError(f"bad trivU prime list in {part!r}") from None
         elif part in ("t2eis", "t2eis-global", "t2eis-full"):
-            t2 = True
-            t2_global = part == "t2eis-global"
-            t2_allow_full = part == "t2eis-full"
+            if t2_mode is not None:
+                raise ValueError(f"conflicting T2 conditions {t2_mode!r} and {part!r}")
+            t2_mode = part
         else:
             raise ValueError(f"unknown quotient condition {part!r}")
     return QuotientSpec(
-        trivial_u=tuple(trivial), t2=t2, t2_global=t2_global, t2_allow_full=t2_allow_full
+        trivial_u=tuple(trivial),
+        t2=t2_mode is not None,
+        t2_global=t2_mode == "t2eis-global",
+        t2_allow_full=t2_mode == "t2eis-full",
     )
 
 

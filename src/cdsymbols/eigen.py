@@ -1,5 +1,9 @@
-"""Eigenspace idempotents, eigensymbols, the span of (c,d)-symbols, and the
-generation verdicts.
+"""Eigenspaces, eigensymbols, the span of (c,d)-symbols, and the generation
+verdicts.
+
+Each theta-eigenspace is presented on sigma-pair columns, the diamond
+orbits paired by the sign involution, with one parabolic relation per orbit
+and one (c,d)-generator stream per pair (see EigenContext and cd_span).
 
 The span C^theta of projected (c,d)-symbols is computed by an exhaustive
 enumeration of the residue classes of (c, d) modulo lcm(6N, p^k).  A class
@@ -39,7 +43,6 @@ __all__ = [
     "EigenContext",
     "GenerationReport",
     "build_eigen_context",
-    "idempotent_projector",
     "eigensymbol",
     "cd_eigensymbol",
     "cd_span",
@@ -74,18 +77,27 @@ def bezout_units(N: int, g: int, h: int):
 
 @dataclass
 class EigenContext:
-    """The theta-eigenspace of a presented symbol space in orbit coordinates.
+    """The theta-eigenspace of a presented symbol space on sigma-pair columns.
 
     Since p does not divide phi(N), e_theta of the free module has a basis
     of diamond-orbit representatives, with e_theta[<a> rep] = theta(a)
-    e_theta[rep].  An orbit whose stabilizer theta moved would be zero, but
-    <a>[u:v] = [u:v] forces a = +-1 (gcd(u, v, N) = 1) and theta is even,
-    so every orbit is a column and H_theta is R^r modulo `rel_acc`, the
-    projected relations.  `project` is the coordinate map
-    pi([i]) = theta(trans[i]) x_{orbit_of[i]} on ambient rows of shape
-    (..., nsym, m); `basis` holds the unit columns reduced against the
-    relations, and `columns[i]` the reduced column of symbol i,
-    theta(trans[i]) basis[orbit_of[i]]."""
+    e_theta[rep]: <a>[u:v] = [u:v] forces a = +-1 (gcd(u, v, N) = 1) and
+    theta is even, so no orbit is killed.  The sign involution
+    sigma[u:v] = [-v:u] commutes with the diamonds and pairs the orbits:
+    sigma rep(O) = <t_O> rep(sigma O), and the sign relation of rep(O)
+    reads x_O + theta(t_O) x_{sigma O} = 0.  The sign relations are
+    quotiented out first: each sigma-pair keeps one column, that of its
+    first orbit, and its partner O becomes -theta(t_O) times it.  An orbit
+    that is its own partner has theta(t_O) = +-1; for +1 its relation
+    2 x_O = 0 drops the column (2 is a unit), for -1 it is void.  So
+    H_theta is R^r' (24 columns at N = 35, against 48 orbits) modulo
+    `rel_acc`, the projected parabolic and quotient relations.
+
+    `project` is the coordinate map on ambient rows of shape (..., nsym, m);
+    `reps` holds the representatives first in their sigma-pair, the ones
+    `cd_span` visits (a dropped orbit's among them); `basis` holds the unit
+    columns reduced against the relations, and `columns[i]` the reduced
+    column of symbol i (zero on a dropped orbit)."""
 
     space: SymbolSpace
     ring: CoeffRing
@@ -95,8 +107,6 @@ class EigenContext:
     project: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     rel_acc: HowellAccumulator = field(repr=False)
     reps: tuple[int, ...] = field(repr=False)
-    orbit_of: np.ndarray = field(repr=False)
-    trans: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
     omega: DirichletCharacter = field(repr=False)
@@ -113,7 +123,7 @@ class EigenContext:
 
     @property
     def dim_H(self) -> int:
-        """Module length of H_theta = R^r / (projected relations)."""
+        """Module length of H_theta = R^r' / (projected relations)."""
         return len(self.basis) * self.ring.k - self.rel_length
 
     def psi(self, chi: DirichletCharacter) -> DirichletCharacter:
@@ -124,7 +134,7 @@ class EigenContext:
         return self.columns[self.space.idx(u, v)].copy()
 
     def htheta_target(self) -> HowellAccumulator:
-        """The relations plus the reduced unit columns: all of R^r, whose
+        """The relations plus the reduced unit columns: all of R^r', whose
         Howell form is the identity (pivots e_j of valuation 0)."""
         r = len(self.basis)
         identity = Submodule(self.ring, r, _identity(self.ring, r), tuple(range(r)), (0,) * r)
@@ -135,11 +145,29 @@ def _identity(ring: CoeffRing, r: int) -> np.ndarray:
     return np.eye(r, dtype=np.int64)[..., None] * ring.one().as_array()
 
 
-def _orbit_projection(ring: CoeffRing, orbit_of: np.ndarray, scalars, r: int):
+def _sign_pairs(space: SymbolSpace, reps, orbit_of: np.ndarray, theta_trans: np.ndarray):
+    """Per orbit O: its column, the coefficient of x_O there, and whether O
+    is first in its sigma-pair.  theta_trans[i] is theta of the unit that
+    carries the representative of symbol i's orbit to i."""
+    ring = space.ring
+    one = ring.one().as_array()
+    u, v = np.array([space.symbols[s] for s in reps], dtype=np.int64).T
+    image = space.table[-v % space.N, u]  # sigma rep(O) = <t_O> rep(sigma O)
+    partner = orbit_of[image]
+    theta_t = theta_trans[image]
+    ids = np.arange(len(reps))
+    first = partner >= ids
+    dropped = (partner == ids) & (theta_t == one).all(axis=1)
+    col = np.cumsum(first & ~dropped) - 1  # a dropped orbit's coefficient is 0
+    coef = np.where(first[:, None], one * ~dropped[:, None], -theta_t % ring.pk)
+    return np.where(first, col, col[partner]), coef, first
+
+
+def _projection(ring: CoeffRing, col_of: np.ndarray, scalars, r: int):
     """pi on ambient rows (..., nsym, m): scale entry i by scalars[i] and add
-    it into column orbit_of[i] (a sum of at most nsym residues per entry)."""
-    order = np.argsort(orbit_of, kind="stable")  # symbols grouped by orbit
-    starts = np.searchsorted(orbit_of[order], np.arange(r))
+    it into column col_of[i] (a sum of at most nsym residues per entry)."""
+    order = np.argsort(col_of, kind="stable")  # symbols grouped by column
+    starts = np.searchsorted(col_of[order], np.arange(r))
     smat = ring.smatrix(scalars[order])
 
     def project(vec: np.ndarray) -> np.ndarray:
@@ -150,15 +178,23 @@ def _orbit_projection(ring: CoeffRing, orbit_of: np.ndarray, scalars, r: int):
     return project
 
 
-def _relations_accumulator(space: SymbolSpace, project, orbit_of, scalars, r: int, extra_rows):
-    """Howell form of pi of every Manin relation and every quotient row.  A
-    relation's terms c [i] go straight to c theta(trans[i]) in column
-    orbit_of[i] (a sum of at most three residues per entry)."""
+def _relations_accumulator(space: SymbolSpace, project, orbit_of, col_of, scalars, r: int, extra_rows):
+    """Howell form of pi of the Manin relations and of every quotient row.
+
+    pi kills every sign relation, so none is projected.  <a> maps the
+    parabolic relation R of [u:v] to that of [au:av], and pi(<a> R) =
+    theta(a) pi(R), so one parabolic relation per diamond orbit of its
+    first symbol spans the rest: at most r rows (48 instead of 864 at
+    N = 35).  A relation's terms c [i] go straight to c scalars[i] in column
+    col_of[i] (a sum of at most three residues per entry)."""
     ring = space.ring
-    cols = space.relation_rows
+    parabolic = np.flatnonzero(space.relation_coeffs[:, 2])  # a sign row's third term is 0
+    _, first = np.unique(orbit_of[space.relation_rows[parabolic, 0]], return_index=True)
+    chosen = parabolic[first]
+    cols = space.relation_rows[chosen]
     rows = np.zeros((len(cols), r, ring.m), dtype=np.int64)
-    terms = space.relation_coeffs[..., None] * scalars[cols]
-    np.add.at(rows, (np.arange(len(cols))[:, None], orbit_of[cols]), terms)
+    terms = space.relation_coeffs[chosen][..., None] * scalars[cols]
+    np.add.at(rows, (np.arange(len(cols))[:, None], col_of[cols]), terms)
     stack = [rows % ring.pk]
     if len(extra_rows):
         stack.append(project(np.stack(extra_rows)))
@@ -186,12 +222,15 @@ def build_eigen_context(
     if theta.N != N or theta.ring != ring:
         raise ValueError("theta does not live on this space")
     reps, orbit_of, trans = space.orbits()
-    scalars = theta.values[np.searchsorted(ug.units, trans)]
-    r = len(reps)
-    project = _orbit_projection(ring, orbit_of, scalars, r)
-    rel_acc = _relations_accumulator(space, project, orbit_of, scalars, r, extra_rows)
+    theta_trans = theta.values[np.searchsorted(ug.units, trans)]
+    col, coef, first = _sign_pairs(space, reps, orbit_of, theta_trans)
+    col_of = col[orbit_of]
+    scalars = np.einsum("ni,nij->nj", theta_trans, ring.smatrix(coef[orbit_of])) % ring.pk
+    r = int(col.max()) + 1
+    project = _projection(ring, col_of, scalars, r)
+    rel_acc = _relations_accumulator(space, project, orbit_of, col_of, scalars, r, extra_rows)
     basis = rel_acc.reduce_rows(_identity(ring, r))
-    columns = np.einsum("nrc,ncd->nrd", basis[orbit_of], ring.smatrix(scalars)) % ring.pk
+    columns = np.einsum("nrc,ncd->nrd", basis[col_of], ring.smatrix(scalars)) % ring.pk
     omega = teichmuller_character(M, p, ring)
     theta_mp = theta if N == M * p else theta.extend(M * p)
     eta = theta_mp * omega ** (-2)
@@ -203,52 +242,13 @@ def build_eigen_context(
         theta=theta,
         project=project,
         rel_acc=rel_acc,
-        reps=reps,
-        orbit_of=orbit_of,
-        trans=trans,
+        reps=tuple(s for s, f in zip(reps, first) if f),
         basis=basis,
         columns=columns,
         omega=omega,
         eta=eta,
         f=eta.conductor(),
     )
-
-
-# ---------------------------------------------------------------------------
-# the dense projector, kept as the reference that pi is checked against
-
-
-def idempotent_projector(space: SymbolSpace, theta: DirichletCharacter, strict: bool = True) -> np.ndarray:
-    """Matrix of e_theta = (1/phi(N)) sum theta^{-1}(a) <a> on the ambient
-    free module, shape (n, n, m).  Requires p prime to phi(N); odd theta is
-    rejected unless strict=False (the resulting matrix is then zero on the
-    presented space)."""
-    ring = space.ring
-    ug = unit_group(space.N)
-    if ug.phi % ring.p == 0:
-        raise RingError(f"p = {ring.p} divides phi({space.N})")
-    if strict and not theta.is_even():
-        raise ValueError("theta must be even; pass strict=False to explore odd characters")
-    inv_phi = ring.from_int(ug.phi).inverse()
-    theta_inv = theta.inverse()
-    n = space.nsym
-    P = np.zeros((n, n, ring.m), dtype=np.int64)
-    cols = np.arange(n)
-    for a in ug.units:
-        coeff = np.array((theta_inv(a) * inv_phi).coeffs, dtype=np.int64)
-        P[space.diamond_perm(a), cols] = (P[space.diamond_perm(a), cols] + coeff) % ring.pk
-    return P
-
-
-def apply_matrix(ring: CoeffRing, P: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Apply an (n, n, m) matrix to an (n, m) vector over the ring."""
-    smat = np.array([ring.smatrix(x) for x in vec], dtype=np.int64)
-    products = sum(P[:, :, u, None] * smat[:, u, :] for u in range(ring.m)) % ring.pk
-    return products.sum(axis=1) % ring.pk
-
-
-def matrix_product(ring: CoeffRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.stack([apply_matrix(ring, A, B[:, j]) for j in range(B.shape[1])], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +372,15 @@ def cd_span(
     with (c, d) ranging over every residue class prime to 6N modulo
     lcm(6N, p^k).  Returns (accumulator, exhausted).
 
+    Only the representatives first in their sigma-pair (`ctx.reps`) are
+    visited.  Modulo the sign relations the (c,d)-symbol of sigma[u:v] is
+    minus the (d,c)-symbol of [u:v], the partner's representative is a
+    diamond translate of sigma of the first one, and the class set is
+    symmetric in (c, d), also under a unit_bound; so the partner's stream
+    adds nothing.
+
     If stop_at_length is given (the length of a module known to contain the
-    span), accumulation stops after the first orbit representative whose
+    span), accumulation stops after the first representative whose
     generators bring the length there.  A unit_bound restricts the c mod N
     and d mod N residues to representatives <= bound; the result is then
     marked not exhaustive."""

@@ -33,6 +33,21 @@ def test_parse_quotient():
         parse_quotient("hida")
 
 
+@pytest.mark.parametrize(
+    "text,first,second",
+    [
+        ("t2eis-global+t2eis", "t2eis-global", "t2eis"),
+        ("t2eis-global+t2eis-full", "t2eis-global", "t2eis-full"),
+        ("t2eis+trivU:5+t2eis-full", "t2eis", "t2eis-full"),
+    ],
+)
+def test_parse_quotient_rejects_conflicting_t2_modes(text, first, second):
+    with pytest.raises(ValueError, match=f"conflicting T2 conditions '{first}' and '{second}'"):
+        parse_quotient(text)
+    code = main(["verify", "--p", "5", "--k", "1", "--M", "1", "--theta", "[0]", "--quotient", text])
+    assert code == 2
+
+
 def test_verify_json_schema_and_field_order(tmp_path):
     out = tmp_path / "r.json"
     csvp = tmp_path / "r.csv"

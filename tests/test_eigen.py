@@ -15,13 +15,12 @@ from cdsymbols.eigen import (
     check_generation,
     eigensymbol,
     eigensymbol_free,
-    idempotent_projector,
     verify_cd_span_of_one_p,
 )
-from cdsymbols.eigen import apply_matrix, matrix_product
 from cdsymbols.linalg import HowellAccumulator
 from cdsymbols.rings import RingError, make_coeff_ring
 from cdsymbols.symbols import build_presentation
+from dense_reference import apply_matrix, idempotent_projector, matrix_product
 from manin_modp import ModpEigenspace
 
 
@@ -29,6 +28,47 @@ def scenario(p, k, M, level="Mp", variant="full"):
     N = M if level == "M" else M * p
     ring = make_coeff_ring(p, k, unit_group(N).phi)
     return N, ring, build_presentation(N, variant, ring)
+
+
+def sign_pairs(sp, theta):
+    """Per diamond orbit O (in sp.orbits() order): its sigma-pair column, the
+    coefficient of e_O there, and whether O is first in its pair.  With
+    sigma rep(O) = <t_O> rep(sigma O), S(e_O) is e_c(O) for the first orbit
+    of a pair, -theta(t_O) e_c(sigma O) for its partner, and 0 for an orbit
+    that is its own partner with theta(t_O) = 1."""
+    ring = sp.ring
+    reps, orbit_of, trans = sp.orbits()
+    units = list(unit_group(sp.N).units)
+    one = ring.one().as_array()
+    col, coef, first = [], [], []
+    columns = 0
+    for o, s in enumerate(reps):
+        u, v = sp.symbols[s]
+        image = int(sp.table[-v % sp.N, u])
+        partner = int(orbit_of[image])
+        theta_t = theta.values[units.index(int(trans[image]))]
+        first.append(partner >= o)
+        if partner == o and np.array_equal(theta_t, one):
+            col.append(0)
+            coef.append(0 * one)
+        elif partner >= o:
+            col.append(columns)
+            coef.append(one)
+            columns += 1
+        else:
+            col.append(col[partner])
+            coef.append(-theta_t % ring.pk)
+    return col, coef, first
+
+
+def sign_pair_map(sp, theta, w):
+    """S applied to orbit coordinates w of shape (r, m)."""
+    ring = sp.ring
+    col, coef, _ = sign_pairs(sp, theta)
+    out = ring.vzeros(max(col) + 1)
+    for o in range(len(col)):
+        out[col[o]] = (out[col[o]] + ring.vscale(w[o], coef[o])) % ring.pk
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +169,9 @@ def test_eigenspace_dims_sum_to_quotient_length():
 @pytest.mark.parametrize("p,k,M", [(3, 1, 4), (3, 2, 4), (5, 1, 3), (5, 2, 3), (7, 1, 5), (7, 2, 5)])
 def test_orbit_projection_matches_dense_projector(p, k, M):
     """pi presents e_theta.  Each orbit representative has stabilizer
-    {1, -1}, so e_theta[rep] has entry 2/phi(N) at rep and pi(v) is
-    phi(N)/2 times the representative entries of P v.  And for seeded random
+    {1, -1}, so e_theta[rep] has entry 2/phi(N) at rep, and pi(v) is S of
+    phi(N)/2 times the representative entries of P v, where S takes orbit
+    coordinates to sigma-pair columns (`sign_pairs`).  And for seeded random
     sets V (the largest spans the eigenspace), V adds as much length over the
     ambient relations after P as pi(V) adds over the projected relations."""
     N, ring, sp = scenario(p, k, M)
@@ -149,7 +190,7 @@ def test_orbit_projection_matches_dense_projector(p, k, M):
             for _ in range(size):
                 vec = np.array([[rng.randrange(ring.pk) for _ in range(ring.m)] for _ in range(sp.nsym)])
                 pvec = apply_matrix(ring, P, vec)
-                assert np.array_equal(ctx.project(vec), ring.vscale(pvec[reps], half_phi))
+                assert np.array_equal(ctx.project(vec), sign_pair_map(sp, theta, ring.vscale(pvec[reps], half_phi)))
                 amb_v.add(pvec)
                 proj_v.add(ctx.project(vec))
             assert amb_v.length - amb.length == proj_v.length - ctx.rel_length, theta.label()
@@ -172,8 +213,10 @@ PROJECTION_GRID = [
 def test_projected_relations_equal_projected_dense_rows(N, p, M, monkeypatch):
     """The stack _relations_accumulator builds from the sparse terms (and
     the quotient rows of trivial U_ell for the least prime ell | N) is pi of
-    the dense relation rows, row for row; its Howell form agrees with
-    sequential `add`, and the H_theta target is all of R^r."""
+    the selected dense relation rows, row for row: no sign row, and the
+    first parabolic row of each diamond orbit of its first symbol.  Its
+    Howell form equals that of pi of all dense rows, sign rows included,
+    under sequential `add`, and the H_theta target is all of R^r'."""
     from cdsymbols.hecke import trivial_Ul_relations
 
     stacks = []
@@ -195,11 +238,18 @@ def test_projected_relations_equal_projected_dense_rows(N, p, M, monkeypatch):
                 with monkeypatch.context() as m:
                     m.setattr(HowellAccumulator, "add_rows", recording)
                     ctx = build_eigen_context(sp, p, M, theta, extra)
-                rows = list(sp.dense_relation_rows()) + list(extra)
-                expected = ctx.project(np.stack(rows))
+                dense = sp.dense_relation_rows()
+                orbit_of = sp.orbits()[1]
+                selected, seen = [], set()
+                for row, terms, coeffs in zip(dense, sp.relation_rows, sp.relation_coeffs):
+                    if coeffs[2] != 0 and orbit_of[terms[0]] not in seen:
+                        seen.add(orbit_of[terms[0]])
+                        selected.append(row)
+                expected = ctx.project(np.stack(selected + list(extra)))
                 assert len(stacks) == 1 and np.array_equal(stacks[0], expected)
-                r = len(ctx.reps)
-                assert ctx.rel_acc.finalize() == HowellAccumulator(ring, r, list(expected)).finalize()
+                r = len(ctx.basis)
+                every = ctx.project(np.stack(list(dense) + list(extra)))
+                assert ctx.rel_acc.finalize() == HowellAccumulator(ring, r, list(every)).finalize()
                 target = ctx.rel_acc.copy()
                 for row in ctx.basis:
                     target.add(row)
@@ -373,7 +423,8 @@ def test_cd_span_stops_at_target_with_the_exhaustive_length(p, k, M, level, vari
     """With stop_at_length = the target length, cd_span returns the
     exhaustive span's length, and its Howell form when that span is the
     target; it stops before the last orbit representative in the case-a
-    scenarios, and runs through all of them when the span falls short."""
+    scenarios, and runs through every representative that is first in its
+    sigma-pair when the span falls short."""
     import cdsymbols.eigen as eigen
 
     N, ring, sp = scenario(p, k, M, level, variant)
@@ -397,7 +448,39 @@ def test_cd_span_stops_at_target_with_the_exhaustive_length(p, k, M, level, vari
         assert full.length == target.length
         assert len(seen) < len(ctx.reps)
     if full.length < target.length:
-        assert seen == list(ctx.reps)
+        first = sign_pairs(sp, ctx.theta)[2]
+        assert seen == [rep for rep, f in zip(sp.orbits()[0], first) if f]
+
+
+@pytest.mark.parametrize("p,M,thetas", [(7, 5, ("[2,4]", "[0,4]")), (13, 1, None)])
+def test_sigma_partner_streams_add_nothing(p, M, thetas):
+    """cd_span visits only the representatives first in their sigma-pair:
+    modulo the sign relations the (c,d)-symbol of sigma[u:v] is minus the
+    (d,c)-symbol of [u:v], and the classes are symmetric in (c, d).  Adding
+    the generator streams of every orbit representative gives the same
+    Howell form, at k = 1 and 2, exhaustively and with a unit bound."""
+    import cdsymbols.eigen as eigen
+
+    for k in (1, 2):
+        N, ring, sp = scenario(p, k, M)
+        if thetas is None:
+            chars = [c for c in enumerate_characters(N, ring) if c.is_even()]
+        else:
+            chars = [parse_theta(t, N, p, ring) for t in thetas]
+        every = sp.orbits()[0]
+        for theta in chars:
+            ctx = build_eigen_context(sp, p, M, theta)
+            assert len(ctx.reps) < len(every)
+            for bound in (None, 6):
+                units = np.array(unit_group(N).units, dtype=np.int64)
+                if bound is not None:
+                    units = units[units <= bound]
+                bases = eigen._scalar_bases(p, ring.pk, N, units)
+                acc = ctx.rel_acc.copy()
+                for rep in every:
+                    acc.add_rows(eigen._cd_generators(ctx, rep, units, bases))
+                span, _ = cd_span(ctx, unit_bound=bound)
+                assert span.finalize() == acc.finalize(), (k, theta.label(), bound)
 
 
 def test_cd_span_containment_and_bound_mode():
@@ -471,9 +554,12 @@ def test_case_b_corrected_span_structure():
 
 def test_lengths_match_independent_modp_model():
     """At k = 1 the lengths of H^theta and C^theta agree, for every even
-    character at N = 15 and N = 21, with the independent model in
-    manin_modp.py (which shares no code with the package)."""
-    for p, M in ((5, 3), (7, 3)):
+    character at N = 15, 21, 13 and 17, with the independent model in
+    manin_modp.py (which shares no code with the package).  -1 is a square
+    mod 13 and mod 17, so there two orbits are their own sigma-partner, and
+    both the dropped column (theta(t) = 1) and the void relation
+    (theta(t) = -1) occur."""
+    for p, M in ((5, 3), (7, 3), (13, 1), (17, 1)):
         N, ring, _ = scenario(p, 1, M)
         for chi in enumerate_characters(N, ring):
             if not chi.is_even():
