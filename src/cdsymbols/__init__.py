@@ -20,7 +20,6 @@ from .linalg import (
     Submodule,
     elementary_divisors,
     howell_form,
-    membership,
 )
 from .eigen import (
     EigenContext,
@@ -58,7 +57,6 @@ __all__ = [
     "Submodule",
     "elementary_divisors",
     "howell_form",
-    "membership",
     "EigenContext",
     "GenerationReport",
     "bezout_units",

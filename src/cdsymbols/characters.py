@@ -219,6 +219,20 @@ class DirichletCharacter:
             b, mod = _crt_pair(b, mod, r, q), mod * q
         return self(b)
 
+    def over(self, ring: CoeffRing) -> "DirichletCharacter":
+        """The same character valued in Z/p^k or in a Galois ring over it:
+        Z/p^k is the prime subring of every GR(p^k, m), so each generator
+        image keeps its power-basis coefficients, zero-padded or cut to
+        ring.m.  Cutting requires the dropped coefficients to be zero."""
+        if ring == self.ring:
+            return self
+        if (ring.p, ring.k) != (self.ring.p, self.ring.k) or 1 not in (ring.m, self.ring.m):
+            raise RingError(f"no coefficient map from {self.ring} to {ring}")
+        if any(any(img.coeffs[ring.m :]) for img in self.images):
+            raise RingError(f"the character does not take values in {ring}")
+        pad = (0,) * ring.m
+        return DirichletCharacter(self.N, ring, tuple(ring.el((img.coeffs + pad)[: ring.m]) for img in self.images))
+
     def extend(self, N2: int) -> "DirichletCharacter":
         """View the character modulo a multiple N2 of N."""
         if N2 % self.N != 0:

@@ -17,6 +17,9 @@ over all z, w shows the span over a fiber pair is generated by the base
 vector at (s0, t0) together with p(t0 x0 - x1), p(s0 x0 - x2) and p^2 x0.
 This collapse is exact (it is tested against the literal class enumeration)
 and keeps the generator stream linear in phi(N)^2.
+
+A scenario whose theta takes values in Z/p^k does all of this over Z/p^k,
+not over the Galois ring that holds every character mod N (working_ring).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .characters import (
 )
 from .linalg import HowellAccumulator, Submodule, elementary_divisors, format_divisors
 from .rings import CoeffRing, RingError, is_prime, make_coeff_ring
-from .symbols import CUSP0, FULL, SymbolSpace, build_presentation
+from .symbols import CUSP0, FULL, SymbolSpace, build_presentation, cd_terms
 
 __all__ = [
     "EigenContext",
@@ -48,7 +51,7 @@ __all__ = [
     "cd_span",
     "bezout_units",
     "check_generation",
-    "verify_cd_span_of_one_p",
+    "working_ring",
 ]
 
 _COVERED_EQUALITY_CASES = ("a", "U-i", "U-ii", "U-iii", "T2")
@@ -171,7 +174,10 @@ def _projection(ring: CoeffRing, col_of: np.ndarray, scalars, r: int):
     smat = ring.smatrix(scalars[order])
 
     def project(vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=np.int64)[..., order, :]
+        vec = np.asarray(vec, dtype=np.int64)
+        if vec.shape[-1] != ring.m:  # einsum would broadcast a size-1 axis
+            raise ValueError(f"rows with {vec.shape[-1]} coefficients projected over {ring}")
+        vec = vec[..., order, :]
         scaled = np.einsum("...ni,nic->...nc", vec, smat) % ring.pk
         return np.add.reduceat(scaled, starts, axis=-2) % ring.pk
 
@@ -255,14 +261,18 @@ def build_eigen_context(
 # eigensymbols
 
 
-def eigensymbol_free(
+def _character_average(
     space: SymbolSpace,
     chi: DirichletCharacter,
     psi: DirichletCharacter,
     g: int,
     h: int,
+    terms,
 ) -> np.ndarray:
-    """The free-module vector (1/phi(N)^2) sum chi^{-1}(a) psi^{-1}(b) [ga:hb].
+    """(1/phi(N)^2) sum over units a, b of chi^{-1}(a) psi^{-1}(b) times the
+    combination of the symbols coefficient * [x ga : y hb] over `terms`, the
+    triples (x, y, coefficient): one product table of the character values,
+    added into the index of each term in one step per term.
 
     In the cuspidal-at-zero variant the symbols with g = N or h = N are zero
     by convention."""
@@ -275,14 +285,26 @@ def eigensymbol_free(
     ug = unit_group(N)
     units = np.array(ug.units, dtype=np.int64)
     inv = np.searchsorted(units, [pow(int(a), -1, N) for a in units])  # position of 1/a
-    # terms[a, b] = chi(1/a) psi(1/b), added into the index of [ga:hb]
-    terms = ring.vscale_stack(psi.values[inv], chi.values[inv])
-    idx = space.table[g * units[:, None] % N, h * units[None, :] % N]
+    # weights[a, b] = chi(1/a) psi(1/b)
+    weights = ring.vscale_stack(psi.values[inv], chi.values[inv]).reshape(-1, ring.m)
     acc = ring.vzeros(space.nsym)
-    np.add.at(acc, idx.ravel(), terms.reshape(-1, ring.m))
+    for x, y, coeff in terms:
+        idx = space.table[x * g * units[:, None] % N, y * h * units[None, :] % N]
+        np.add.at(acc, idx.ravel(), weights * (coeff % ring.pk) % ring.pk)
     acc %= ring.pk
     inv_phi2 = (ring.from_int(ug.phi) ** 2).inverse()
     return ring.vscale(acc, np.array(inv_phi2.coeffs, dtype=np.int64))
+
+
+def eigensymbol_free(
+    space: SymbolSpace,
+    chi: DirichletCharacter,
+    psi: DirichletCharacter,
+    g: int,
+    h: int,
+) -> np.ndarray:
+    """The free-module vector (1/phi(N)^2) sum chi^{-1}(a) psi^{-1}(b) [ga:hb]."""
+    return _character_average(space, chi, psi, g, h, ((1, 1, 1),))
 
 
 def eigensymbol(ctx: EigenContext, chi: DirichletCharacter, g: int, h: int) -> np.ndarray:
@@ -292,29 +314,10 @@ def eigensymbol(ctx: EigenContext, chi: DirichletCharacter, g: int, h: int) -> n
 
 
 def cd_eigensymbol(ctx: EigenContext, c: int, d: int, chi: DirichletCharacter, g: int, h: int) -> np.ndarray:
-    """The (c,d)-eigensymbol: the same character average over (c,d)-symbols,
-    as an ambient vector."""
-    from .symbols import cd_symbol
-
-    space = ctx.space
-    ring = ctx.ring
-    N = space.N
-    if N % g or N % h or gcd(g, h) != 1:
-        raise ValueError("g and h must be relatively prime divisors of N")
-    if space.variant == CUSP0 and (g == N or h == N):
-        return ring.vzeros(space.nsym)
-    ug = unit_group(N)
-    chi_inv = chi.inverse()
-    psi_inv = ctx.psi(chi).inverse()
-    acc = ring.vzeros(space.nsym)
-    for a in ug.units:
-        ca = chi_inv(a)
-        for b in ug.units:
-            coeff = ca * psi_inv(b)
-            term = cd_symbol(space, c, d, g * a, h * b)
-            acc = (acc + ring.vscale(term, np.array(coeff.coeffs, dtype=np.int64))) % ring.pk
-    inv_phi2 = (ring.from_int(ug.phi) ** 2).inverse()
-    return ring.vscale(acc, np.array(inv_phi2.coeffs, dtype=np.int64))
+    """The (c,d)-eigensymbol: the same character average over the (c,d)-symbols
+    of [ga:hb], as an ambient vector."""
+    terms = cd_terms(ctx.space, c, d)
+    return _character_average(ctx.space, chi, ctx.psi(chi), g, h, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +547,19 @@ def _case_extras(ctx: EigenContext, case: str):
     return out
 
 
+def working_ring(theta: DirichletCharacter) -> CoeffRing:
+    """The ring a scenario's arithmetic runs in: Z/p^k when theta takes its
+    values there, else theta's ring.
+
+    omega takes values in Z/p^k, so then do omega^2, theta omega^-2 and the
+    trivial character, the characters a scenario adjoins, and the quotient
+    rows (integers and omega^2).  GR(p^k, m) is free of rank m over Z/p^k,
+    so lengths, verdicts and elementary divisors are the same in either
+    ring.  Labels are still made in theta's own ring."""
+    ring = theta.ring
+    return ring if theta.values[:, 1:].any() else make_coeff_ring(ring.p, ring.k)
+
+
 def _generation_core(
     p: int,
     k: int,
@@ -551,19 +567,25 @@ def _generation_core(
     level: str,
     variant: str,
     theta,
-    extra_rows=(),
+    quotient: Callable[[SymbolSpace], list] | None = None,
     quotient_label: str = "none",
     trivial_u: tuple[int, ...] = (),
     t2: bool = False,
     cd_bound: int | None = None,
 ) -> GenerationReport:
+    """The verdict of one scenario; `quotient` gives the quotient rows of
+    the presented space in the working ring."""
     t_start = time.perf_counter()
     N = _validate_scenario(p, k, M, level)
-    ring = make_coeff_ring(p, k, unit_group(N).phi)
-    space = build_presentation(N, variant, ring)
+    canonical = make_coeff_ring(p, k, unit_group(N).phi)
     if isinstance(theta, str):
-        theta = parse_theta(theta, N, p, ring)
-    ctx = build_eigen_context(space, p, M, theta, extra_rows)
+        theta = parse_theta(theta, N, p, canonical)
+    elif theta.ring != canonical:
+        raise ValueError(f"theta does not take values in {canonical}")
+    ring = working_ring(theta)
+    space = build_presentation(N, variant, ring)
+    extra_rows = quotient(space) if quotient else ()
+    ctx = build_eigen_context(space, p, M, theta.over(ring), extra_rows)
     case = _classify(ctx, variant, trivial_u, t2)
     target = ctx.htheta_target()
     c_acc, exhausted = cd_span(ctx, stop_at_length=target.length, unit_bound=cd_bound)
@@ -575,7 +597,7 @@ def _generation_core(
     if not equal:
         for chi, g, h in _case_extras(ctx, case):
             c_acc.add(eigensymbol(ctx, chi, g, h))
-            extras.append(f"alpha(chi={chi.label()},g={g},h={h})")
+            extras.append(f"alpha(chi={chi.over(canonical).label()},g={g},h={h})")
         if c_acc.length != target.length:
             divisors = format_divisors(
                 elementary_divisors(c_acc.finalize(), target.finalize()), ring
@@ -612,33 +634,3 @@ def check_generation(
     """Classify the scenario into its theorem case, compute the spans, and
     report whether the prescribed generation identity holds."""
     return _generation_core(p, k, M, level, variant, theta, cd_bound=cd_bound)
-
-
-def verify_cd_span_of_one_p(
-    p: int,
-    k: int,
-    M: int,
-    theta,
-    cd_bound: int | None = None,
-) -> dict:
-    """Check that the full eigenspace is spanned by C^theta together with the
-    projection of the single symbol [1:p] (full variant, level Mp)."""
-    N = _validate_scenario(p, k, M, "Mp")
-    ring = make_coeff_ring(p, k, unit_group(N).phi)
-    space = build_presentation(N, FULL, ring)
-    if isinstance(theta, str):
-        theta = parse_theta(theta, N, p, ring)
-    ctx = build_eigen_context(space, p, M, theta)
-    target = ctx.htheta_target()
-    acc, _ = cd_span(ctx, stop_at_length=target.length, unit_bound=cd_bound)
-    plain_equal = acc.length == target.length
-    if not plain_equal:
-        acc.add(ctx.etheta_column(1, p % N))
-    return {
-        "theta": theta.label(),
-        "f": ctx.f,
-        "M_divides_f": ctx.f % M == 0,
-        "eta_nontrivial_at_p": ctx.f % p == 0,
-        "plain_equal": plain_equal,
-        "with_one_p_equal": acc.length == target.length,
-    }

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import teichmuller_character, unit_group
-from .eigen import GenerationReport, _generation_core, _validate_scenario
+from .eigen import GenerationReport, _generation_core
 from .rings import CoeffRing, is_prime
-from .symbols import CUSP0, SymbolSpace, build_presentation
+# build_presentation is not called here since the verdict path builds its
+# space in eigen; perfbench/tracer.py still wraps it under this name.
+from .symbols import CUSP0, SymbolSpace, build_presentation  # noqa: F401
 
 __all__ = [
     "QuotientSpec",
@@ -174,12 +176,6 @@ def check_generation_with_quotient(
 ) -> GenerationReport:
     """Impose the requested Hecke-type relations, recompute the spans in the
     quotient, and report the applicable strengthened case."""
-    from .rings import make_coeff_ring
-
-    N = _validate_scenario(p, k, M, level)
-    ring = make_coeff_ring(p, k, unit_group(N).phi)
-    space = build_presentation(N, variant, ring)
-    rows = quotient_rows(space, ring, p, spec)
     return _generation_core(
         p,
         k,
@@ -187,7 +183,7 @@ def check_generation_with_quotient(
         level,
         variant,
         theta,
-        extra_rows=tuple(rows),
+        quotient=lambda space: quotient_rows(space, space.ring, p, spec),
         quotient_label=spec.label(),
         trivial_u=spec.trivial_u,
         t2=spec.t2,

@@ -20,7 +20,6 @@ __all__ = [
     "HowellAccumulator",
     "Submodule",
     "howell_form",
-    "membership",
     "elementary_divisors",
     "format_divisors",
 ]
@@ -282,21 +281,6 @@ def howell_form(rows, ring: CoeffRing, ncols: int | None = None) -> Submodule:
     if ncols is None:
         ncols = 0
     return HowellAccumulator(ring, ncols, rows).finalize()
-
-
-def membership(vec, sub: Submodule):
-    """Decide vec in span(sub); on success return (True, witness) where
-    witness maps pivot columns to coefficients recombining exactly to vec."""
-    v = np.asarray(vec, dtype=np.int64)
-    if v.ndim == 1 and sub.ring.m == 1:
-        v = v.reshape(-1, 1)
-    if v.shape[0] != sub.ncols:
-        raise ValueError(f"vector has dimension {v.shape[0]}, ambient is {sub.ncols}")
-    witness: dict[int, np.ndarray] = {}
-    rem = sub.reduce(v, witness)
-    if rem.any():
-        return False, None
-    return True, witness
 
 
 def elementary_divisors(A: Submodule, B: Submodule) -> list[int]:

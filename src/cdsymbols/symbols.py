@@ -25,9 +25,8 @@ __all__ = [
     "enumerate_symbols",
     "SymbolSpace",
     "build_presentation",
+    "cd_terms",
     "cd_symbol",
-    "vector_to_dict",
-    "cusp0_agreement",
 ]
 
 FULL = "full"
@@ -159,62 +158,25 @@ def build_presentation(N: int, variant: str, ring: CoeffRing) -> SymbolSpace:
     return SymbolSpace(N, variant, ring)
 
 
-def cd_symbol(space: SymbolSpace, c: int, d: int, u: int, v: int) -> np.ndarray:
-    """The four-term combination c^2 d^2 [u:v] - c^2 [u:dv] - d^2 [cu:v] + [cu:dv].
-
-    The scalars are the integers c^2, d^2 mapped into the coefficient ring,
-    so the result depends on c through both c mod N and c mod p^k.
-    """
+def cd_terms(space: SymbolSpace, c: int, d: int) -> tuple[tuple[int, int, int], ...]:
+    """The four terms of the (c,d)-symbol of [u:v] as (x, y, coefficient):
+    the term coefficient * [x u : y v].  The coefficients are the integers
+    c^2 d^2, -c^2, -d^2 and 1 with c^2, d^2 reduced mod p^k, so the symbol
+    depends on c through both c mod N and c mod p^k."""
     N = space.N
-    ring = space.ring
     if c <= 1 or d <= 1:
         raise ValueError("c and d must be integers greater than 1")
     if gcd(c, 6 * N) != 1 or gcd(d, 6 * N) != 1:
         raise ValueError(f"c and d must be prime to 6N = {6 * N}")
-    i0 = space.idx(u, v)
-    c2 = c * c % ring.pk
-    d2 = d * d % ring.pk
+    c2 = c * c % space.ring.pk
+    d2 = d * d % space.ring.pk
+    return ((1, 1, c2 * d2), (1, d, -c2), (c, 1, -d2), (c, d, 1))
+
+
+def cd_symbol(space: SymbolSpace, c: int, d: int, u: int, v: int) -> np.ndarray:
+    """The four-term combination c^2 d^2 [u:v] - c^2 [u:dv] - d^2 [cu:v] + [cu:dv]."""
+    ring = space.ring
     vec = ring.vzeros(space.nsym)
-    vec[i0, 0] += c2 * d2
-    vec[space.idx(u, d * v), 0] -= c2
-    vec[space.idx(c * u, v), 0] -= d2
-    vec[space.idx(c * u, d * v), 0] += 1
+    for x, y, coeff in cd_terms(space, c, d):
+        vec[space.idx(x * u, y * v), 0] += coeff
     return vec % ring.pk
-
-
-def vector_to_dict(space: SymbolSpace, vec: np.ndarray) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Sparse view of a symbol vector, for tests and debugging."""
-    out = {}
-    for i, s in enumerate(space.symbols):
-        if vec[i].any():
-            out[s] = tuple(int(c) for c in vec[i])
-    return out
-
-
-def cusp0_agreement(N: int, ring: CoeffRing) -> dict:
-    """Compare the abstract cuspidal-at-zero presentation with the submodule
-    of the full space spanned by symbols with nonzero coordinates.
-
-    The natural map sends the abstract space onto that submodule; the two
-    agree exactly when their lengths match, which is reported rather than
-    assumed.
-    """
-    from .linalg import HowellAccumulator
-
-    full = build_presentation(N, FULL, ring)
-    cusp = build_presentation(N, CUSP0, ring)
-    acc_c = HowellAccumulator(ring, cusp.nsym, cusp.dense_relation_rows())
-    abstract_len = cusp.nsym * ring.k - acc_c.length
-    acc_f = HowellAccumulator(ring, full.nsym, full.dense_relation_rows())
-    base = acc_f.length
-    for (u, v) in cusp.symbols:
-        row = ring.vzeros(full.nsym)
-        row[full.idx(u, v), 0] = 1
-        acc_f.add(row)
-    submodule_len = acc_f.length - base
-    return {
-        "N": N,
-        "abstract_length": abstract_len,
-        "submodule_length": submodule_len,
-        "agree": abstract_len == submodule_len,
-    }

@@ -16,11 +16,12 @@ import pytest
 
 from cdsymbols.characters import parse_theta, teichmuller_character, unit_group
 from cdsymbols.cli import _grid_summary, _parse_grid_line, acceptance_grid, run_config
-from cdsymbols.eigen import build_eigen_context, cd_span, eigensymbol, verify_cd_span_of_one_p
+from cdsymbols.eigen import build_eigen_context, cd_span, eigensymbol
 from cdsymbols.linalg import howell_form
 from cdsymbols.properties import run_properties
 from cdsymbols.rings import chain_ring, make_coeff_ring
 from cdsymbols.symbols import FULL, build_presentation
+from dense_reference import verify_cd_span_of_one_p
 from manin_modp import ModpEigenspace, omega2_mod7, theta35
 
 import argparse

@@ -186,3 +186,20 @@ def test_parse_theta_grammar():
     r5 = make_coeff_ring(5, 1, 4)
     with pytest.raises(ValueError):
         parse_theta("omega^2", 4, 5, r5)  # omega undefined at level prime to p
+
+
+def test_over_descends_to_the_prime_subring_and_lifts_back():
+    """A character with values in Z/7 moves between GR(7^k, 2) and Z/7^k
+    without changing a value; one with a value outside Z/7 does not
+    descend, and no map crosses p^k."""
+    for k in (1, 2):
+        gr, z = make_coeff_ring(7, k, 24), make_coeff_ring(7, k)
+        theta = parse_theta("[2,4]", 35, 7, gr)
+        down = theta.over(z)
+        assert down.ring == z and (down.values == theta.values[:, :1]).all()
+        assert down.over(gr) == theta and down.over(gr).label() == "[2,4]"
+        assert theta.over(gr) is theta
+        with pytest.raises(RingError):
+            parse_theta("[1,1]", 35, 7, gr).over(z)
+    with pytest.raises(RingError):
+        parse_theta("[2,4]", 35, 7, make_coeff_ring(7, 1, 24)).over(make_coeff_ring(7, 2))

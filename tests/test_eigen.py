@@ -6,6 +6,7 @@ import pytest
 
 from cdsymbols.characters import enumerate_characters, parse_theta, unit_group
 from cdsymbols.eigen import (
+    _case_extras,
     _classify,
     bezout_units,
     build_eigen_context,
@@ -15,12 +16,19 @@ from cdsymbols.eigen import (
     check_generation,
     eigensymbol,
     eigensymbol_free,
-    verify_cd_span_of_one_p,
+    working_ring,
 )
-from cdsymbols.linalg import HowellAccumulator
+from cdsymbols.hecke import QuotientSpec, quotient_rows
+from cdsymbols.linalg import HowellAccumulator, elementary_divisors
 from cdsymbols.rings import RingError, make_coeff_ring
 from cdsymbols.symbols import build_presentation
-from dense_reference import apply_matrix, idempotent_projector, matrix_product
+from dense_reference import (
+    apply_matrix,
+    cd_eigensymbol_loop,
+    idempotent_projector,
+    matrix_product,
+    verify_cd_span_of_one_p,
+)
 from manin_modp import ModpEigenspace
 
 
@@ -265,6 +273,26 @@ def test_eigenspace_of_zero_module_is_zero():
     assert ctx.htheta_target().length - ctx.rel_length == 0
 
 
+def test_projection_rejects_rows_of_another_coefficient_width():
+    """A context over Z/7 (theta = [2,4] mod 35 descended from GR(7, 2))
+    refuses 2-wide rows instead of summing their coefficients, and a
+    GR(7, 2) context refuses 1-wide rows."""
+    for k in (1, 2):
+        N, gr, sp_gr = scenario(7, k, 5)
+        theta = parse_theta("[2,4]", N, 7, gr)
+        z = working_ring(theta)
+        sp_z = build_presentation(N, "full", z)
+        ctx_z = build_eigen_context(sp_z, 7, 5, theta.over(z))
+        ctx_gr = build_eigen_context(sp_gr, 7, 5, theta)
+        assert ctx_z.project(z.vzeros(sp_z.nsym)).shape == (len(ctx_z.basis), 1)
+        with pytest.raises(ValueError):
+            ctx_z.project(gr.vzeros(sp_z.nsym))
+        with pytest.raises(ValueError):
+            ctx_z.project(np.ones((3, sp_z.nsym, 2), dtype=np.int64))
+        with pytest.raises(ValueError):
+            ctx_gr.project(z.vzeros(sp_gr.nsym))
+
+
 # ---------------------------------------------------------------------------
 # eigensymbols
 
@@ -362,6 +390,29 @@ def test_cd_scalar_identity_exact():
         scalar = (ring.from_int(c * c) - chi(c)) * (ring.from_int(d * d) - psi(d))
         rhs = ring.vscale(eigensymbol_free(sp, chi, psi, 1, 1), np.array(scalar.coeffs, dtype=np.int64))
         assert np.array_equal(lhs, rhs)
+
+
+@pytest.mark.parametrize("p,k,M,theta", [(13, 2, 1, "omega^4"), (7, 1, 5, "[1,1]")])
+def test_cd_eigensymbol_matches_scalar_loop(p, k, M, theta):
+    """The vectorised (c,d)-eigensymbol equals the literal double loop over
+    unit pairs in RingElem arithmetic (dense_reference), over Z/13^2 and
+    over GR(7, 2), in both variants, for every coprime divisor pair (g, h)
+    and a seeded set of characters and (c, d)."""
+    rng = random.Random(1000 * p + k)
+    for variant in ("full", "cusp0"):
+        N, ring, sp = scenario(p, k, M, variant=variant)
+        assert ring.m == (1 if p == 13 else 2)
+        ctx = build_eigen_context(sp, p, M, parse_theta(theta, N, p, ring))
+        chars = enumerate_characters(N, ring)
+        classes = [c for c in range(2, 12 * N) if gcd(c, 6 * N) == 1]
+        divs = [d for d in range(1, N + 1) if N % d == 0]
+        for g in divs:
+            for h in divs:
+                if gcd(g, h) != 1:
+                    continue
+                chi, c, d = rng.choice(chars), rng.choice(classes), rng.choice(classes)
+                fast = cd_eigensymbol(ctx, c, d, chi, g, h)
+                assert np.array_equal(fast, cd_eigensymbol_loop(ctx, c, d, chi, g, h)), (variant, g, h, c, d)
 
 
 def test_unit_multiple_exists_away_from_omega_squared():
@@ -494,6 +545,67 @@ def test_cd_span_containment_and_bound_mode():
     bounded, exhausted2 = cd_span(ctx, unit_bound=6)
     assert not exhausted2
     assert bounded.length <= full.length
+
+
+# ---------------------------------------------------------------------------
+# the working ring
+
+
+def _descent_invariants(N, p, k, M, spec, quotient, ring):
+    """rel_length, dim_H, the exhaustive cd_span length, the case and the
+    elementary divisors after the case extras, computed in `ring`."""
+    canonical = make_coeff_ring(p, k, unit_group(N).phi)
+    theta = parse_theta(spec, N, p, canonical).over(ring)
+    sp = build_presentation(N, "full", ring)
+    rows = quotient_rows(sp, ring, p, QuotientSpec(trivial_u=quotient))
+    ctx = build_eigen_context(sp, p, M, theta, tuple(rows))
+    target = ctx.htheta_target()
+    span, exhausted = cd_span(ctx)
+    assert exhausted
+    cd_length = span.length
+    case = _classify(ctx, "full", quotient, False)
+    for chi, g, h in _case_extras(ctx, case):
+        span.add(eigensymbol(ctx, chi, g, h))
+    divisors = elementary_divisors(span.finalize(), target.finalize())
+    return ctx.rel_length, ctx.dim_H, cd_length, case, divisors
+
+
+DESCENT_POOL = [
+    pytest.param(35, 7, k, 5, theta, quotient, id=f"N35-k{k}-{theta}-{'trivU7' if quotient else 'none'}")
+    for k in (1, 2)
+    for theta in ("[0,0]", "[0,2]", "[0,4]", "[2,0]", "[2,2]", "[2,4]")
+    for quotient in ((), (7,))
+] + [
+    pytest.param(12, 3, 1, 4, "[1,1]", (), id="N12-p3-[1,1]"),
+    pytest.param(5, 7, 1, 5, "[0]", (), id="N5-p7-[0]"),
+]
+
+
+@pytest.mark.parametrize("N,p,k,M,theta,quotient", DESCENT_POOL)
+def test_descent_to_prime_subring_keeps_lengths_and_divisors(N, p, k, M, theta, quotient):
+    """A theta with values in Z/p^k is computed there, not in GR(p^k, 2):
+    the relation length, dim H_theta, the exhaustive (c,d)-span length, the
+    case and the elementary divisors after the case extras agree with the
+    Galois-ring computation, with and without the trivial U_7 quotient."""
+    gr = make_coeff_ring(p, k, unit_group(N).phi)
+    z = working_ring(parse_theta(theta, N, p, gr))
+    assert (gr.m, z.m, z.pk) == (2, 1, p**k)
+    in_gr = _descent_invariants(N, p, k, M, theta, quotient, gr)
+    in_z = _descent_invariants(N, p, k, M, theta, quotient, z)
+    assert in_gr == in_z
+
+
+def test_working_ring_keeps_galois_ring_and_int64_bound():
+    """theta = [1,1] mod 35 takes a primitive 4th root of unity, which Z/7
+    lacks, so it stays on GR(7, 2).  At k = 11 the canonical GR(7^11, 2) is
+    beyond the int64 bound, and the scenario is rejected although Z/7^11
+    would pass it."""
+    gr = make_coeff_ring(7, 1, 24)
+    assert working_ring(parse_theta("[1,1]", 35, 7, gr)) == gr
+    assert working_ring(parse_theta("[2,4]", 35, 7, gr)) == make_coeff_ring(7, 1)
+    make_coeff_ring(7, 11)
+    with pytest.raises(RingError, match="int64"):
+        check_generation(7, 11, 5, "Mp", "full", "[2,4]")
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from cdsymbols.linalg import (
     elementary_divisors,
     format_divisors,
     howell_form,
-    membership,
 )
 from cdsymbols.rings import chain_ring, make_coeff_ring
+from dense_reference import membership
 
 
 def span_set(rows, pk, n):

@@ -11,10 +11,9 @@ from cdsymbols.symbols import (
     build_presentation,
     canonical_pair,
     cd_symbol,
-    cusp0_agreement,
     enumerate_symbols,
-    vector_to_dict,
 )
+from dense_reference import cusp0_agreement, vector_to_dict
 
 
 def brute_count(N, variant):
