@@ -405,31 +405,6 @@ def cd_span(
     return acc, exhausted
 
 
-def cd_span_bruteforce(ctx: EigenContext) -> HowellAccumulator:
-    """Literal enumeration over all residue classes of (c, d) modulo
-    L = lcm(6N, p^k) prime to 6N, applied to every symbol and projected
-    through pi.  Exponentially slower; exists as the oracle for cd_span.  It
-    inserts one row at a time with `add` and never calls `add_rows`, so the
-    comparison also checks cd_span's batched insertion against code that
-    does not share it."""
-    from .symbols import cd_symbol
-
-    ring = ctx.ring
-    space = ctx.space
-    N = space.N
-    L = 6 * N * ring.pk // gcd(6 * N, ring.pk)
-    classes = [c for c in range(1, L + 1) if gcd(c, 6 * N) == 1]
-    acc = ctx.rel_acc.copy()
-    for c in classes:
-        cc = c if c > 1 else c + L
-        for d in classes:
-            dd = d if d > 1 else d + L
-            vecs = np.stack([cd_symbol(space, cc, dd, u, v) for (u, v) in space.symbols])
-            for vec in ctx.project(vecs):
-                acc.add(vec)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # generation verdicts
 

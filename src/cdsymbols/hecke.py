@@ -69,26 +69,24 @@ class QuotientSpec:
                 )
 
 
-def trivial_Ul_relations(space: SymbolSpace, ell: int) -> list[np.ndarray]:
+def trivial_Ul_relations(space: SymbolSpace, ell: int) -> np.ndarray:
     """Rows [ell*u : v] - sum over u' with ell*u' = ell*u of [u' : v], one per
-    admissible symbol with first coordinate divisible by ell."""
+    admissible symbol with first coordinate divisible by ell, in symbol
+    order, as one array (rows, nsym, m).  Every lift (u', v) is a symbol:
+    a prime dividing u', v and N would divide ell*u' as well."""
     N = space.N
     ring = space.ring
     if not is_prime(ell) or N % ell != 0:
         raise ValueError(f"{ell} must be a prime divisor of {N}")
-    step = N // ell
-    rows = []
-    for (w, z) in space.symbols:
-        if w % ell:
-            continue
-        # cusp0 spaces never contain w == 0, so the ell*u != 0 condition holds
-        row = space.ring.vzeros(space.nsym)
-        row[space.idx(w, z), 0] += 1
-        u0 = w // ell
-        for t in range(ell):
-            row[space.idx(u0 + t * step, z), 0] -= 1
-        rows.append(row % ring.pk)
-    return rows
+    w, z = np.array(space.symbols, dtype=np.int64).reshape(-1, 2).T
+    # cusp0 spaces never contain w == 0, so the ell*u != 0 condition holds
+    sel = np.flatnonzero(w % ell == 0)
+    lifts = space.table[(w[sel] // ell)[:, None] + np.arange(ell) * (N // ell), z[sel, None]]
+    rows = np.zeros((len(sel), space.nsym, ring.m), dtype=np.int64)
+    at = np.arange(len(sel))
+    np.add.at(rows[..., 0], (at, sel), 1)
+    np.add.at(rows[..., 0], (at[:, None], lifts), -1)
+    return rows % ring.pk
 
 
 def t2_eisenstein_relations(space: SymbolSpace, ring: CoeffRing, p: int, allow_full: bool = False):

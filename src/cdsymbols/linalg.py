@@ -2,9 +2,11 @@
 
 Row modules over Z/p^k or GR(p^k, m) are kept in Howell normal form: an
 echelon basis with monic pivots p^v, saturated so that every element of the
-span reduces to zero by greedy elimination.  Unlike Hermite form, the
-saturation rows make span membership decidable over these non-domains, and
-the fully reduced form is a canonical invariant of the span.
+span reduces to zero against the pivots, one column at a time.  Unlike
+Hermite form, the saturation rows make span membership decidable over these
+non-domains, and the fully reduced form is a canonical invariant of the
+span.  One elimination (`HowellAccumulator.add_rows`) inserts rows and one
+(`reduce_rows`) reduces them; both work on whole stacks.
 
 Rows are numpy int64 arrays of shape (ncols, m); all arithmetic goes through
 the CoeffRing vector helpers.
@@ -59,9 +61,8 @@ class HowellAccumulator:
         self.vals: dict[int, int] = {}
         self.length = 0
         self._sorted: list[int] | None = []
-        if rows is not None:
-            for r in rows:
-                self.add(r)
+        if rows is not None and len(rows):
+            self.add_rows(rows)
 
     def copy(self) -> "HowellAccumulator":
         other = HowellAccumulator(self.ring, self.ncols)
@@ -76,35 +77,11 @@ class HowellAccumulator:
             self._sorted = sorted(self.pivots)
         return self._sorted
 
-    def reduce(self, vec: np.ndarray, witness: dict | None = None) -> np.ndarray:
-        """Greedy leading-term reduction; the result is zero iff vec is in
-        the span.  Records witness coefficients per pivot column if asked."""
-        ring = self.ring
-        vec = vec % ring.pk
-        start = 0
-        while True:
-            j = ring.vlead(vec, start)
-            if j is None:
-                return vec
-            row = self.pivots.get(j)
-            if row is None:
-                return vec
-            pv = self.vals[j]
-            v = ring.vval_entry(vec[j])
-            if v < pv:
-                return vec
-            q = vec[j] // ring.p**pv
-            vec = (vec - ring.vscale(row, q)) % ring.pk
-            if witness is not None:
-                witness[j] = q
-            start = j + 1
-
-    def reduce_rows(self, rows: np.ndarray, witness: dict | None = None) -> np.ndarray:
+    def reduce_rows(self, rows: np.ndarray) -> np.ndarray:
         """Canonical coset representatives of a stack of rows (B, ncols, m):
         one vectorised step per pivot column, in sorted order, brings every
         row's entry there into the residues [0, p^v)^m.  Two rows reduce to
-        the same representative iff they differ by an element of the span.
-        Records the (B, m) quotients per pivot column if asked."""
+        the same representative iff they differ by an element of the span."""
         ring = self.ring
         rows = np.asarray(rows, dtype=np.int64) % ring.pk
         for j in self._pivot_cols():
@@ -113,46 +90,14 @@ class HowellAccumulator:
                 # the pivot row is zero before column j
                 tail = rows[:, j:] - ring.vscale_stack(self.pivots[j][j:], q)
                 rows[:, j:] = tail % ring.pk
-                if witness is not None:
-                    witness[j] = q
         return rows
 
-    def reduce_full(self, vec: np.ndarray, witness: dict | None = None) -> np.ndarray:
-        """Canonical coset representative of one row: reduce_rows with
-        B = 1, the witness recording the quotient used at each pivot."""
-        quotients = None if witness is None else {}
-        out = self.reduce_rows(vec[None], quotients)[0]
-        if witness is not None:
-            witness.update((j, q[0]) for j, q in quotients.items())
-        return out
-
     def contains(self, vec: np.ndarray) -> bool:
-        return not self.reduce(vec).any()
+        return not self.reduce_rows(np.asarray(vec)[None]).any()
 
     def add(self, vec: np.ndarray) -> bool:
-        """Insert a row; returns True if the span grew."""
-        ring = self.ring
-        before = self.length
-        stack = [np.asarray(vec, dtype=np.int64) % ring.pk]
-        while stack:
-            r = self.reduce(stack.pop())
-            j = ring.vlead(r)
-            if j is None:
-                continue
-            v = ring.vval_entry(r[j])
-            r = self._monic(r, j, v)
-            old = self.pivots.get(j)
-            self.pivots[j] = r
-            if old is not None:
-                self.length += self.vals[j] - v
-                stack.append(old)
-            else:
-                self.length += ring.k - v
-                self._sorted = None
-            self.vals[j] = v
-            if v > 0:
-                stack.append((r * ring.p ** (ring.k - v)) % ring.pk)
-        return self.length > before
+        """Insert one row; returns True if the span grew."""
+        return self.add_rows(np.asarray(vec)[None])
 
     def _monic(self, row: np.ndarray, j: int, v: int) -> np.ndarray:
         """The row divided by the unit part of its entry p^v u at column j."""
@@ -165,61 +110,69 @@ class HowellAccumulator:
     def add_rows(self, rows) -> bool:
         """Insert a stack of rows (B, ncols, m); returns True if the span grew.
 
-        The stack is reduced against the pivots in one vectorised pass and
-        its zero rows dropped.  The survivors and the pivots from the first
-        column a survivor touches on are then brought to Howell form
-        together (Storjohann and Mulders, ESA 1998), a column at a time: the
-        row of least valuation v becomes the monic pivot, one vectorised
-        step clears the column in the other rows, and the saturation row
-        p^(k-v) pivot joins them."""
+        One pass over the columns where some row leads, in increasing order
+        (Storjohann and Mulders, ESA 1998).  At column j the rows leading
+        there compete with the pivot at j, if any: the entry of least
+        valuation v wins (the old pivot on a tie, left as it is), and one
+        vectorised step clears column j in the other rows.  A new monic
+        pivot's slot takes its saturation row p^(k-v) pivot, and a replaced
+        pivot rejoins the rows.  Every row the step touches leads further
+        right afterwards, so each column is visited at most once, and pivots
+        that no row reaches are never read."""
         ring = self.ring
-        work = self._nonzero(self.reduce_rows(rows))
-        if not len(work):
-            return False
+        p, k, pk, n = ring.p, ring.k, ring.pk, self.ncols
+        work = np.asarray(rows, dtype=np.int64) % pk
+        nz = work.any(axis=2)
+        lead = np.where(nz.any(axis=1), nz.argmax(axis=1), n)
+        exponent = {p**t: t for t in range(k + 1)}
         before = self.length
-        start = self._lead(work)
-        work = np.concatenate([work] + [row[None] for j, row in self.pivots.items() if j >= start])
-        self.pivots = {j: row for j, row in self.pivots.items() if j < start}
-        self.vals = {j: v for j, v in self.vals.items() if j < start}
-        powers = ring.p ** np.arange(1, ring.k + 1)
-        while len(work):
-            j = self._lead(work)
-            # valuation of every row's entry at j (k where it is zero)
-            vals = (work[:, j, None, :] % powers[:, None] == 0).all(axis=2).sum(axis=1)
-            i = int(vals.argmin())
-            v = int(vals[i])
-            pivot = self._monic(work[i], j, v)
-            rest = np.delete(work, i, axis=0)
-            q = rest[:, j] // ring.p**v
-            rest[:, j:] = (rest[:, j:] - ring.vscale_stack(pivot[j:], q)) % ring.pk
-            if v > 0:
-                rest = np.concatenate([rest, (pivot * ring.p ** (ring.k - v) % ring.pk)[None]])
-            self.pivots[j] = pivot
-            self.vals[j] = v
-            work = self._nonzero(rest)
-        self._sorted = None
-        self.length = sum(ring.k - v for v in self.vals.values())
+        while len(lead) and (j := int(lead.min())) < n:
+            at = (lead == j).nonzero()[0]
+            sub = work[at, j:]
+            # p^v for the entry at j of every row (gcd with p^k over the coefficients)
+            pv = np.gcd.reduce(sub[:, 0], axis=1, initial=pk)
+            i = int(pv.argmin())
+            old = self.pivots.get(j)
+            if old is not None and p ** self.vals[j] <= pv[i]:
+                pivot, v = old, self.vals[j]
+            else:
+                v = exponent[int(pv[i])]
+                pivot = self._monic(work[at[i]], j, v)
+                if old is None:
+                    self.length += k - v
+                    self._sorted = None
+                else:
+                    self.length += self.vals[j] - v
+                    work = np.concatenate([work, old[None]])
+                    lead = np.append(lead, j)
+                    at = np.append(at, len(lead) - 1)
+                    sub = np.concatenate([sub, old[None, j:]])
+                self.pivots[j] = pivot
+                self.vals[j] = v
+            sub -= ring.vscale_stack(pivot[j:], sub[:, 0] // p**v)
+            sub %= pk
+            if pivot is not old:
+                sub[i] = pivot[j:] * p ** (k - v) % pk
+            work[at, j:] = sub
+            # column j is now zero in every row, so a first hit at 0 means a zero row
+            first = (sub.reshape(len(at), -1) != 0).argmax(axis=1) // ring.m
+            lead[at] = np.where(first, j + first, n)
         return self.length > before
 
-    def _nonzero(self, rows: np.ndarray) -> np.ndarray:
-        return rows[rows.reshape(len(rows), self.ncols * self.ring.m).any(axis=1)]
-
-    def _lead(self, rows: np.ndarray) -> int:
-        """The first column any row of a stack of nonzero rows touches."""
-        return int(rows.any(axis=2).argmax(axis=1).min())
-
     def finalize(self) -> "Submodule":
-        """Back-substituted canonical form as an immutable Submodule."""
+        """Back-substituted canonical form as an immutable Submodule: at each
+        pivot, one vectorised step reduces the rows above it that are not
+        yet reduced there."""
         ring = self.ring
         cols = self._pivot_cols()
-        rows = [self.pivots[j].copy() for j in cols]
-        for a in range(len(cols)):
-            for b in range(a + 1, len(cols)):
-                jb = cols[b]
-                q = rows[a][jb] // ring.p ** self.vals[jb]
-                if q.any():
-                    rows[a] = (rows[a] - ring.vscale(rows[b], q)) % ring.pk
-        mat = np.stack(rows) if rows else np.zeros((0, self.ncols, ring.m), dtype=np.int64)
+        mat = np.zeros((len(cols), self.ncols, ring.m), dtype=np.int64)
+        for b, j in enumerate(cols):
+            mat[b] = self.pivots[j]
+            q = mat[:b, j] // ring.p ** self.vals[j]
+            above = q.any(axis=1).nonzero()[0]
+            if len(above):
+                tail = mat[above, j:] - ring.vscale_stack(mat[b, j:], q[above])
+                mat[above, j:] = tail % ring.pk
         return Submodule(ring, self.ncols, mat, tuple(cols), tuple(self.vals[j] for j in cols))
 
 
@@ -252,8 +205,8 @@ class Submodule:
         acc._sorted = sorted(acc.pivots)
         return acc
 
-    def reduce(self, vec, witness=None):
-        return self.accumulator().reduce_full(np.asarray(vec, dtype=np.int64), witness)
+    def reduce(self, vec):
+        return self.accumulator().reduce_rows(np.asarray(vec)[None])[0]
 
     def contains(self, vec) -> bool:
         return not self.reduce(vec).any()
@@ -293,10 +246,8 @@ def elementary_divisors(A: Submodule, B: Submodule) -> list[int]:
     if A.ring != B.ring or A.ncols != B.ncols:
         raise ValueError("modules live in different ambients")
     ring = A.ring
-    bacc = B.accumulator()
-    for row in A.rows:
-        if bacc.reduce(row).any():
-            raise ValueError("A is not contained in B")
+    if B.accumulator().reduce_rows(A.rows).any():
+        raise ValueError("A is not contained in B")
     lengths = []
     for j in range(ring.k + 1):
         acc = A.accumulator()

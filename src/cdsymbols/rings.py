@@ -538,31 +538,20 @@ class CoeffRing:
 
     def vscale_stack(self, row: np.ndarray, scalars: np.ndarray) -> np.ndarray:
         """The stack (B, ncols, m) of the row multiplied by each scalar of
-        `scalars` (B, m).  For m > 1 it contracts the scalars with the row's
-        (m, ncols, m) multiplication tensor (the row times x^0 .. x^(m-1)),
-        a sum of m products of two residues per entry."""
+        `scalars` (B, m).  For m > 1 the row meets all B multiplication
+        matrices in one (ncols, m) x (m, B m) product, a sum of m products
+        of two residues per entry."""
         scalars = np.asarray(scalars, dtype=np.int64)
         if self.m == 1:
-            return (row[None] * scalars[:, None, :]) % self.pk
-        m = self.m
-        tensor = (row @ self._mult_tensor.reshape(m, m, m)) % self.pk
-        flat = scalars @ tensor.reshape(m, -1)
-        return flat.reshape(len(scalars), *row.shape) % self.pk
-
-    def vlead(self, row: np.ndarray, start: int = 0):
-        """Index of the first nonzero entry at or after `start`, or None."""
-        sub = row[start:]
-        nz = sub.any(axis=1) if self.m > 1 else (sub[:, 0] != 0)
-        hits = np.flatnonzero(nz)
-        if hits.size == 0:
-            return None
-        return start + int(hits[0])
-
-    def vval_entry(self, entry: np.ndarray) -> int:
-        v = 0
-        while v < self.k and not (entry % self.p ** (v + 1)).any():
-            v += 1
-        return v
+            out = row[None] * scalars[:, None, :]
+        else:
+            m = self.m
+            # entry [s, u, c] of the tensor is coefficient c of x^(s+u), so
+            # scalars @ tensor holds the B multiplication matrices as [u, b, c]
+            mats = (scalars @ self._mult_tensor.reshape(m, m, m)) % self.pk
+            out = (row @ mats.reshape(m, -1)).reshape(len(row), len(scalars), m).transpose(1, 0, 2)
+        out %= self.pk
+        return out
 
 
 @lru_cache(maxsize=None)

@@ -43,21 +43,19 @@ def canonical_pair(N: int, u: int, v: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def enumerate_symbols(N: int, variant: str) -> tuple[tuple[int, int], ...]:
-    """All canonical unimodular pairs mod N; cusp0 excludes zero coordinates."""
+    """All canonical unimodular pairs mod N, in lexicographic order; cusp0
+    excludes zero coordinates.  Read off the N x N grid of pairs: (u, v) is
+    kept when gcd(u, v, N) = 1 and (u, v) <= (-u, -v) lexicographically."""
     if N < 4:
         raise ValueError(f"level must be at least 4, got {N}")
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}")
-    out = []
-    for u in range(N):
-        for v in range(N):
-            if gcd(gcd(u, v), N) != 1:
-                continue
-            if variant == CUSP0 and (u == 0 or v == 0):
-                continue
-            if (u, v) == canonical_pair(N, u, v):
-                out.append((u, v))
-    return tuple(out)
+    u, v = np.divmod(np.arange(N * N), N)
+    nu, nv = -u % N, -v % N
+    keep = (np.gcd(np.gcd(u, v), N) == 1) & ((u < nu) | ((u == nu) & (v <= nv)))
+    if variant == CUSP0:
+        keep &= (u != 0) & (v != 0)
+    return tuple(zip(u[keep].tolist(), v[keep].tolist()))
 
 
 class SymbolSpace:

@@ -1,9 +1,12 @@
 """Reference code that only the tests call: the dense eigenspace projector
 and ring matrix products on the ambient free module, which the sigma-pair
 coordinate map of `cdsymbols.eigen` is checked against; the literal
-double loop behind `cd_eigensymbol`; span membership with a witness; the
-cusp0 presentation against the full one; and the C^theta + [1:p] check of
-criterion 06.  The verdict path never builds an (nsym, nsym) matrix."""
+double loop behind `cd_eigensymbol`; row-at-a-time greedy Howell insertion,
+the reference for `HowellAccumulator.add_rows`, and the literal (c,d)-class
+enumeration built on it, the oracle for `cd_span`; span membership with a
+witness; the cusp0 presentation against the full one; and the C^theta +
+[1:p] check of criterion 06.  The verdict path never builds an
+(nsym, nsym) matrix."""
 
 from __future__ import annotations
 
@@ -16,6 +19,93 @@ from cdsymbols.eigen import EigenContext, _validate_scenario, build_eigen_contex
 from cdsymbols.linalg import HowellAccumulator, Submodule
 from cdsymbols.rings import CoeffRing, RingError, make_coeff_ring
 from cdsymbols.symbols import CUSP0, FULL, SymbolSpace, build_presentation, cd_symbol
+
+
+def greedy_reduce(acc: HowellAccumulator, vec: np.ndarray) -> np.ndarray:
+    """Greedy leading-term reduction of one row against acc's pivots: it
+    stops at the first nonzero column with no pivot, or whose entry has a
+    smaller valuation than the pivot there.  The result is zero iff vec is
+    in the span."""
+    ring = acc.ring
+    vec = vec % ring.pk
+    start = 0
+    while True:
+        hits = np.flatnonzero(vec[start:].any(axis=1))
+        if hits.size == 0:
+            return vec
+        j = start + int(hits[0])
+        row = acc.pivots.get(j)
+        if row is None:
+            return vec
+        pv = acc.vals[j]
+        if (vec[j] % ring.p**pv).any():
+            return vec
+        q = vec[j] // ring.p**pv
+        vec = (vec - ring.vscale(row, q)) % ring.pk
+        start = j + 1
+
+
+def greedy_add(acc: HowellAccumulator, vec: np.ndarray) -> bool:
+    """Insert one row into acc by greedy reduction: a row that stops at a
+    column becomes the monic pivot there, the pivot it replaces and its
+    saturation row p^(k-v) pivot are inserted in turn.  Returns True if
+    the span grew."""
+    ring = acc.ring
+    before = acc.length
+    stack = [np.asarray(vec, dtype=np.int64) % ring.pk]
+    while stack:
+        r = greedy_reduce(acc, stack.pop())
+        hits = np.flatnonzero(r.any(axis=1))
+        if hits.size == 0:
+            continue
+        j = int(hits[0])
+        v = 0
+        while v < ring.k and not (r[j] % ring.p ** (v + 1)).any():
+            v += 1
+        unit = tuple(int(c) for c in r[j] // ring.p**v)
+        r = ring.vscale(r, ring.el(unit).inverse().as_array())
+        old = acc.pivots.get(j)
+        acc.pivots[j] = r
+        if old is not None:
+            acc.length += acc.vals[j] - v
+            stack.append(old)
+        else:
+            acc.length += ring.k - v
+            acc._sorted = None
+        acc.vals[j] = v
+        if v > 0:
+            stack.append((r * ring.p ** (ring.k - v)) % ring.pk)
+    return acc.length > before
+
+
+def greedy_accumulator(ring: CoeffRing, ncols: int, rows=()) -> HowellAccumulator:
+    """A HowellAccumulator filled by greedy_add, one row at a time."""
+    acc = HowellAccumulator(ring, ncols)
+    for row in rows:
+        greedy_add(acc, row)
+    return acc
+
+
+def cd_span_bruteforce(ctx: EigenContext) -> HowellAccumulator:
+    """Literal enumeration over all residue classes of (c, d) modulo
+    L = lcm(6N, p^k) prime to 6N, applied to every symbol and projected
+    through pi.  Exponentially slower; the oracle for cd_span.  It inserts
+    one row at a time with greedy_add, so the comparison also checks
+    cd_span's batched insertion against code that does not share it."""
+    ring = ctx.ring
+    space = ctx.space
+    N = space.N
+    L = 6 * N * ring.pk // gcd(6 * N, ring.pk)
+    classes = [c for c in range(1, L + 1) if gcd(c, 6 * N) == 1]
+    acc = ctx.rel_acc.copy()
+    for c in classes:
+        cc = c if c > 1 else c + L
+        for d in classes:
+            dd = d if d > 1 else d + L
+            vecs = np.stack([cd_symbol(space, cc, dd, u, v) for (u, v) in space.symbols])
+            for vec in ctx.project(vecs):
+                greedy_add(acc, vec)
+    return acc
 
 
 def idempotent_projector(space: SymbolSpace, theta: DirichletCharacter, strict: bool = True) -> np.ndarray:
@@ -93,8 +183,14 @@ def membership(vec, sub: Submodule):
         v = v.reshape(-1, 1)
     if v.shape[0] != sub.ncols:
         raise ValueError(f"vector has dimension {v.shape[0]}, ambient is {sub.ncols}")
+    ring = sub.ring
+    rem = v % ring.pk
     witness: dict[int, np.ndarray] = {}
-    rem = sub.reduce(v, witness)
+    for row, j, pv in zip(sub.rows, sub.pivot_cols, sub.pivot_vals):
+        q = rem[j] // ring.p**pv
+        if q.any():
+            rem = (rem - ring.vscale(row, q)) % ring.pk
+            witness[j] = q
     if rem.any():
         return False, None
     return True, witness

@@ -12,7 +12,6 @@ from cdsymbols.eigen import (
     build_eigen_context,
     cd_eigensymbol,
     cd_span,
-    cd_span_bruteforce,
     check_generation,
     eigensymbol,
     eigensymbol_free,
@@ -25,6 +24,7 @@ from cdsymbols.symbols import build_presentation
 from dense_reference import (
     apply_matrix,
     cd_eigensymbol_loop,
+    cd_span_bruteforce,
     idempotent_projector,
     matrix_product,
     verify_cd_span_of_one_p,

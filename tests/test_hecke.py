@@ -43,15 +43,15 @@ def test_quotient_spec_validation():
 def test_trivial_ul_relations_idempotent():
     N, ring, sp = scenario(7, 1, 5)
     rows = trivial_Ul_relations(sp, 7)
-    acc1 = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()) + rows)
-    acc2 = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()) + rows + rows)
+    acc1 = HowellAccumulator(ring, sp.nsym, np.concatenate([sp.dense_relation_rows(), rows]))
+    acc2 = HowellAccumulator(ring, sp.nsym, np.concatenate([sp.dense_relation_rows(), rows, rows]))
     assert acc1.finalize() == acc2.finalize()
 
 
 def test_trivial_ul_relations_are_diamond_stable():
     N, ring, sp = scenario(3, 1, 4)
     rows = trivial_Ul_relations(sp, 2)
-    acc = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()) + rows)
+    acc = HowellAccumulator(ring, sp.nsym, np.concatenate([sp.dense_relation_rows(), rows]))
     rng = random.Random(51)
     units = unit_group(12).units
     for row in rows[:10]:
@@ -59,6 +59,27 @@ def test_trivial_ul_relations_are_diamond_stable():
         moved = np.zeros_like(row)
         moved[sp.diamond_perm(a)] = row
         assert acc.contains(moved)
+
+
+@pytest.mark.parametrize("p,M,ell", [(7, 5, 5), (7, 5, 7), (5, 9, 3)])
+@pytest.mark.parametrize("variant", ["full", "cusp0"])
+def test_trivial_ul_relations_match_definition(p, M, ell, variant):
+    """One row [ell u : v] - sum of [u' : v] over all u' mod N with
+    ell u' = ell u, per symbol [w : v] with ell | w, in symbol order."""
+    N, ring, sp = scenario(p, 1, M, variant)
+    want = []
+    for (w, z) in sp.symbols:
+        if w % ell:
+            continue
+        row = ring.vzeros(sp.nsym)
+        row[sp.idx(w, z), 0] += 1
+        for u in range(N):
+            if ell * u % N == w:
+                row[sp.idx(u, z), 0] -= 1
+        want.append(row % ring.pk)
+    got = trivial_Ul_relations(sp, ell)
+    assert len(got) == len(want) > 0
+    assert np.array_equal(got, np.stack(want))
 
 
 def test_u_operator_identity_at_35():

@@ -13,7 +13,8 @@ from cdsymbols.linalg import (
     howell_form,
 )
 from cdsymbols.rings import chain_ring, make_coeff_ring
-from dense_reference import membership
+from cdsymbols.symbols import FULL, build_presentation
+from dense_reference import greedy_accumulator, greedy_add, greedy_reduce, membership
 
 
 def span_set(rows, pk, n):
@@ -183,15 +184,18 @@ def test_empty_input_is_zero_module():
 
 
 # ---------------------------------------------------------------------------
-# batched insertion: reduce_rows and add_rows against row-at-a-time code
+# the stack kernels reduce_rows and add_rows against row-at-a-time greedy
+# insertion (dense_reference.greedy_add), which shares no insertion code with them
 
 KERNEL_RINGS = [
     pytest.param(lambda: chain_ring(2, 2), id="Z/4"),
     pytest.param(lambda: chain_ring(2, 3), id="Z/8"),
     pytest.param(lambda: chain_ring(3, 2), id="Z/9"),
+    pytest.param(lambda: chain_ring(3, 3), id="Z/27"),
     pytest.param(lambda: chain_ring(5, 2), id="Z/25"),
     pytest.param(lambda: make_coeff_ring(7, 1, 24), id="GR(7,2)"),
     pytest.param(lambda: make_coeff_ring(7, 2, 24), id="GR(49,2)"),
+    pytest.param(lambda: make_coeff_ring(3, 3, 8), id="GR(27,2)"),
 ]
 
 
@@ -217,16 +221,13 @@ def test_reduce_rows_is_rowwise_canonical_reduction(make_ring):
     rng = np.random.default_rng(ring.pk * 10 + ring.m)
     for trial in range(6):
         ncols = int(rng.integers(3, 7))
-        acc = HowellAccumulator(ring, ncols)
-        for row in _random_stack(rng, ring, int(rng.integers(1, ncols + 2)), ncols):
-            acc.add(row)
+        acc = greedy_accumulator(ring, ncols, _random_stack(rng, ring, int(rng.integers(1, ncols + 2)), ncols))
         V = _random_stack(rng, ring, 12, ncols)
         R = acc.reduce_rows(V)
         span = acc.finalize().rows
         for v, r in zip(V, R):
             assert np.array_equal(r, _reduce_reference(acc, v))
-            assert np.array_equal(r, acc.reduce_full(v))
-            assert acc.contains((v - r) % ring.pk)
+            assert not greedy_reduce(acc, (v - r) % ring.pk).any()
             for j in acc.pivots:
                 assert (r[j] < ring.p ** acc.vals[j]).all()
             # a canonical representative: shifting by the span changes nothing
@@ -245,10 +246,10 @@ def test_add_rows_matches_sequential_add(make_ring):
         stack = _random_stack(rng, ring, int(rng.integers(1, 128)), ncols)
         # repeats and members of the span must be skipped, not double counted
         stack = np.concatenate([stack[:2], base, stack])
-        seq = HowellAccumulator(ring, ncols, list(base))
+        seq = greedy_accumulator(ring, ncols, base)
         batched = seq.copy()
         for row in stack:
-            seq.add(row)
+            greedy_add(seq, row)
         before = batched.length
         grew = batched.add_rows(stack)
         assert batched.finalize() == seq.finalize()
@@ -272,11 +273,11 @@ def test_add_rows_replaces_pivots_and_saturates_like_add(make_ring):
     e[np.arange(6), np.arange(6), 0] = 1
     rows = [e[0] + e[1], p * e[2] + e[3], p * e[4], e[4] + e[5]]
     for trial in range(6):
-        base = HowellAccumulator(ring, 6, [ring.vscale(p * e[0] % pk, _random_unit(rng, ring))])
+        base = greedy_accumulator(ring, 6, [ring.vscale(p * e[0] % pk, _random_unit(rng, ring))])
         stack = np.stack([ring.vscale(r % pk, _random_unit(rng, ring)) for r in rows])
         seq = base.copy()
         for row in stack:
-            seq.add(row)
+            greedy_add(seq, row)
         batched = base.copy()
         assert batched.add_rows(stack)
         assert batched.finalize() == seq.finalize()
@@ -287,11 +288,11 @@ def test_add_rows_replaces_pivots_and_saturates_like_add(make_ring):
     # saturation row is not covered by the other rows
     for trial in range(40):
         ncols = int(rng.integers(4, 9))
-        base = HowellAccumulator(ring, ncols, list(_random_stack(rng, ring, int(rng.integers(0, 3)), ncols)))
+        base = greedy_accumulator(ring, ncols, _random_stack(rng, ring, int(rng.integers(0, 3)), ncols))
         stack = _random_stack(rng, ring, int(rng.integers(1, ncols)), ncols)
         seq = base.copy()
         for row in stack:
-            seq.add(row)
+            greedy_add(seq, row)
         batched = base.copy()
         batched.add_rows(stack)
         assert batched.finalize() == seq.finalize()
@@ -302,3 +303,68 @@ def _random_unit(rng, ring):
         u = rng.integers(0, ring.pk, size=ring.m)
         if (u % ring.p).any():
             return u
+
+
+def _sparse_stack(rng, ring, nrows, ncols):
+    """Rows with 2 or 3 nonzero entries, each with a random p-power factor."""
+    rows = np.zeros((nrows, ncols, ring.m), dtype=np.int64)
+    for row in rows:
+        cols = rng.choice(ncols, size=int(rng.integers(2, 4)), replace=False)
+        entries = rng.integers(1, ring.pk, size=(len(cols), ring.m))
+        row[cols] = entries * ring.p ** rng.integers(0, ring.k, size=(len(cols), 1)) % ring.pk
+    return rows
+
+
+@pytest.mark.parametrize("make_ring", KERNEL_RINGS)
+def test_add_rows_tall_sparse_stacks_match_greedy(make_ring):
+    """Stacks far narrower than the ambient, with 2-3 nonzeros per row.
+    The first part builds the lazy replacement: over pivots e_a and p e_c
+    with a < c far apart, the row e_a + u e_c first reaches column c after
+    column a is cleared, with a unit entry there, and replaces the pivot
+    p e_c, which rejoins the rows and is cleared to zero."""
+    ring = make_ring()
+    p, pk = ring.p, ring.pk
+    rng = np.random.default_rng(ring.pk * 10 + ring.m + 3)
+    for trial in range(4):
+        ncols = int(rng.integers(60, 200))
+        a, c = sorted(rng.choice(ncols, size=2, replace=False))
+        e = np.zeros((2, ncols, ring.m), dtype=np.int64)
+        e[0, a, 0] = e[1, c, 0] = 1
+        base_rows = np.concatenate([[e[0], p * e[1]], _sparse_stack(rng, ring, 3, ncols)])
+        base = greedy_accumulator(ring, ncols, base_rows)
+        reach = (e[0] + ring.vscale(e[1], _random_unit(rng, ring))) % pk
+        stack = np.concatenate([_sparse_stack(rng, ring, int(rng.integers(10, 40)), ncols), [reach]])
+        rng.shuffle(stack)
+        seq = base.copy()
+        for row in stack:
+            greedy_add(seq, row)
+        batched = base.copy()
+        grew = batched.add_rows(stack)
+        assert batched.finalize() == seq.finalize()
+        assert batched.length == seq.length and grew
+        assert batched.vals[c] == 0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_add_rows_ambient_relations_match_greedy(k):
+    """The ambient relation module at N = 35 (576 columns, 864 rows, GR(7^k, 2)),
+    in one add_rows call and by greedy insertion."""
+    ring = make_coeff_ring(7, k, 24)
+    sp = build_presentation(35, FULL, ring)
+    rows = sp.dense_relation_rows()
+    batched = HowellAccumulator(ring, sp.nsym)
+    assert batched.add_rows(rows)
+    seq = greedy_accumulator(ring, sp.nsym, rows)
+    assert batched.length == seq.length
+    assert batched.finalize() == seq.finalize()
+
+
+@pytest.mark.parametrize("make_ring", KERNEL_RINGS)
+def test_add_rows_empty_stack_changes_nothing(make_ring):
+    ring = make_ring()
+    rng = np.random.default_rng(ring.pk * 10 + ring.m + 4)
+    acc = greedy_accumulator(ring, 5, _random_stack(rng, ring, 3, 5))
+    before = acc.finalize()
+    length = acc.length
+    assert acc.add_rows(np.zeros((0, 5, ring.m), dtype=np.int64)) is False
+    assert acc.length == length and acc.finalize() == before

@@ -62,6 +62,23 @@ def test_symbol_counts():
         enumerate_symbols(5, "plain")
 
 
+def test_enumerate_symbols_matches_the_loop():
+    """The grid form gives the same tuple, in the same order, as the double
+    loop over (u, v) that keeps each canonical unimodular pair."""
+    for N in range(4, 61):
+        for variant in ("full", "cusp0"):
+            want = []
+            for u in range(N):
+                for v in range(N):
+                    if gcd(gcd(u, v), N) != 1:
+                        continue
+                    if variant == "cusp0" and (u == 0 or v == 0):
+                        continue
+                    if (u, v) == canonical_pair(N, u, v):
+                        want.append((u, v))
+            assert enumerate_symbols(N, variant) == tuple(want)
+
+
 def presentation_dim(N, variant, ring):
     sp = build_presentation(N, variant, ring)
     acc = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()))
