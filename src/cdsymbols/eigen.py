@@ -18,6 +18,24 @@ vector at (s0, t0) together with p(t0 x0 - x1), p(s0 x0 - x2) and p^2 x0.
 This collapse is exact (it is tested against the literal class enumeration)
 and keeps the generator stream linear in phi(N)^2.
 
+When p does not divide N and p >= 5, every unit carries at least two
+square classes, and the stream of a representative [u0:v0] spans no more
+than the plain symbol columns y_c of [u0 : c v0], c in U^-1 U (U the units
+visited; all of them unless a unit bound is given):
+
+(i)   The fiber sum separates the terms.  For bases s1 != s2 and t1 != t2
+      in [1, p) the 4x4 matrix of (1, s, t, st) on {s1, s2} x {t1, t2} has
+      determinant (s1 - s2)^2 (t1 - t2)^2, a unit, so the base vectors span
+      x0, x1[b], x2[a] and x3[a, b]; the fiber rows lie in that span.
+(ii)  Only the x3 terms are needed: 1 is in U, so x0 = x3[1, 1],
+      x1[b] = x3[1, b] and x2[a] = x3[a, 1].
+(iii) Each x3 term is a unit times a y_c: columns[<a> i] = theta(a)
+      columns[i] exactly (theta is even), and [a u0 : b v0] =
+      <a>[u0 : a^-1 b v0], so x3[a, b] = theta(a) y_{a^-1 b}.
+
+So the span after each representative, and with it every length, stop
+index and verdict, is that of the full stream, from at most phi(N) rows.
+
 A scenario whose theta takes values in Z/p^k does all of this over Z/p^k,
 not over the Galois ring that holds every character mod N (working_ring).
 """
@@ -334,33 +352,39 @@ def _scalar_bases(p: int, pk: int, N: int, units: np.ndarray) -> np.ndarray:
 
 
 def _cd_generators(ctx: EigenContext, rep: int, units: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """The generator stream of one orbit representative [u0:v0], as a stack:
-    for every (a, b, s0, t0), s0 t0 x0 - s0 x1 - t0 x2 + x3 with x0, x1, x2,
-    x3 the columns of [u0:v0], [u0:b v0], [a u0:v0], [a u0:b v0], then the
-    fiber generators p(t0 x0 - x1), p(s0 x0 - x2) (k >= 2) and p^2 x0
-    (k >= 3)."""
+    """The generator stream of one orbit representative [u0:v0], as a stack.
+
+    With two or more square-class bases per unit (p does not divide N and
+    p >= 5) it is the symbol columns y_c of [u0 : c v0] for c in U^-1 U,
+    U = `units`: at most phi(N) rows spanning what the bilinear stream below
+    spans, by (i)-(iii) of the module docstring (the fiber sum separates the
+    four terms, 1 in U reduces them to the x3 terms, and x3[a, b] =
+    theta(a) y_{a^-1 b}).
+
+    Otherwise (p | N, or p = 3) each unit a has one base s_a, and it is the
+    bilinear stream: for every (a, b), s_a s_b x0 - s_a x1 - s_b x2 + x3
+    with x0, x1, x2, x3 the columns of [u0:v0], [u0:b v0], [a u0:v0],
+    [a u0:b v0], then the fiber generators p(s_b x0 - x1), p(s_a x0 - x2)
+    (k >= 2) and p^2 x0 (k >= 3)."""
     space, ring = ctx.space, ctx.ring
     p, pk, N = ring.p, ring.pk, space.N
     u0, v0 = space.symbols[rep]
+    if bases.shape[1] >= 2:
+        inverses = np.array([pow(int(a), -1, N) for a in units], dtype=np.int64)
+        ratios = np.unique(inverses[:, None] * units[None, :] % N)
+        return ctx.columns[space.table[u0, ratios * v0 % N]]
     au, bv = units * u0 % N, units * v0 % N
     x0 = ctx.columns[rep]
     x1 = ctx.columns[space.table[u0, bv]]  # (b, r, m)
     x2 = ctx.columns[space.table[au, v0]]  # (a, r, m)
     x3 = ctx.columns[space.table[au[:, None], bv[None, :]]]  # (a, b, r, m)
-    s = bases[:, None, :, None, None, None]  # s0 on the axes (a, b, s0, t0, r, m)
-    t = bases[None, :, None, :, None, None]  # t0 on the same axes
+    sq = bases[:, 0]
+    s, t = sq[:, None, None, None], sq[None, :, None, None]  # s_a and s_b on the axes (a, b, r, m)
     # each product is below p^(2k), so the sum stays inside the int64 bound
-    main = (
-        x0 * (s * t % pk)
-        - x1[None, :, None, None] * s
-        - x2[:, None, None, None] * t
-        + x3[:, :, None, None]
-    ) % pk
-    stacks = [main]
+    stacks = [(x0 * (s * t % pk) - x1[None] * s - x2[:, None] * t + x3) % pk]
     if ring.k >= 2:
-        fiber = bases[:, :, None, None]  # (a or b, s0 or t0, r, m)
-        stacks.append((x0 * fiber - x1[:, None]) % pk * p % pk)
-        stacks.append((x0 * fiber - x2[:, None]) % pk * p % pk)
+        stacks.append((x0 * sq[:, None, None] - x1) % pk * p % pk)
+        stacks.append((x0 * sq[:, None, None] - x2) % pk * p % pk)
     if ring.k >= 3:
         stacks.append(x0 * (p * p) % pk)
     return np.concatenate([g.reshape(-1, *x0.shape) for g in stacks])
@@ -381,6 +405,11 @@ def cd_span(
     diamond translate of sigma of the first one, and the class set is
     symmetric in (c, d), also under a unit_bound; so the partner's stream
     adds nothing.
+
+    When p does not divide N and p >= 5 each representative's stream is its
+    symbol columns [u0 : c v0], c in U^-1 U, at most phi(N) rows; by (i)-(iii)
+    of the module docstring they span what the bilinear (c,d)-stream spans,
+    so the accumulated span after every representative is the same.
 
     If stop_at_length is given (the length of a module known to contain the
     span), accumulation stops after the first representative whose

@@ -92,7 +92,10 @@ def trivial_Ul_relations(space: SymbolSpace, ell: int) -> np.ndarray:
 def t2_eisenstein_relations(space: SymbolSpace, ring: CoeffRing, p: int, allow_full: bool = False):
     """Vectors e_{omega^2}([2u:v] + [2u:u+v] + [u+v:2v] + [u:2v] - 2[u:v]
     - [2u:2v]) for admissible (u, v); imposing them makes T2 act as
-    1 + 2 omega^{-2}(2) on the omega^2-eigenspace."""
+    1 + 2 omega^{-2}(2) on the omega^2-eigenspace.  One row per admissible
+    diamond-orbit representative, in orbit order: the six terms of every
+    row are gathered from `space.table`, and the omega^-2-weighted diamond
+    sum of all rows is one `np.add.at`."""
     N = space.N
     if N % 2 == 0:
         raise ValueError("the T2 condition requires odd N")
@@ -107,20 +110,19 @@ def t2_eisenstein_relations(space: SymbolSpace, ring: CoeffRing, p: int, allow_f
     inv_phi = ring.from_int(ug.phi).inverse()
     coeffs = ring.vscale(omega2.inverse().values, inv_phi.as_array())
     moves = np.stack([space.diamond_perm(a) for a in ug.units])  # <units[t]> sends i to moves[t, i]
-    reps, orbit_of, _ = space.orbits()
-    rows = []
-    for rep in reps:
-        u, v = space.symbols[rep]
-        # cusp0 admissibility: u, v, u+v nonzero (u, v nonzero already hold)
-        if space.variant == CUSP0 and (u + v) % N == 0:
-            continue
-        raw = _t2_vector(space, u, v)[:, 0]
-        support = np.flatnonzero(raw)
-        terms = raw[support][None, :, None] * coeffs[:, None, :]  # (unit, support, m)
-        row = ring.vzeros(space.nsym)
-        np.add.at(row, moves[:, support].ravel(), terms.reshape(-1, ring.m))
-        rows.append(row % ring.pk)
-    return rows
+    u, v = np.array([space.symbols[s] for s in space.orbits()[0]], dtype=np.int64).reshape(-1, 2).T
+    if space.variant == CUSP0:
+        # admissibility: u, v, u+v nonzero (u, v nonzero already hold)
+        admissible = (u + v) % N != 0
+        u, v = u[admissible], v[admissible]
+    # N is odd, so every term below is a symbol of the space
+    w, u2, v2 = (u + v) % N, 2 * u % N, 2 * v % N
+    terms = space.table[np.stack([u2, u2, w, u, u, u2], axis=1), np.stack([v, w, v2, v2, v, v2], axis=1)]
+    six = np.array([1, 1, 1, 1, -2, -1], dtype=np.int64)
+    rows = np.zeros((len(terms), space.nsym, ring.m), dtype=np.int64)
+    at = np.arange(len(terms))[None, :, None]
+    np.add.at(rows, (at, moves[:, terms]), six[None, None, :, None] * coeffs[:, None, None, :])
+    return list(rows % ring.pk)
 
 
 def t2_global_relations(space: SymbolSpace, ring: CoeffRing) -> list[np.ndarray]:

@@ -205,12 +205,6 @@ class Submodule:
         acc._sorted = sorted(acc.pivots)
         return acc
 
-    def reduce(self, vec):
-        return self.accumulator().reduce_rows(np.asarray(vec)[None])[0]
-
-    def contains(self, vec) -> bool:
-        return not self.reduce(vec).any()
-
     def __eq__(self, other):
         return (
             isinstance(other, Submodule)

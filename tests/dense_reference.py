@@ -3,10 +3,11 @@ and ring matrix products on the ambient free module, which the sigma-pair
 coordinate map of `cdsymbols.eigen` is checked against; the literal
 double loop behind `cd_eigensymbol`; row-at-a-time greedy Howell insertion,
 the reference for `HowellAccumulator.add_rows`, and the literal (c,d)-class
-enumeration built on it, the oracle for `cd_span`; span membership with a
-witness; the cusp0 presentation against the full one; and the C^theta +
-[1:p] check of criterion 06.  The verdict path never builds an
-(nsym, nsym) matrix."""
+enumeration built on it, the oracle for `cd_span`; the bilinear
+(c,d)-generator stream, the reference for `cd_span`'s short stream; the
+per-orbit T2-Eisenstein loop; span membership with a witness; the cusp0
+presentation against the full one; and the C^theta + [1:p] check of
+criterion 06.  The verdict path never builds an (nsym, nsym) matrix."""
 
 from __future__ import annotations
 
@@ -14,8 +15,9 @@ from math import gcd
 
 import numpy as np
 
-from cdsymbols.characters import DirichletCharacter, parse_theta, unit_group
+from cdsymbols.characters import DirichletCharacter, parse_theta, teichmuller_character, unit_group
 from cdsymbols.eigen import EigenContext, _validate_scenario, build_eigen_context, cd_span
+from cdsymbols.hecke import _t2_vector
 from cdsymbols.linalg import HowellAccumulator, Submodule
 from cdsymbols.rings import CoeffRing, RingError, make_coeff_ring
 from cdsymbols.symbols import CUSP0, FULL, SymbolSpace, build_presentation, cd_symbol
@@ -106,6 +108,65 @@ def cd_span_bruteforce(ctx: EigenContext) -> HowellAccumulator:
             for vec in ctx.project(vecs):
                 greedy_add(acc, vec)
     return acc
+
+
+def cd_generators_full(ctx: EigenContext, rep: int, units: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """The bilinear (c,d)-generator stream of one orbit representative
+    [u0:v0], whatever the number of square classes: for every (a, b, s0, t0),
+    s0 t0 x0 - s0 x1 - t0 x2 + x3 with x0, x1, x2, x3 the columns of
+    [u0:v0], [u0:b v0], [a u0:v0], [a u0:b v0], then the fiber generators
+    p(t0 x0 - x1), p(s0 x0 - x2) (k >= 2) and p^2 x0 (k >= 3).  The
+    reference for the short stream that `cdsymbols.eigen._cd_generators`
+    returns when p does not divide N and p >= 5."""
+    space, ring = ctx.space, ctx.ring
+    p, pk, N = ring.p, ring.pk, space.N
+    u0, v0 = space.symbols[rep]
+    au, bv = units * u0 % N, units * v0 % N
+    x0 = ctx.columns[rep]
+    x1 = ctx.columns[space.table[u0, bv]]  # (b, r, m)
+    x2 = ctx.columns[space.table[au, v0]]  # (a, r, m)
+    x3 = ctx.columns[space.table[au[:, None], bv[None, :]]]  # (a, b, r, m)
+    s = bases[:, None, :, None, None, None]  # s0 on the axes (a, b, s0, t0, r, m)
+    t = bases[None, :, None, :, None, None]  # t0 on the same axes
+    main = (
+        x0 * (s * t % pk)
+        - x1[None, :, None, None] * s
+        - x2[:, None, None, None] * t
+        + x3[:, :, None, None]
+    ) % pk
+    stacks = [main]
+    if ring.k >= 2:
+        fiber = bases[:, :, None, None]  # (a or b, s0 or t0, r, m)
+        stacks.append((x0 * fiber - x1[:, None]) % pk * p % pk)
+        stacks.append((x0 * fiber - x2[:, None]) % pk * p % pk)
+    if ring.k >= 3:
+        stacks.append(x0 * (p * p) % pk)
+    return np.concatenate([g.reshape(-1, *x0.shape) for g in stacks])
+
+
+def t2_eisenstein_relations_loop(space: SymbolSpace, ring: CoeffRing, p: int) -> list[np.ndarray]:
+    """The T2-Eisenstein rows one orbit representative at a time: the dense
+    six-term vector of [u:v] and one `np.add.at` of its omega^-2-weighted
+    diamond translates.  The reference for
+    `cdsymbols.hecke.t2_eisenstein_relations` (same rows, same order)."""
+    N = space.N
+    omega2 = teichmuller_character(N // p, p, ring) ** 2
+    ug = unit_group(N)
+    inv_phi = ring.from_int(ug.phi).inverse()
+    coeffs = ring.vscale(omega2.inverse().values, inv_phi.as_array())
+    moves = np.stack([space.diamond_perm(a) for a in ug.units])
+    rows = []
+    for rep in space.orbits()[0]:
+        u, v = space.symbols[rep]
+        if space.variant == CUSP0 and (u + v) % N == 0:
+            continue
+        raw = _t2_vector(space, u, v)[:, 0]
+        support = np.flatnonzero(raw)
+        terms = raw[support][None, :, None] * coeffs[:, None, :]  # (unit, support, m)
+        row = ring.vzeros(space.nsym)
+        np.add.at(row, moves[:, support].ravel(), terms.reshape(-1, ring.m))
+        rows.append(row % ring.pk)
+    return rows
 
 
 def idempotent_projector(space: SymbolSpace, theta: DirichletCharacter, strict: bool = True) -> np.ndarray:

@@ -24,6 +24,7 @@ from cdsymbols.symbols import build_presentation
 from dense_reference import (
     apply_matrix,
     cd_eigensymbol_loop,
+    cd_generators_full,
     cd_span_bruteforce,
     idempotent_projector,
     matrix_product,
@@ -445,6 +446,8 @@ def test_unit_multiple_exists_away_from_omega_squared():
         (3, 1, 4, "Mp", "cusp0"),
         (3, 2, 4, "M", "full"),
         (7, 1, 5, "M", "full"),
+        (5, 1, 6, "M", "full"),
+        (7, 1, 4, "M", "full"),
     ],
 )
 def test_cd_span_matches_bruteforce(p, k, M, level, variant):
@@ -457,6 +460,110 @@ def test_cd_span_matches_bruteforce(p, k, M, level, variant):
         assert exhausted
         brute = cd_span_bruteforce(ctx)
         assert opt.finalize() == brute.finalize()
+
+
+def _stream_units(N, bound):
+    units = np.array(unit_group(N).units, dtype=np.int64)
+    return units if bound is None else units[units <= bound]
+
+
+@pytest.mark.parametrize(
+    "p,k,M,variant",
+    [
+        (7, 1, 5, "full"),  # GR(7, 2)
+        (7, 2, 5, "full"),  # GR(49, 2)
+        (7, 3, 5, "cusp0"),  # GR(343, 2)
+        (7, 1, 9, "full"),  # Z/7
+        (7, 2, 9, "cusp0"),  # Z/49
+        (7, 3, 9, "full"),  # Z/343
+        (5, 2, 6, "full"),  # Z/25
+        (11, 1, 4, "cusp0"),  # Z/11, five square classes
+    ],
+)
+def test_short_stream_spans_the_full_stream(p, k, M, variant):
+    """When p does not divide N and p >= 5, cd_span feeds each
+    representative's symbol columns [u0 : c v0], c in U^-1 U, instead of
+    the bilinear (c,d)-stream.  After every representative in turn the
+    Howell form of the relations plus the streams so far is the same under
+    both, for every even character, exhaustively and with a unit bound."""
+    import cdsymbols.eigen as eigen
+
+    N, ring, sp = scenario(p, k, M, "M", variant)
+    for theta in enumerate_characters(N, ring):
+        if not theta.is_even():
+            continue
+        ctx = build_eigen_context(sp, p, M, theta)
+        for bound in (None, 6):
+            units = _stream_units(N, bound)
+            bases = eigen._scalar_bases(p, ring.pk, N, units)
+            assert bases.shape[1] == (p - 1) // 2
+            short, full = ctx.rel_acc.copy(), ctx.rel_acc.copy()
+            for rep in ctx.reps:
+                stream = eigen._cd_generators(ctx, rep, units, bases)
+                assert len(stream) <= unit_group(N).phi
+                short.add_rows(stream)
+                full.add_rows(cd_generators_full(ctx, rep, units, bases))
+                assert short.finalize() == full.finalize(), (theta.label(), bound, rep)
+
+
+@pytest.mark.parametrize(
+    "p,k,M,level",
+    [(3, 1, 4, "M"), (3, 2, 5, "M"), (3, 1, 10, "M"), (5, 2, 1, "Mp"), (7, 1, 5, "Mp")],
+)
+def test_full_stream_kept_with_one_square_class(p, k, M, level):
+    """With one square-class base per unit (p = 3, or p | N) the stream is
+    the bilinear one, row for row."""
+    import cdsymbols.eigen as eigen
+
+    N, ring, sp = scenario(p, k, M, level)
+    theta = next(c for c in enumerate_characters(N, ring) if c.is_even())
+    ctx = build_eigen_context(sp, p, M, theta)
+    for bound in (None, 6):
+        units = _stream_units(N, bound)
+        bases = eigen._scalar_bases(p, ring.pk, N, units)
+        assert bases.shape[1] == 1
+        for rep in ctx.reps:
+            assert np.array_equal(
+                eigen._cd_generators(ctx, rep, units, bases), cd_generators_full(ctx, rep, units, bases)
+            )
+
+
+@pytest.mark.parametrize("p,k,M", [(5, 1, 4), (5, 2, 6), (7, 1, 5), (7, 2, 9), (11, 1, 4), (13, 1, 5)])
+def test_cd_span_stacks_are_at_most_phi_rows_when_p_prime_to_N(p, k, M, monkeypatch):
+    """cd_span passes add_rows at most phi(N) rows per representative when p
+    does not divide N and p >= 5, exhaustively and with a unit bound."""
+    N, ring, sp = scenario(p, k, M, "M")
+    contexts = [build_eigen_context(sp, p, M, c) for c in enumerate_characters(N, ring) if c.is_even()]
+    heights = []
+    add_rows = HowellAccumulator.add_rows
+
+    def recording(self, rows):
+        heights.append(len(rows))
+        return add_rows(self, rows)
+
+    monkeypatch.setattr(HowellAccumulator, "add_rows", recording)
+    for ctx in contexts:
+        for bound in (None, 6):
+            heights.clear()
+            cd_span(ctx, unit_bound=bound)
+            assert heights and max(heights) <= unit_group(N).phi, (ctx.theta.label(), bound, heights)
+
+
+@pytest.mark.parametrize("p,k,M", [(5, 1, 4), (5, 2, 6), (7, 1, 5), (7, 2, 9), (11, 1, 4), (13, 1, 5)])
+def test_every_scenario_prime_to_p_is_equal(p, k, M):
+    """For p not dividing N and p >= 5, C^theta is all of H^theta for every
+    even theta and both variants, with or without a unit bound: c = 1
+    already gives each sigma-first representative's own column."""
+    N = M
+    canonical = make_coeff_ring(p, k, unit_group(N).phi)
+    for variant in ("full", "cusp0"):
+        for theta in enumerate_characters(N, canonical):
+            if not theta.is_even():
+                continue
+            for bound in (None, 1, 6):
+                r = check_generation(p, k, M, "M", variant, theta, cd_bound=bound)
+                assert r.equal and r.dim_C == r.dim_H, (variant, theta.label(), bound)
+                assert r.extras == () and r.divisors == ()
 
 
 @pytest.mark.parametrize(

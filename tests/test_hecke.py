@@ -15,6 +15,7 @@ from cdsymbols.hecke import (
 from cdsymbols.linalg import HowellAccumulator
 from cdsymbols.rings import make_coeff_ring
 from cdsymbols.symbols import build_presentation
+from dense_reference import t2_eisenstein_relations_loop
 
 
 def scenario(p, k, M, variant="full"):
@@ -143,6 +144,21 @@ def test_t2_relations_reject_bad_setups():
     with pytest.raises(ValueError):
         t2_eisenstein_relations(sp5, ring5, 5)  # full variant without override
     assert t2_eisenstein_relations(sp5, ring5, 5, allow_full=True)
+
+
+@pytest.mark.parametrize("p,M,variant", [(7, 5, "cusp0"), (5, 9, "cusp0"), (5, 3, "full"), (11, 1, "cusp0")])
+def test_t2_relations_match_the_orbit_loop(p, M, variant):
+    """The vectorised T2-Eisenstein rows equal the per-orbit loop of
+    dense_reference, row for row and in order, over Z/p^k and over the
+    Galois ring of the characters mod N, at k = 1 and 2."""
+    N = M * p
+    for k in (1, 2):
+        for ring in (make_coeff_ring(p, k), make_coeff_ring(p, k, unit_group(N).phi)):
+            sp = build_presentation(N, variant, ring)
+            rows = t2_eisenstein_relations(sp, ring, p, allow_full=True)
+            expected = t2_eisenstein_relations_loop(sp, ring, p)
+            assert len(rows) == len(expected) > 0
+            assert np.array_equal(np.stack(rows), np.stack(expected)), (N, k, str(ring))
 
 
 def test_t2_relation_vector_matches_independent_evaluation():
