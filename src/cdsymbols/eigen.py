@@ -36,6 +36,14 @@ visited; all of them unless a unit bound is given):
 So the span after each representative, and with it every length, stop
 index and verdict, is that of the full stream, from at most phi(N) rows.
 
+(iv)  Every stream, short or bilinear, is R-linear in the y_c with
+      coefficients that do not depend on the representative (x2[a] =
+      theta(a) y_{a^-1} by (iii)).  So y_c may be replaced by its reduced
+      representative modulo the running span S: S + span(stream) stays the
+      same, and the reduced rows vanish where S has a unit pivot.  At N = 35
+      the span stops growing after at most two representatives; the later
+      streams reduce to zero and are not inserted.
+
 A scenario whose theta takes values in Z/p^k does all of this over Z/p^k,
 not over the Galois ring that holds every character mod N (working_ring).
 """
@@ -351,43 +359,70 @@ def _scalar_bases(p: int, pk: int, N: int, units: np.ndarray) -> np.ndarray:
     return np.tile(np.array(squares, dtype=np.int64), (len(units), 1))
 
 
-def _cd_generators(ctx: EigenContext, rep: int, units: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """The generator stream of one orbit representative [u0:v0], as a stack.
+def _stream_invariants(ctx: EigenContext, units: np.ndarray):
+    """What the streams of all representatives share: the sorted ratio set
+    U^-1 U (1 first), the positions in it of b, a^-1 and a^-1 b for a, b in
+    U, and the multiplication matrices of theta(a)."""
+    N = ctx.N
+    inverses = np.array([pow(int(a), -1, N) for a in units], dtype=np.int64)
+    quotients = inverses[:, None] * units[None, :] % N  # a^-1 b on the axes (a, b)
+    seen = np.bincount(quotients.ravel(), minlength=N) > 0
+    at = np.cumsum(seen) - 1  # position in the ratio set
+    theta_a = ctx.theta.values[np.searchsorted(unit_group(N).units, units)]
+    return np.flatnonzero(seen), at[units], at[inverses], at[quotients], ctx.ring.smatrix(theta_a)
+
+
+def _cd_generators(ctx: EigenContext, rep: int, units, bases, shared=None, span=None) -> np.ndarray:
+    """The generator stream of one orbit representative [u0:v0], as a stack,
+    formed from its symbol columns y_c of [u0 : c v0], c in U^-1 U
+    (U = `units`; `shared` is `_stream_invariants(ctx, units)`).
 
     With two or more square-class bases per unit (p does not divide N and
-    p >= 5) it is the symbol columns y_c of [u0 : c v0] for c in U^-1 U,
-    U = `units`: at most phi(N) rows spanning what the bilinear stream below
-    spans, by (i)-(iii) of the module docstring (the fiber sum separates the
-    four terms, 1 in U reduces them to the x3 terms, and x3[a, b] =
-    theta(a) y_{a^-1 b}).
+    p >= 5) it is the y_c themselves: at most phi(N) rows spanning what the
+    bilinear stream below spans, by (i)-(iii) of the module docstring.
 
     Otherwise (p | N, or p = 3) each unit a has one base s_a, and it is the
     bilinear stream: for every (a, b), s_a s_b x0 - s_a x1 - s_b x2 + x3
     with x0, x1, x2, x3 the columns of [u0:v0], [u0:b v0], [a u0:v0],
     [a u0:b v0], then the fiber generators p(s_b x0 - x1), p(s_a x0 - x2)
-    (k >= 2) and p^2 x0 (k >= 3)."""
-    space, ring = ctx.space, ctx.ring
-    p, pk, N = ring.p, ring.pk, space.N
+    (k >= 2) and p^2 x0 (k >= 3).  By (iii), x0 = y_1, x1 = y_b,
+    x2 = theta(a) y_{a^-1} and x3 = theta(a) y_{a^-1 b} exactly.
+
+    Given the running `span` (step (iv) of the module docstring), the y_c
+    are reduced modulo it once it has grown past the relations, the stream
+    is formed on the columns without a unit pivot, and zero rows are left out."""
+    space, ring, pk = ctx.space, ctx.ring, ctx.ring.pk
+    ratios, at_b, at_inverse, at_ratio, theta_a = shared or _stream_invariants(ctx, units)
     u0, v0 = space.symbols[rep]
+    y = ctx.columns[space.table[u0, ratios * v0 % space.N]]
+    if span is not None:
+        if span.length > ctx.rel_length:  # the columns are reduced against the relations
+            y = span.reduce_rows(y)
+        free = np.array([span.vals.get(j) != 0 for j in range(span.ncols)])
+        y = y[:, free]
+        if not y.any():
+            return np.zeros((0, span.ncols, ring.m), dtype=np.int64)
     if bases.shape[1] >= 2:
-        inverses = np.array([pow(int(a), -1, N) for a in units], dtype=np.int64)
-        ratios = np.unique(inverses[:, None] * units[None, :] % N)
-        return ctx.columns[space.table[u0, ratios * v0 % N]]
-    au, bv = units * u0 % N, units * v0 % N
-    x0 = ctx.columns[rep]
-    x1 = ctx.columns[space.table[u0, bv]]  # (b, r, m)
-    x2 = ctx.columns[space.table[au, v0]]  # (a, r, m)
-    x3 = ctx.columns[space.table[au[:, None], bv[None, :]]]  # (a, b, r, m)
-    sq = bases[:, 0]
-    s, t = sq[:, None, None, None], sq[None, :, None, None]  # s_a and s_b on the axes (a, b, r, m)
-    # each product is below p^(2k), so the sum stays inside the int64 bound
-    stacks = [(x0 * (s * t % pk) - x1[None] * s - x2[:, None] * t + x3) % pk]
-    if ring.k >= 2:
-        stacks.append((x0 * sq[:, None, None] - x1) % pk * p % pk)
-        stacks.append((x0 * sq[:, None, None] - x2) % pk * p % pk)
-    if ring.k >= 3:
-        stacks.append(x0 * (p * p) % pk)
-    return np.concatenate([g.reshape(-1, *x0.shape) for g in stacks])
+        rows = y
+    else:
+        x0, x1 = y[0], y[at_b]  # (r, m) and (b, r, m)
+        x2 = y[at_inverse] @ theta_a % pk  # (a, r, m)
+        x3 = y[at_ratio] @ theta_a[:, None] % pk  # (a, b, r, m)
+        sq = bases[:, 0]
+        s, t = sq[:, None, None, None], sq[None, :, None, None]  # s_a and s_b on the axes (a, b, r, m)
+        # each product is below p^(2k), so every sum stays inside the int64 bound
+        stacks = [(x0 * (s * t % pk) - x1[None] * s - x2[:, None] * t + x3) % pk]
+        if ring.k >= 2:
+            stacks.append((x0 * sq[:, None, None] - x1) % pk * ring.p % pk)
+            stacks.append((x0 * sq[:, None, None] - x2) % pk * ring.p % pk)
+        if ring.k >= 3:
+            stacks.append(x0 * ring.p**2 % pk)
+        rows = np.concatenate([g.reshape(-1, *x0.shape) for g in stacks])
+    if span is None:
+        return rows
+    out = np.zeros((len(rows), span.ncols, ring.m), dtype=np.int64)
+    out[:, free] = rows
+    return out[rows.any(axis=(1, 2))]
 
 
 def cd_span(
@@ -409,7 +444,9 @@ def cd_span(
     When p does not divide N and p >= 5 each representative's stream is its
     symbol columns [u0 : c v0], c in U^-1 U, at most phi(N) rows; by (i)-(iii)
     of the module docstring they span what the bilinear (c,d)-stream spans,
-    so the accumulated span after every representative is the same.
+    so the accumulated span after every representative is the same.  By
+    (iv) every stream is formed from columns reduced modulo the span so far,
+    on the columns without a unit pivot, and a zero stream is not inserted.
 
     If stop_at_length is given (the length of a module known to contain the
     span), accumulation stops after the first representative whose
@@ -426,9 +463,12 @@ def cd_span(
             raise ValueError("cd bound excludes every residue class")
         exhausted = False
     bases = _scalar_bases(ring.p, ring.pk, N, units)
+    shared = _stream_invariants(ctx, units)
     acc = ctx.rel_acc.copy()
     for rep in ctx.reps:
-        acc.add_rows(_cd_generators(ctx, rep, units, bases))
+        rows = _cd_generators(ctx, rep, units, bases, shared, acc)
+        if len(rows):
+            acc.add_rows(rows)
         if stop_at_length is not None and acc.length >= stop_at_length:
             break
     return acc, exhausted

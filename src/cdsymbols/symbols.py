@@ -135,7 +135,7 @@ class SymbolSpace:
                 units[:, None] * self._u % self.N, units[:, None] * self._v % self.N
             ]  # action[t, i] = index of <units[t]> symbol i
             least = action.min(axis=0)
-            reps = np.unique(least)
+            reps = np.flatnonzero(least == np.arange(self.nsym))
             orbit_of = np.searchsorted(reps, least)
             # action[:, reps] in unit-major order: the first hit of each
             # symbol comes from the first unit that reaches it

@@ -4,10 +4,10 @@ coordinate map of `cdsymbols.eigen` is checked against; the literal
 double loop behind `cd_eigensymbol`; row-at-a-time greedy Howell insertion,
 the reference for `HowellAccumulator.add_rows`, and the literal (c,d)-class
 enumeration built on it, the oracle for `cd_span`; the bilinear
-(c,d)-generator stream, the reference for `cd_span`'s short stream; the
-per-orbit T2-Eisenstein loop; span membership with a witness; the cusp0
-presentation against the full one; and the C^theta + [1:p] check of
-criterion 06.  The verdict path never builds an (nsym, nsym) matrix."""
+(c,d)-generator stream, the reference for `cd_span`'s short and reduced
+streams; the per-orbit T2-Eisenstein loop; span membership with a witness;
+the cusp0 presentation against the full one; and the C^theta + [1:p] check
+of criterion 06.  The verdict path never builds an (nsym, nsym) matrix."""
 
 from __future__ import annotations
 
@@ -115,9 +115,10 @@ def cd_generators_full(ctx: EigenContext, rep: int, units: np.ndarray, bases: np
     [u0:v0], whatever the number of square classes: for every (a, b, s0, t0),
     s0 t0 x0 - s0 x1 - t0 x2 + x3 with x0, x1, x2, x3 the columns of
     [u0:v0], [u0:b v0], [a u0:v0], [a u0:b v0], then the fiber generators
-    p(t0 x0 - x1), p(s0 x0 - x2) (k >= 2) and p^2 x0 (k >= 3).  The
-    reference for the short stream that `cdsymbols.eigen._cd_generators`
-    returns when p does not divide N and p >= 5."""
+    p(t0 x0 - x1), p(s0 x0 - x2) (k >= 2) and p^2 x0 (k >= 3), from the
+    columns of those symbols as they are.  The reference for the short stream
+    that `cdsymbols.eigen._cd_generators` returns when p does not divide N
+    and p >= 5, and for the streams `cd_span` forms from reduced columns."""
     space, ring = ctx.space, ctx.ring
     p, pk, N = ring.p, ring.pk, space.N
     u0, v0 = space.symbols[rep]

@@ -145,6 +145,22 @@ def test_grid_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_verdict_path_does_not_import_numpy_ma():
+    """A plain np.unique imports numpy.ma on first use; the verdict path
+    makes none, so a deficit scenario at N = 35 leaves it unimported."""
+    code = (
+        "import sys\n"
+        "from cdsymbols.cli import run_config\n"
+        "run_config({'p': 7, 'k': 1, 'M': 5, 'level': 'Mp', 'variant': 'full', 'theta': '[2,4]'})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path)
+    )
+    assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
+
+
 def test_grid_worker_pool_subprocess(tmp_path):
     cfg = tmp_path / "grid.txt"
     cfg.write_text("--p 5 --k 1 --M 1 --theta [0]\n--p 7 --k 1 --M 1 --theta [0]\n")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cdsymbols.characters import enumerate_characters, parse_theta, unit_group
+from cdsymbols.cli import parse_quotient
 from cdsymbols.eigen import (
     _case_extras,
     _classify,
@@ -608,6 +609,87 @@ def test_cd_span_stops_at_target_with_the_exhaustive_length(p, k, M, level, vari
     if full.length < target.length:
         first = sign_pairs(sp, ctx.theta)[2]
         assert seen == [rep for rep, f in zip(sp.orbits()[0], first) if f]
+
+
+REDUCED_STREAM_POOL = [
+    pytest.param(7, 1, 5, "M", "full", "[0]", "none", id="Z7-N5-short"),
+    pytest.param(7, 2, 9, "M", "cusp0", "[2]", "none", id="Z49-N9-short-cusp0"),
+    pytest.param(7, 3, 9, "M", "full", "[2]", "none", id="Z343-N9-short"),
+    pytest.param(5, 3, 1, "Mp", "full", "omega^2", "none", id="Z125-N5"),
+    pytest.param(7, 2, 5, "Mp", "full", "[1,3]", "none", id="GR49-N35"),
+    pytest.param(7, 1, 5, "Mp", "cusp0", "[2,4]", "trivU:7", id="N35-cusp0-trivU7"),
+    pytest.param(5, 2, 7, "Mp", "full", "[1,1]", "none", id="GR25-N35"),
+    pytest.param(3, 1, 5, "Mp", "full", "[1,3]", "none", id="GR3-N15"),
+    pytest.param(3, 2, 5, "M", "cusp0", "[2]", "none", id="Z9-N5-cusp0"),
+    pytest.param(11, 1, 1, "Mp", "full", "omega^4", "trivU:11", id="N11-trivU11"),
+    pytest.param(11, 2, 1, "Mp", "cusp0", "omega^2", "t2eis", id="N11-cusp0-t2eis"),
+    pytest.param(3, 19, 5, "Mp", "full", "[1,1]", "none", id="GR3^19-N15"),
+    pytest.param(3, 19, 5, "Mp", "cusp0", "[0,2]", "none", id="Z3^19-N15-cusp0"),
+]
+
+
+@pytest.mark.parametrize("p,k,M,level,variant,theta,quotient", REDUCED_STREAM_POOL)
+def test_reduced_streams_keep_the_span_after_every_representative(
+    p, k, M, level, variant, theta, quotient, monkeypatch
+):
+    """cd_span forms each representative's stream from its symbol columns
+    reduced modulo the running span, on the columns without a unit pivot,
+    and skips an all-zero stream.  After every representative its span has
+    the Howell form of the relations plus the bilinear streams inserted
+    unreduced (dense_reference.cd_generators_full), exhaustively and with
+    unit bounds 1 and 6; the pool runs k = 1, 2, 3 and 19 (GR(3^19, 2), the
+    top of the int64 ladder), Galois rings, cusp0 and quotient contexts."""
+    import cdsymbols.eigen as eigen
+
+    N, ring, sp = scenario(p, k, M, level, variant)
+    theta = parse_theta(theta, N, p, ring)
+    rows = quotient_rows(sp, ring, p, parse_quotient(quotient))
+    ctx = build_eigen_context(sp, p, M, theta, tuple(rows))
+    spans = []
+    generators = eigen._cd_generators
+
+    def recording(ctx, rep, units, bases, shared, span):
+        spans.append(span.finalize())
+        return generators(ctx, rep, units, bases, shared, span)
+
+    monkeypatch.setattr(eigen, "_cd_generators", recording)
+    for bound in (None, 1, 6):
+        spans.clear()
+        span, _ = cd_span(ctx, unit_bound=bound)
+        spans.append(span.finalize())
+        units = _stream_units(N, bound)
+        bases = eigen._scalar_bases(p, ring.pk, N, units)
+        full = ctx.rel_acc.copy()
+        expected = [full.finalize()]
+        for rep in ctx.reps:
+            full.add_rows(cd_generators_full(ctx, rep, units, bases))
+            expected.append(full.finalize())
+        assert spans == expected, (bound, [a == b for a, b in zip(spans, expected)])
+
+
+@pytest.mark.parametrize("theta,calls", [("[2,4]", 2), ("[0,4]", 1)])
+def test_deficit_streams_reduce_to_zero_after_the_span_stops_growing(theta, calls, monkeypatch):
+    """At N = 35 (p = 7, k = 1, the deficit scenarios in the ring they run
+    in) the span stops growing after the second representative and never
+    reaches H_theta.  Every later stream reduces to zero modulo the span,
+    so cd_span calls add_rows `calls` times instead of once per
+    representative (24)."""
+    gr = make_coeff_ring(7, 1, 24)
+    theta = parse_theta(theta, 35, 7, gr)
+    ring = working_ring(theta)
+    ctx = build_eigen_context(build_presentation(35, "full", ring), 7, 5, theta.over(ring))
+    target = ctx.htheta_target()
+    heights = []
+    add_rows = HowellAccumulator.add_rows
+
+    def recording(self, rows):
+        heights.append(len(rows))
+        return add_rows(self, rows)
+
+    monkeypatch.setattr(HowellAccumulator, "add_rows", recording)
+    span, _ = cd_span(ctx, stop_at_length=target.length)
+    assert len(ctx.reps) == 24 and span.length < target.length
+    assert len(heights) == calls and min(heights) > 0
 
 
 @pytest.mark.parametrize("p,M,thetas", [(7, 5, ("[2,4]", "[0,4]")), (13, 1, None)])
