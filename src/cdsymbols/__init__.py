@@ -3,7 +3,7 @@
 
 __version__ = "0.1.0"
 
-from .rings import CoeffRing, RingElem, RingError, make_coeff_ring, root_of_unity, teichmuller
+from .rings import CoeffRing, RingElem, RingError, make_coeff_ring, root_of_unity
 from .characters import (
     DirichletCharacter,
     UnitGroupStructure,
@@ -40,7 +40,6 @@ __all__ = [
     "RingError",
     "make_coeff_ring",
     "root_of_unity",
-    "teichmuller",
     "DirichletCharacter",
     "UnitGroupStructure",
     "conductor",

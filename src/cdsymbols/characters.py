@@ -1,14 +1,20 @@
 """Unit groups of Z/NZ and Dirichlet characters valued in a CoeffRing.
 
-Characters are stored by their images on a canonical generator list coming
-from the CRT decomposition of (Z/NZ)^x, so the exponent vector on that list
-is a stable label for a character across runs.
+A character is stored as integer exponents on the Teichmueller generator g
+of its ring, which generates mu_{q-1} (q = p^m): chi(g_i) = g^s_i on a
+canonical generator list g_i from the CRT decomposition of (Z/NZ)^x (the
+representation of Stein, Modular Forms: A Computational Approach, ch. 4).
+Products, powers, parity, conductors, labels and the maps between rings are
+integer operations on the s_i; only values and evaluation make ring
+elements.  The label, the exponent vector on the roots of unity of the
+generator orders, is stable across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import product
 from math import gcd
 
 import numpy as np
@@ -21,7 +27,7 @@ from .rings import (
     multiplicative_order,
     prime_factorization,
     root_of_unity,
-    teichmuller,
+    root_step,
 )
 
 __all__ = [
@@ -50,23 +56,18 @@ def _smallest_primitive_root(q: int, phi_q: int) -> int:
 
 @dataclass(frozen=True)
 class UnitGroupStructure:
-    """CRT generators of (Z/NZ)^x with a full discrete-log table."""
+    """CRT generators of (Z/NZ)^x, its units in increasing order and a full
+    discrete-log table."""
 
     modulus: int
     generators: tuple[int, ...]
     orders: tuple[int, ...]
+    units: tuple[int, ...] = field(compare=False, repr=False)
     dlog: dict[int, tuple[int, ...]] = field(compare=False, repr=False)
 
     @property
     def phi(self) -> int:
-        p = 1
-        for o in self.orders:
-            p *= o
-        return p
-
-    @property
-    def units(self) -> tuple[int, ...]:
-        return tuple(sorted(self.dlog))
+        return len(self.units)
 
     def exponents(self, a: int) -> tuple[int, ...]:
         a %= self.modulus
@@ -90,7 +91,6 @@ def unit_group(N: int) -> UnitGroupStructure:
     orders: list[int] = []
     for q_prime, e in sorted(prime_factorization(N).items()):
         q = q_prime**e
-        comp = N // q
         local: list[tuple[int, int]] = []
         if q_prime == 2:
             if e == 2:
@@ -101,8 +101,7 @@ def unit_group(N: int) -> UnitGroupStructure:
             phi_q = q // q_prime * (q_prime - 1)
             local = [(_smallest_primitive_root(q, phi_q), phi_q)]
         for g, order in local:
-            lifted = g % q if comp == 1 else _crt_pair(g % q, q, 1, comp)
-            gens.append(lifted)
+            gens.append(_crt_pair(g, q, 1, N // q))
             orders.append(order)
     dlog: dict[int, tuple[int, ...]] = {}
 
@@ -116,94 +115,88 @@ def unit_group(N: int) -> UnitGroupStructure:
             cur = cur * gens[i] % N
 
     fill(0, 1 % N, ())
-    return UnitGroupStructure(N, tuple(gens), tuple(orders), dlog)
+    return UnitGroupStructure(N, tuple(gens), tuple(orders), tuple(sorted(dlog)), dlog)
 
 
 @dataclass(frozen=True)
 class DirichletCharacter:
-    """Homomorphism (Z/NZ)^x -> mu subset of ring^x, stored by generator images."""
+    """Homomorphism (Z/NZ)^x -> mu_{q-1} in ring^x, q = p^m, stored by the
+    exponents expo[i] mod q - 1 with chi(g_i) = g^expo[i], where g_i are the
+    unit-group generators and g = ring.teich_generator()."""
 
     N: int
     ring: CoeffRing
-    images: tuple[RingElem, ...]
+    expo: tuple[int, ...]
+
+    def __post_init__(self):
+        ug, n = unit_group(self.N), self.ring.q - 1
+        if len(self.expo) != len(ug.generators) or any(s * o % n for s, o in zip(self.expo, ug.orders)):
+            raise ValueError("one exponent per unit-group generator, killed by its order, required")
+        object.__setattr__(self, "expo", tuple(s % n for s in self.expo))
 
     @property
     def group(self) -> UnitGroupStructure:
         return unit_group(self.N)
 
-    def __post_init__(self):
-        ug = unit_group(self.N)
-        if len(self.images) != len(ug.generators):
-            raise ValueError("one image per unit-group generator required")
+    @cached_property
+    def order(self) -> int:
+        return (self.ring.q - 1) // gcd(self.ring.q - 1, *self.expo)
+
+    def _log(self, a: int) -> int:
+        """The exponent e < q - 1 with chi(a) = g^e."""
+        return sum(s * t for s, t in zip(self.expo, self.group.exponents(a))) % (self.ring.q - 1)
+
+    @cached_property
+    def _index(self) -> np.ndarray:
+        """j with chi(a) = zeta^j, zeta = g^((q-1)/order), for every unit a
+        in `group.units` order.  Each expo[i] is a multiple of (q-1)/order,
+        so every factor of the product is below phi(N) and none can wrap."""
+        ug, d = self.group, (self.ring.q - 1) // self.order
+        table = np.array([ug.dlog[a] for a in ug.units], dtype=np.int64)
+        return table @ np.array([s // d for s in self.expo], dtype=np.int64) % self.order
+
+    @property
+    def descends(self) -> bool:
+        """Whether chi takes values in Z/p^k: its roots of unity there are
+        mu_{p-1}, generated by g^((q-1)/(p-1))."""
+        return not any(s % root_step(self.ring, self.ring.p - 1) for s in self.expo)
 
     @cached_property
     def values(self) -> np.ndarray:
         """chi(a) for every unit a in `group.units` order, as a read-only
-        (phi(N), m) array, built from the powers of the generator images."""
-        ug, ring = self.group, self.ring
-        table = ring.one().as_array()[None]  # on exponent vectors, first generator slowest
-        position = np.zeros(len(ug.units), dtype=np.int64)  # of each unit in that order
-        for i, (img, order) in enumerate(zip(self.images, ug.orders)):
-            powers = [ring.one()]
-            for _ in range(order - 1):
-                powers.append(powers[-1] * img)
-            powers = np.array([x.coeffs for x in powers], dtype=np.int64)
-            table = ring.vscale_stack(powers, table).reshape(-1, ring.m)
-            position = position * order + [ug.dlog[a][i] for a in ug.units]
-        out = table[position]
+        (phi(N), m) array: one lookup into the powers of zeta."""
+        out = _powers(self.ring, self.order)[self._index]
         out.setflags(write=False)
         return out
 
     def __call__(self, a: int) -> RingElem:
-        expo = self.group.exponents(a)
-        out = self.ring.one()
-        for img, t in zip(self.images, expo):
-            if t:
-                out = out * img**t
-        return out
+        return self.ring.el(_powers(self.ring, self.order)[self._log(a) * self.order // (self.ring.q - 1)])
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         if (self.N, self.ring) != (other.N, other.ring):
             raise ValueError("characters of different moduli or rings")
-        return DirichletCharacter(
-            self.N, self.ring, tuple(a * b for a, b in zip(self.images, other.images))
-        )
+        return DirichletCharacter(self.N, self.ring, tuple(s + t for s, t in zip(self.expo, other.expo)))
 
     def inverse(self) -> "DirichletCharacter":
-        return DirichletCharacter(self.N, self.ring, tuple(img.inverse() for img in self.images))
+        return self**-1
 
     def __pow__(self, n: int) -> "DirichletCharacter":
-        if n < 0:
-            return self.inverse() ** (-n)
-        return DirichletCharacter(self.N, self.ring, tuple(img**n for img in self.images))
+        return DirichletCharacter(self.N, self.ring, tuple(s * n for s in self.expo))
 
     def is_trivial(self) -> bool:
-        one = self.ring.one()
-        return all(img == one for img in self.images)
+        return not any(self.expo)
 
     def is_even(self) -> bool:
-        return self(-1) == self.ring.one()
+        return self._log(-1) == 0
 
     def conductor(self) -> int:
         return conductor(self)
 
-    def exponent_vector(self) -> tuple[int, ...]:
-        """Exponents t_i with image_i = zeta_{order_i}^{t_i} (canonical label)."""
-        out = []
-        for img, order in zip(self.images, self.group.orders):
-            zeta = root_of_unity(self.ring, order)
-            cur = self.ring.one()
-            for t in range(order):
-                if cur == img:
-                    out.append(t)
-                    break
-                cur = cur * zeta
-            else:
-                raise ValueError("image is not a root of unity of the expected order")
-        return tuple(out)
-
     def label(self) -> str:
-        return "[" + ",".join(str(t) for t in self.exponent_vector()) + "]"
+        """The exponents t_i = expo[i] o_i / (q-1), o_i the order of g_i, with
+        chi(g_i) = root_of_unity(ring, o_i)^t_i: a name stable across runs."""
+        steps = (root_step(self.ring, o) for o in self.group.orders)
+        return "[" + ",".join(str(s // step) for s, step in zip(self.expo, steps)) + "]"
 
     def primitive_eval(self, a: int) -> RingElem:
         """Evaluate the underlying primitive character at a (gcd(a, f) = 1)."""
@@ -220,53 +213,67 @@ class DirichletCharacter:
         return self(b)
 
     def over(self, ring: CoeffRing) -> "DirichletCharacter":
-        """The same character valued in Z/p^k or in a Galois ring over it:
-        Z/p^k is the prime subring of every GR(p^k, m), so each generator
-        image keeps its power-basis coefficients, zero-padded or cut to
-        ring.m.  Cutting requires the dropped coefficients to be zero."""
+        """The same character valued in Z/p^k or in a Galois ring over it.
+        Z/p^k is the prime subring of every GR(p^k, m), and its roots of
+        unity are the Teichmueller lifts mu_{p-1}, generated by u = g^step,
+        step = (q-1)/(p-1).  So g^s lies in Z/p^k iff step | s, and then it
+        is u^(s/step), which is u'^(s/step * dlog_r' r) on the other side
+        (r = u mod p, r' = u' mod p)."""
         if ring == self.ring:
             return self
         if (ring.p, ring.k) != (self.ring.p, self.ring.k) or 1 not in (ring.m, self.ring.m):
             raise RingError(f"no coefficient map from {self.ring} to {ring}")
-        if any(any(img.coeffs[ring.m :]) for img in self.images):
+        if not self.descends:
             raise RingError(f"the character does not take values in {ring}")
-        pad = (0,) * ring.m
-        return DirichletCharacter(self.N, ring, tuple(ring.el((img.coeffs + pad)[: ring.m]) for img in self.images))
+        src, dst = (root_step(r, r.p - 1) for r in (self.ring, ring))
+        scale = _dlog_mod_p(ring.p, _prime_root(ring), _prime_root(self.ring)) * dst
+        return DirichletCharacter(self.N, ring, tuple(s // src * scale for s in self.expo))
 
     def extend(self, N2: int) -> "DirichletCharacter":
         """View the character modulo a multiple N2 of N."""
         if N2 % self.N != 0:
             raise ValueError("target modulus must be a multiple of N")
-        ug2 = unit_group(N2)
-        return DirichletCharacter(N2, self.ring, tuple(self(g % self.N) for g in ug2.generators))
+        return DirichletCharacter(N2, self.ring, tuple(self._log(g) for g in unit_group(N2).generators))
+
+
+@lru_cache(maxsize=None)
+def _powers(ring: CoeffRing, n: int) -> np.ndarray:
+    """zeta^j for j < n, zeta = root_of_unity(ring, n), as a read-only (n, m) array."""
+    zeta, powers = root_of_unity(ring, n), [ring.one()]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * zeta)
+    out = np.array([x.coeffs for x in powers], dtype=np.int64)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _prime_root(ring: CoeffRing) -> int:
+    """u mod p for u = root_of_unity(ring, p - 1): a primitive root mod p.
+    u lies in the prime subring Z/p^k, so it is its constant coefficient."""
+    return root_of_unity(ring, ring.p - 1).coeffs[0] % ring.p
+
+
+def _dlog_mod_p(p: int, r: int, a: int) -> int:
+    """The discrete log of a to the primitive root r in (Z/pZ)^x."""
+    e = unit_group(p).exponents
+    return e(a)[0] * pow(e(r)[0], -1, p - 1) % (p - 1)
 
 
 def enumerate_characters(N: int, ring: CoeffRing) -> list[DirichletCharacter]:
-    """All phi(N) characters (Z/NZ)^x -> ring^x, ordered by exponent vector."""
+    """All phi(N) characters (Z/NZ)^x -> ring^x, ordered by label."""
     ug = unit_group(N)
-    if (ring.q - 1) % ug.phi != 0 and any((ring.q - 1) % o != 0 for o in ug.orders):
+    if any((ring.q - 1) % o != 0 for o in ug.orders):
         raise RingError(f"ring has no mu_{ug.phi}: cannot represent all characters mod {N}")
-    zetas = [root_of_unity(ring, o) for o in ug.orders]
-    out: list[DirichletCharacter] = []
-
-    def rec(i: int, images: tuple[RingElem, ...]):
-        if i == len(zetas):
-            out.append(DirichletCharacter(N, ring, images))
-            return
-        img = ring.one()
-        for _ in range(ug.orders[i]):
-            rec(i + 1, images + (img,))
-            img = img * zetas[i]
-
-    rec(0, ())
-    return out
+    steps = (range(0, ring.q - 1, (ring.q - 1) // o) for o in ug.orders)
+    return [DirichletCharacter(N, ring, expo) for expo in product(*steps)]
 
 
 def conductor(chi: DirichletCharacter) -> int:
     """Minimal f | N such that chi factors through (Z/fZ)^x."""
     N = chi.N
     units = np.array(chi.group.units, dtype=np.int64)
-    is_one = (chi.values == chi.ring.one().as_array()).all(axis=1)
+    is_one = chi._index == 0
     for f in range(1, N + 1):
         if N % f == 0 and is_one[units % f == 1 % f].all():
             return f
@@ -274,17 +281,16 @@ def conductor(chi: DirichletCharacter) -> int:
 
 
 def teichmuller_character(M: int, p: int, ring: CoeffRing) -> DirichletCharacter:
-    """The Teichmueller character omega modulo Mp, factoring through (Z/pZ)^x."""
+    """The Teichmueller character omega modulo Mp, factoring through
+    (Z/pZ)^x: omega(a) = u^(dlog_r a) with u = g^((q-1)/(p-1)), r = u mod p."""
     if not is_prime(p) or p == 2:
         raise ValueError("p must be an odd prime")
     if M % p == 0:
         raise ValueError("M must be prime to p")
     if ring.p != p:
         raise RingError("ring has the wrong residue characteristic")
-    N = M * p
-    ug = unit_group(N)
-    images = tuple(teichmuller(ring, g % p) for g in ug.generators)
-    return DirichletCharacter(N, ring, images)
+    step, r, gens = root_step(ring, p - 1), _prime_root(ring), unit_group(M * p).generators
+    return DirichletCharacter(M * p, ring, tuple(step * _dlog_mod_p(p, r, g) for g in gens))
 
 
 def restrict_to_part(chi: DirichletCharacter, D: int) -> DirichletCharacter:
@@ -292,15 +298,10 @@ def restrict_to_part(chi: DirichletCharacter, D: int) -> DirichletCharacter:
     N = chi.N
     if D < 1 or N % D != 0 or gcd(D, N // D) != 1:
         raise ValueError(f"{D} is not a unitary divisor of {N}")
-    ug_d = unit_group(D) if D > 1 else None
-    if ug_d is None:
+    if D == 1:
         raise ValueError("restriction to the trivial modulus is not a character")
-    comp = N // D
-    images = []
-    for g in ug_d.generators:
-        lifted = g % D if comp == 1 else _crt_pair(g % D, D, 1, comp)
-        images.append(chi(lifted))
-    return DirichletCharacter(D, chi.ring, tuple(images))
+    lifts = (_crt_pair(g, D, 1, N // D) for g in unit_group(D).generators)
+    return DirichletCharacter(D, chi.ring, tuple(chi._log(a) for a in lifts))
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +309,7 @@ def restrict_to_part(chi: DirichletCharacter, D: int) -> DirichletCharacter:
 
 
 def _trivial(N: int, ring: CoeffRing) -> DirichletCharacter:
-    ug = unit_group(N)
-    return DirichletCharacter(N, ring, (ring.one(),) * len(ug.generators))
+    return DirichletCharacter(N, ring, (0,) * len(unit_group(N).generators))
 
 
 def _from_exponents(N: int, ring: CoeffRing, expo: list[int]) -> DirichletCharacter:
@@ -318,8 +318,7 @@ def _from_exponents(N: int, ring: CoeffRing, expo: list[int]) -> DirichletCharac
         raise ValueError(
             f"theta vector has {len(expo)} entries but (Z/{N})^x has {len(ug.generators)} generators"
         )
-    images = tuple(root_of_unity(ring, o) ** (t % o) for o, t in zip(ug.orders, expo))
-    return DirichletCharacter(N, ring, images)
+    return DirichletCharacter(N, ring, tuple(t * root_step(ring, o) for o, t in zip(ug.orders, expo)))
 
 
 def _quadratic_of_conductor(N: int, ring: CoeffRing, D: int) -> DirichletCharacter:
@@ -343,9 +342,9 @@ def _component_character(N: int, ring: CoeffRing, D: int, e: int) -> DirichletCh
     if len(hits) != 1:
         raise ValueError(f"chi@{D} is ambiguous: component has {len(hits)} generators")
     i = hits[0]
-    images = [ring.one()] * len(ug.generators)
-    images[i] = root_of_unity(ring, ug.orders[i]) ** (e % ug.orders[i])
-    return DirichletCharacter(N, ring, tuple(images))
+    expo = [0] * len(ug.generators)
+    expo[i] = e * root_step(ring, ug.orders[i])
+    return DirichletCharacter(N, ring, tuple(expo))
 
 
 def parse_theta(spec: str, N: int, p: int, ring: CoeffRing) -> DirichletCharacter:

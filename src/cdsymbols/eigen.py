@@ -601,7 +601,7 @@ def working_ring(theta: DirichletCharacter) -> CoeffRing:
     so lengths, verdicts and elementary divisors are the same in either
     ring.  Labels are still made in theta's own ring."""
     ring = theta.ring
-    return ring if theta.values[:, 1:].any() else make_coeff_ring(ring.p, ring.k)
+    return make_coeff_ring(ring.p, ring.k) if theta.descends else ring
 
 
 def _generation_core(

@@ -25,7 +25,7 @@ __all__ = [
     "make_coeff_ring",
     "chain_ring",
     "root_of_unity",
-    "teichmuller",
+    "root_step",
 ]
 
 
@@ -301,9 +301,6 @@ class RingElem:
 
     def is_unit(self) -> bool:
         return any(c % self.ring.p for c in self.coeffs)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def valuation(self) -> int:
         """Largest v <= k with p^v dividing the element (v = k for zero)."""
@@ -597,18 +594,16 @@ def chain_ring(p: int, k: int) -> CoeffRing:
     return CoeffRing(p, k, 1, None, 1)
 
 
-def root_of_unity(ring: CoeffRing, n: int) -> RingElem:
-    """The canonical primitive n-th root of unity; requires n | p^m - 1."""
+def root_step(ring: CoeffRing, n: int) -> int:
+    """(p^m - 1)/n, the power of the Teichmueller generator that is the
+    canonical primitive n-th root of unity; requires n | p^m - 1."""
     if n < 1:
         raise RingError("n must be positive")
     if (ring.q - 1) % n != 0:
         raise RingError(f"{n} does not divide p^m - 1 = {ring.q - 1}")
-    return ring.teich_generator() ** ((ring.q - 1) // n)
+    return (ring.q - 1) // n
 
 
-def teichmuller(ring: CoeffRing, a: int) -> RingElem:
-    """The unique x with x^(p-1) = 1 and x = a mod p, inside the prime subring."""
-    if a % ring.p == 0:
-        raise RingError("Teichmueller lift requires a nonzero residue")
-    t = pow(a % ring.pk, ring.p ** (ring.k - 1), ring.pk)
-    return ring.from_int(t)
+def root_of_unity(ring: CoeffRing, n: int) -> RingElem:
+    """The canonical primitive n-th root of unity; requires n | p^m - 1."""
+    return ring.teich_generator() ** root_step(ring, n)

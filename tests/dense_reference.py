@@ -6,8 +6,11 @@ the reference for `HowellAccumulator.add_rows`, and the literal (c,d)-class
 enumeration built on it, the oracle for `cd_span`; the bilinear
 (c,d)-generator stream, the reference for `cd_span`'s short and reduced
 streams; the per-orbit T2-Eisenstein loop; span membership with a witness;
-the cusp0 presentation against the full one; and the C^theta + [1:p] check
-of criterion 06.  The verdict path never builds an (nsym, nsym) matrix."""
+the cusp0 presentation against the full one; the C^theta + [1:p] check
+of criterion 06; and characters kept by their generator images in RingElem
+arithmetic, with the Teichmueller lift, the reference for the exponent
+arithmetic of `DirichletCharacter`.  The verdict path never builds an
+(nsym, nsym) matrix."""
 
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from cdsymbols.characters import DirichletCharacter, parse_theta, teichmuller_ch
 from cdsymbols.eigen import EigenContext, _validate_scenario, build_eigen_context, cd_span
 from cdsymbols.hecke import _t2_vector
 from cdsymbols.linalg import HowellAccumulator, Submodule
-from cdsymbols.rings import CoeffRing, RingError, make_coeff_ring
+from cdsymbols.rings import CoeffRing, RingElem, RingError, make_coeff_ring, root_of_unity
 from cdsymbols.symbols import CUSP0, FULL, SymbolSpace, build_presentation, cd_symbol
 
 
@@ -322,3 +325,76 @@ def verify_cd_span_of_one_p(
         "plain_equal": plain_equal,
         "with_one_p_equal": acc.length == target.length,
     }
+
+
+def teichmuller(ring: CoeffRing, a: int) -> RingElem:
+    """The unique x with x^(p-1) = 1 and x = a mod p, inside the prime subring."""
+    if a % ring.p == 0:
+        raise RingError("Teichmueller lift requires a nonzero residue")
+    t = pow(a % ring.pk, ring.p ** (ring.k - 1), ring.pk)
+    return ring.from_int(t)
+
+
+class ImageCharacter:
+    """A Dirichlet character mod N kept by its generator images chi(g_i) and
+    evaluated in RingElem arithmetic, chi(a) = prod_i chi(g_i)^dlog_i(a)."""
+
+    def __init__(self, N: int, ring: CoeffRing, images):
+        self.N, self.ring, self.images = N, ring, tuple(images)
+
+    @classmethod
+    def from_label(cls, N: int, ring: CoeffRing, label) -> "ImageCharacter":
+        """chi(g_i) = root_of_unity(ring, o_i)^t_i."""
+        return cls(N, ring, [root_of_unity(ring, o) ** t for o, t in zip(unit_group(N).orders, label)])
+
+    @classmethod
+    def teichmuller(cls, M: int, p: int, ring: CoeffRing) -> "ImageCharacter":
+        return cls(M * p, ring, [teichmuller(ring, g % p) for g in unit_group(M * p).generators])
+
+    def __call__(self, a: int) -> RingElem:
+        out = self.ring.one()
+        for img, t in zip(self.images, unit_group(self.N).exponents(a)):
+            out = out * img**t
+        return out
+
+    def values(self) -> np.ndarray:
+        return np.array([self(a).coeffs for a in unit_group(self.N).units], dtype=np.int64)
+
+    def label(self) -> str:
+        """The t_i with chi(g_i) = root_of_unity(ring, o_i)^t_i, by search."""
+        out = []
+        for img, o in zip(self.images, unit_group(self.N).orders):
+            zeta = root_of_unity(self.ring, o)
+            out.append(next(t for t in range(o) if zeta**t == img))
+        return "[" + ",".join(map(str, out)) + "]"
+
+    def conductor(self) -> int:
+        units, one = unit_group(self.N).units, self.ring.one()
+        return min(
+            f
+            for f in range(1, self.N + 1)
+            if self.N % f == 0 and all(self(a) == one for a in units if a % f == 1 % f)
+        )
+
+    def is_even(self) -> bool:
+        return self(-1) == self.ring.one()
+
+    def over(self, ring: CoeffRing) -> "ImageCharacter":
+        """Pad or cut each image's power-basis coefficients: Z/p^k is the
+        prime subring of GR(p^k, m).  A cut must drop only zeros."""
+        if (ring.p, ring.k) != (self.ring.p, self.ring.k) or 1 not in (ring.m, self.ring.m):
+            raise RingError(f"no coefficient map from {self.ring} to {ring}")
+        if any(any(img.coeffs[ring.m :]) for img in self.images):
+            raise RingError(f"the character does not take values in {ring}")
+        pad = (0,) * ring.m
+        return ImageCharacter(self.N, ring, [ring.el((img.coeffs + pad)[: ring.m]) for img in self.images])
+
+    def extend(self, N2: int) -> "ImageCharacter":
+        return ImageCharacter(N2, self.ring, [self(g) for g in unit_group(N2).generators])
+
+    def restrict(self, D: int) -> "ImageCharacter":
+        """The component at the unitary divisor D: chi at the lift of each
+        generator mod D that is 1 modulo N/D."""
+        comp = self.N // D
+        lift = {a % D: a for a in range(self.N) if a % comp == 1 % comp}
+        return ImageCharacter(D, self.ring, [self(lift[g]) for g in unit_group(D).generators])

@@ -1,15 +1,25 @@
+import itertools
 import random
 
 import pytest
 
 from cdsymbols.characters import (
+    _prime_root,
     enumerate_characters,
     parse_theta,
     restrict_to_part,
     teichmuller_character,
     unit_group,
 )
-from cdsymbols.rings import RingError, make_coeff_ring, prime_factorization
+from cdsymbols.rings import (
+    CoeffRing,
+    RingElem,
+    RingError,
+    cyclotomic_polynomial,
+    make_coeff_ring,
+    prime_factorization,
+)
+from dense_reference import ImageCharacter
 
 
 def test_unit_group_examples():
@@ -203,3 +213,98 @@ def test_over_descends_to_the_prime_subring_and_lifts_back():
             parse_theta("[1,1]", 35, 7, gr).over(z)
     with pytest.raises(RingError):
         parse_theta("[2,4]", 35, 7, make_coeff_ring(7, 1, 24)).over(make_coeff_ring(7, 2))
+
+
+def _label_or_error(chi) -> str:
+    try:
+        return chi.label()
+    except RingError as e:
+        return f"RingError: {e}"
+
+
+def _assert_same(chi, ref: ImageCharacter):
+    assert (chi.N, chi.ring) == (ref.N, ref.ring)
+    assert chi.values.tolist() == ref.values().tolist()
+    assert _label_or_error(chi) == _label_or_error(ref)
+    assert chi.conductor() == ref.conductor()
+    assert chi.is_even() == ref.is_even()
+
+
+def _canonical_ring(N: int, p: int, k: int):
+    """make_coeff_ring(p, k, phi(N)).  At (47, 7, 1) that is GR(7, 22)
+    modulo Phi_46, irreducible mod 7 since 7 has order 22 mod 46; it is
+    built directly, because make_coeff_ring's lexicographic search would
+    try about 7^21 moduli first.  There q - 1 = 7^22 - 1 is near 2^62."""
+    if (N, p, k) == (47, 7, 1):
+        return CoeffRing(7, 1, 22, tuple(c % 7 for c in cyclotomic_polynomial(46)), 46)
+    return make_coeff_ring(p, k, unit_group(N).phi)
+
+
+@pytest.mark.parametrize(
+    "N,p,k",
+    [(35, 7, 1), (35, 7, 2), (45, 7, 1), (12, 3, 1), (16, 3, 1),
+     (24, 5, 1), (40, 3, 2), (21, 13, 1), (28, 13, 2), (15, 3, 19), (47, 7, 1)],
+)
+def test_characters_match_image_reference(N, p, k):
+    """Exponents on the Teichmueller generator give the characters that
+    generator images root_of_unity(ring, o_i)^t_i give in RingElem
+    arithmetic: values, labels, conductors, parity, the maps between
+    Z/p^k and GR(p^k, m), extension, CRT restriction and omega."""
+    ug = unit_group(N)
+    ring, prime = _canonical_ring(N, p, k), make_coeff_ring(p, k)
+    no_map = make_coeff_ring(p, k + 1 if k == 1 else k - 1)
+    labels = list(itertools.product(*map(range, ug.orders)))
+    chars = enumerate_characters(N, ring)
+    assert [chi.label() for chi in chars] == ["[" + ",".join(map(str, t)) + "]" for t in labels]
+    parts = [q**e for q, e in prime_factorization(N).items()]
+    # A RingElem product in GR(7, 22) costs about 0.5 ms, so there the
+    # reference checks every 15th character.
+    stride = 15 if ring.m > 12 else 1
+    for chi, t in list(zip(chars, labels))[::stride]:
+        ref = ImageCharacter.from_label(N, ring, t)
+        _assert_same(chi, ref)
+        try:
+            down_ref = ref.over(prime)
+        except RingError as e:
+            with pytest.raises(RingError, match=str(e)):
+                chi.over(prime)
+        else:
+            down = chi.over(prime)
+            _assert_same(down, down_ref)
+            assert down.over(ring) == chi
+            _assert_same(down.over(ring), down_ref.over(ring))
+        for target in (chi, ref):
+            with pytest.raises(RingError):
+                target.over(no_map)
+        _assert_same(chi.extend(2 * N), ref.extend(2 * N))
+        for D in parts:
+            _assert_same(restrict_to_part(chi, D), ref.restrict(D))
+    if N % p == 0:
+        for r in (ring, prime):
+            _assert_same(teichmuller_character(N // p, p, r), ImageCharacter.teichmuller(N // p, p, r))
+
+
+def test_character_group_operations_make_no_ring_arithmetic(monkeypatch):
+    """Products, powers, labels, parity, conductors and the maps between
+    rings and moduli are integer operations on the exponents.  Only each
+    ring's Teichmueller generator and its residue root mod p, constants
+    cached per ring, are made before ring multiplication is switched off."""
+    for k in (1, 2):
+        gr, prime = make_coeff_ring(7, k, 24), make_coeff_ring(7, k)
+        gr.teich_generator(), prime.teich_generator(), _prime_root(gr), _prime_root(prime)
+        theta = parse_theta("[2,4]", 35, 7, gr)
+
+        def refuse(*args):
+            raise AssertionError("ring arithmetic in a character operation")
+
+        with monkeypatch.context() as patch:
+            for name in ("__mul__", "__rmul__", "__pow__"):
+                patch.setattr(RingElem, name, refuse)
+            chi = theta * theta.inverse() * theta**3
+            assert chi.label() == "[2,0]" and (theta**-1).label() == "[2,2]"
+            assert theta.is_even() and theta.conductor() == 35
+            down = theta.over(prime)
+            assert down.over(gr) == theta and down.is_even() and down.conductor() == 35
+            assert theta.extend(70).label() == "[2,4]"
+            assert restrict_to_part(theta, 5).label() == "[2]"
+            assert restrict_to_part(theta, 7).label() == "[4]"

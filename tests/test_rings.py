@@ -9,8 +9,8 @@ from cdsymbols.rings import (
     make_coeff_ring,
     multiplicative_order,
     root_of_unity,
-    teichmuller,
 )
+from dense_reference import teichmuller
 
 
 def brute_order(a, n):
