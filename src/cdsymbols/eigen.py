@@ -158,10 +158,6 @@ class EigenContext:
     def psi(self, chi: DirichletCharacter) -> DirichletCharacter:
         return self.theta * chi.inverse()
 
-    def etheta_column(self, u: int, v: int) -> np.ndarray:
-        """Reduced representative of e_theta applied to the symbol (u, v)."""
-        return self.columns[self.space.idx(u, v)].copy()
-
     def htheta_target(self) -> HowellAccumulator:
         """The relations plus the reduced unit columns: all of R^r', whose
         Howell form is the identity (pivots e_j of valuation 0)."""
@@ -398,7 +394,8 @@ def _cd_generators(ctx: EigenContext, rep: int, units, bases, shared=None, span=
     if span is not None:
         if span.length > ctx.rel_length:  # the columns are reduced against the relations
             y = span.reduce_rows(y)
-        free = np.array([span.vals.get(j) != 0 for j in range(span.ncols)])
+        free = np.ones(span.ncols, dtype=bool)
+        free[span.cols[span.pvals == 0]] = False
         y = y[:, free]
         if not y.any():
             return np.zeros((0, span.ncols, ring.m), dtype=np.int64)

@@ -2,14 +2,23 @@
 
 Row modules over Z/p^k or GR(p^k, m) are kept in Howell normal form: an
 echelon basis with monic pivots p^v, saturated so that every element of the
-span reduces to zero against the pivots, one column at a time.  Unlike
-Hermite form, the saturation rows make span membership decidable over these
-non-domains, and the fully reduced form is a canonical invariant of the
-span.  One elimination (`HowellAccumulator.add_rows`) inserts rows and one
-(`reduce_rows`) reduces them; both work on whole stacks.
+span reduces to zero against the pivots.  Unlike Hermite form, the
+saturation rows make span membership decidable over these non-domains.
+
+`HowellAccumulator` keeps its basis fully reduced at all times, as one
+pivot-sorted matrix with its pivot columns and valuations: every row is
+reduced modulo the other pivots, so it vanishes on the columns of the unit
+pivots.  That form is a canonical invariant of the span, and it lets a whole
+stack of rows reduce against all unit pivots in one ring product,
+rows - rows[:, U] B_U; only the non-unit pivots take one step per column,
+and at k = 1 there are none.  `add_rows` inserts a stack by one elimination
+over the columns its rows reach, then one product back-substitutes the new
+unit pivots into the old basis.  The rule depends only on whether a pivot is
+a unit, so every (p, k, m) takes the same path.
 
 Rows are numpy int64 arrays of shape (ncols, m); all arithmetic goes through
-the CoeffRing vector helpers.
+the CoeffRing vector helpers (`vcombine` for the products, exact in int64;
+see rings.check_int64_precision).
 """
 
 from __future__ import annotations
@@ -46,50 +55,97 @@ def _as_rows(rows, ring: CoeffRing, ncols):
     return out, ncols
 
 
+# rows eliminated per round of add_rows: at least this many, and 2 ncols
+_ROUND = 32
+
+
 class HowellAccumulator:
     """Growing Howell basis; add rows singly or as stacks, query span properties.
 
-    The basis is a map pivot-column -> normalized row (pivot entry equal to
-    p^v exactly).  `length` is the module length of the span, the sum of
-    k - v over pivots, so two nested spans are equal iff lengths agree.
+    The basis is one matrix `mat` (r, ncols, m), its rows sorted by their
+    pivot columns `cols`, each row monic there (entry p^v exactly, v in
+    `pvals`) and fully reduced: at every other pivot column c its entries lie
+    in [0, p^v_c)^m, so they vanish where the pivot is a unit.  `length` is
+    the module length of the span, the sum of k - v over pivots, so two
+    nested spans are equal iff lengths agree.  The arrays are replaced, never
+    written into, so copies and finalized Submodules share them.
     """
 
     def __init__(self, ring: CoeffRing, ncols: int, rows=None):
         self.ring = ring
         self.ncols = ncols
-        self.pivots: dict[int, np.ndarray] = {}
-        self.vals: dict[int, int] = {}
-        self.length = 0
-        self._sorted: list[int] | None = []
+        empty = np.zeros(0, dtype=np.int64)
+        self._set(np.zeros((0, ncols, ring.m), dtype=np.int64), empty, empty)
         if rows is not None and len(rows):
             self.add_rows(rows)
 
+    def _set(self, mat: np.ndarray, cols: np.ndarray, pvals: np.ndarray) -> None:
+        self.mat, self.cols, self.pvals = mat, cols, pvals
+        self.length = int(self.ring.k * len(cols) - pvals.sum())
+        self._nonunit = pvals.nonzero()[0].tolist()
+        self._unit_cols, self._unit_rows = cols, mat
+        if self._nonunit:
+            unit = pvals == 0
+            self._unit_cols, self._unit_rows = cols[unit], mat[unit]
+
+    @property
+    def pivots(self) -> dict[int, np.ndarray]:
+        """Pivot column -> basis row."""
+        return dict(zip(self.cols.tolist(), self.mat))
+
+    @property
+    def vals(self) -> dict[int, int]:
+        """Pivot column -> valuation of the pivot."""
+        return dict(zip(self.cols.tolist(), self.pvals.tolist()))
+
     def copy(self) -> "HowellAccumulator":
-        other = HowellAccumulator(self.ring, self.ncols)
-        other.pivots = {j: r.copy() for j, r in self.pivots.items()}
-        other.vals = dict(self.vals)
-        other.length = self.length
-        other._sorted = None
+        """A copy that shares the basis arrays (they are never written into)."""
+        other = object.__new__(HowellAccumulator)
+        other.__dict__.update(self.__dict__)
         return other
 
-    def _pivot_cols(self) -> list[int]:
-        if self._sorted is None:
-            self._sorted = sorted(self.pivots)
-        return self._sorted
-
     def reduce_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Canonical coset representatives of a stack of rows (B, ncols, m):
-        one vectorised step per pivot column, in sorted order, brings every
-        row's entry there into the residues [0, p^v)^m.  Two rows reduce to
-        the same representative iff they differ by an element of the span."""
+        """Canonical coset representatives of a stack of rows (B, ncols, m).
+        The unit pivots are cleared in one product (`_clear`), then one step
+        per non-unit pivot column (`_steps`).  Two rows reduce to the same
+        representative iff they differ by an element of the span."""
+        rows = np.asarray(rows, dtype=np.int64) % self.ring.pk
+        if len(self._unit_cols):
+            rows = self._clear(rows, self._unit_cols, self._unit_rows)
+        return self._steps(rows)
+
+    def _clear(self, rows: np.ndarray, cols: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+        """rows - rows[:, cols] pivots, for the rows that reach the sorted
+        columns `cols` of the unit pivot rows `pivots`; `rows` is not written
+        into.  Those pivot rows are the identity on `cols` (full reduction),
+        so the result vanishes there, and they vanish before cols[0], so
+        only the columns from there on change."""
+        reach = rows[:, cols]
+        hit = reach.reshape(len(rows), len(cols) * self.ring.m).any(axis=1)
+        if not hit.any():
+            return rows
+        ring, lo = self.ring, cols[0]
+        rows = rows.copy()
+        if hit.all():
+            tail = rows[:, lo:]
+            tail -= ring.vcombine(reach, pivots[:, lo:])
+            tail %= ring.pk
+        else:
+            rows[hit, lo:] = (rows[hit, lo:] - ring.vcombine(reach[hit], pivots[:, lo:])) % ring.pk
+        return rows
+
+    def _steps(self, rows: np.ndarray) -> np.ndarray:
+        """One step per non-unit pivot column, in sorted order: it brings
+        every row's entry there into [0, p^v)^m.  The pivot rows there vanish
+        on every unit column, so rows cleared there stay cleared."""
         ring = self.ring
-        rows = np.asarray(rows, dtype=np.int64) % ring.pk
-        for j in self._pivot_cols():
-            q = rows[:, j] // ring.p ** self.vals[j]
+        for b in self._nonunit:
+            j = self.cols[b]
+            q = rows[:, j] // ring.p ** self.pvals[b]
             if q.any():
-                # the pivot row is zero before column j
-                tail = rows[:, j:] - ring.vscale_stack(self.pivots[j][j:], q)
-                rows[:, j:] = tail % ring.pk
+                tail = rows[:, j:]  # the pivot row is zero before column j
+                tail -= ring.vscale_stack(self.mat[b, j:], q)
+                tail %= ring.pk
         return rows
 
     def contains(self, vec: np.ndarray) -> bool:
@@ -110,70 +166,122 @@ class HowellAccumulator:
     def add_rows(self, rows) -> bool:
         """Insert a stack of rows (B, ncols, m); returns True if the span grew.
 
-        One pass over the columns where some row leads, in increasing order
-        (Storjohann and Mulders, ESA 1998).  At column j the rows leading
-        there compete with the pivot at j, if any: the entry of least
-        valuation v wins (the old pivot on a tie, left as it is), and one
-        vectorised step clears column j in the other rows.  A new monic
-        pivot's slot takes its saturation row p^(k-v) pivot, and a replaced
-        pivot rejoins the rows.  Every row the step touches leads further
-        right afterwards, so each column is visited at most once, and pivots
-        that no row reaches are never read."""
-        ring = self.ring
-        p, k, pk, n = ring.p, ring.k, ring.pk, self.ncols
-        work = np.asarray(rows, dtype=np.int64) % pk
-        nz = work.any(axis=2)
-        lead = np.where(nz.any(axis=1), nz.argmax(axis=1), n)
-        exponent = {p**t: t for t in range(k + 1)}
-        before = self.length
-        while len(lead) and (j := int(lead.min())) < n:
-            at = (lead == j).nonzero()[0]
-            sub = work[at, j:]
-            # p^v for the entry at j of every row (gcd with p^k over the coefficients)
-            pv = np.gcd.reduce(sub[:, 0], axis=1, initial=pk)
-            i = int(pv.argmin())
-            old = self.pivots.get(j)
-            if old is not None and p ** self.vals[j] <= pv[i]:
-                pivot, v = old, self.vals[j]
-            else:
-                v = exponent[int(pv[i])]
-                pivot = self._monic(work[at[i]], j, v)
-                if old is None:
-                    self.length += k - v
-                    self._sorted = None
-                else:
-                    self.length += self.vals[j] - v
-                    work = np.concatenate([work, old[None]])
-                    lead = np.append(lead, j)
-                    at = np.append(at, len(lead) - 1)
-                    sub = np.concatenate([sub, old[None, j:]])
-                self.pivots[j] = pivot
-                self.vals[j] = v
-            sub -= ring.vscale_stack(pivot[j:], sub[:, 0] // p**v)
-            sub %= pk
-            if pivot is not old:
-                sub[i] = pivot[j:] * p ** (k - v) % pk
-            work[at, j:] = sub
-            # column j is now zero in every row, so a first hit at 0 means a zero row
-            first = (sub.reshape(len(at), -1) != 0).argmax(axis=1) // ring.m
-            lead[at] = np.where(first, j + first, n)
+        The stack is reduced against the basis (`reduce_rows`) and its
+        nonzero rows are eliminated in rounds of at most max(32, 2 ncols)
+        rows (`_eliminate`).  A round makes at most ncols pivots, so the rows
+        of a taller stack are mostly dependent: after each round one product
+        clears the new unit pivots from the rest, which drops the rows that
+        reduce to zero without carrying them through every column step."""
+        before, n = self.length, self.ncols
+        size = max(_ROUND, 2 * n)
+        work = self.reduce_rows(rows)
+        while len(work := work[work.reshape(len(work), n * self.ring.m).any(axis=1)]):
+            made = self._eliminate(work[:size])
+            if len(work) <= size:
+                break
+            # the rest is reduced modulo the old basis, so only the new unit pivots reach it
+            work = self._steps(self._clear(work[size:], made, self.mat[np.searchsorted(self.cols, made)]))
         return self.length > before
 
-    def finalize(self) -> "Submodule":
-        """Back-substituted canonical form as an immutable Submodule: at each
-        pivot, one vectorised step reduces the rows above it that are not
-        yet reduced there."""
+    def _eliminate(self, work: np.ndarray) -> np.ndarray:
+        """Insert rows reduced against the basis, all nonzero; returns the
+        columns of the new unit pivots.
+
+        One pass over the columns where some row leads, in increasing order
+        (Storjohann and Mulders, ESA 1998).  At column j the rows leading
+        there compete with an old pivot at j, which can only be a non-unit
+        one: the entry of least valuation v wins (the old pivot on a tie).
+        One vectorised step clears column j in the rows leading there and
+        brings the new pivots made so far into [0, p^v)^m there, so the new
+        unit pivots are the identity on their columns.  A new pivot's
+        saturation row p^(k-v) pivot joins the rows, and so does a replaced
+        pivot.  Every row the step touches leads further right afterwards,
+        so each column is visited once.  Then one product clears the new
+        unit columns in the old rows, and one step per non-unit pivot column
+        restores the residues there (there are none at k = 1)."""
         ring = self.ring
-        cols = self._pivot_cols()
-        mat = np.zeros((len(cols), self.ncols, ring.m), dtype=np.int64)
-        for b, j in enumerate(cols):
-            mat[b] = self.pivots[j]
-            q = mat[:b, j] // ring.p ** self.vals[j]
-            above = q.any(axis=1).nonzero()[0]
-            if len(above):
-                tail = mat[above, j:] - ring.vscale_stack(mat[b, j:], q[above])
-                mat[above, j:] = tail % ring.pk
-        return Submodule(ring, self.ncols, mat, tuple(cols), tuple(self.vals[j] for j in cols))
+        p, k, pk, n = ring.p, ring.k, ring.pk, self.ncols
+        old_at = {int(self.cols[b]): b for b in self._nonunit}
+        replaced = []
+        made_cols: list[int] = []
+        made_vals: list[int] = []
+        exponent = {p**t: t for t in range(k + 1)}
+        lead = (work.reshape(len(work), -1) != 0).argmax(axis=1) // ring.m  # every row is nonzero
+        made = np.zeros(0, dtype=np.int64)  # the rows of work that became pivots
+        while (j := int(lead.min())) < n:
+            at = (lead == j).nonzero()[0]
+            # p^v for the entry at j of every row (gcd with p^k over the coefficients)
+            pv = np.gcd.reduce(work[at, j], axis=1, initial=pk)
+            i = int(pv.argmin())
+            b = old_at.get(j)
+            winner = None
+            if b is None or p ** self.pvals[b] > pv[i]:
+                v = exponent[int(pv[i])]
+                winner = at[i]
+                pivot = self._monic(work[winner], j, v)
+                joining = [pivot * p ** (k - v) % pk] if v else []  # zero at j
+                if b is not None:
+                    replaced.append(b)
+                    del old_at[j]
+                    joining.append(self.mat[b])
+                if joining:
+                    at = np.concatenate([at, np.arange(len(work), len(work) + len(joining))])
+                    lead = np.concatenate([lead, [j] * len(joining)])
+                    work = np.concatenate([work, joining])
+            else:
+                pivot, v = self.mat[b], int(self.pvals[b])
+            # clear column j in the rows leading there (the winner's row
+            # becomes zero), and bring the new pivots there into [0, p^v)^m
+            touch = np.concatenate([at, made[work[made, j].any(axis=1)]]) if len(made) else at
+            sub = work[touch, j:]
+            sub -= ring.vscale_stack(pivot[j:], sub[:, 0] // p**v if v else sub[:, 0])
+            sub %= pk
+            work[touch, j:] = sub
+            # column j is now zero in these rows, so a first hit at 0 means a zero row
+            first = (sub[: len(at)].reshape(len(at), -1) != 0).argmax(axis=1) // ring.m
+            lead[at] = np.where(first, j + first, n)
+            if winner is not None:
+                work[winner] = pivot
+                made = np.concatenate([made, [winner]])
+                made_cols.append(j)
+                made_vals.append(v)
+        pivots = work[made]
+        new_cols = np.array(made_cols, dtype=np.int64)
+        new_vals = np.array(made_vals, dtype=np.int64)
+        unit_cols, unit_rows = new_cols, pivots
+        if new_vals.any():
+            unit = new_vals == 0
+            unit_cols, unit_rows = new_cols[unit], pivots[unit]
+        if len(self.cols):
+            old, cols, pvals = self.mat, self.cols, self.pvals
+            if replaced:
+                old, cols, pvals = (np.delete(a, replaced, axis=0) for a in (old, cols, pvals))
+            # one product clears the new unit columns in the old rows; then
+            # the old rows and the new pivots are merged in column order
+            if len(unit_cols):
+                old = self._clear(old, unit_cols, unit_rows)
+            cols = np.concatenate([cols, new_cols])
+            order = cols.argsort(kind="stable")
+            mat = np.concatenate([old, pivots])[order]
+            cols = cols[order]
+            pvals = np.concatenate([pvals, new_vals])[order]
+            # residues at the non-unit pivot columns, in increasing order; the
+            # rows there vanish on every unit column, so those stay cleared
+            for b in pvals.nonzero()[0].tolist():
+                j = cols[b]
+                q = mat[:b, j] // p ** pvals[b]
+                above = q.any(axis=1).nonzero()[0]
+                if len(above):
+                    mat[above, j:] = (mat[above, j:] - ring.vscale_stack(mat[b, j:], q[above])) % pk
+            self._set(mat, cols, pvals)
+        else:
+            # the new pivots were made in column order and reduced at every pivot column
+            self._set(pivots, new_cols, new_vals)
+        return unit_cols
+
+    def finalize(self) -> "Submodule":
+        """The basis as an immutable Submodule; it is already in canonical form."""
+        return Submodule(self.ring, self.ncols, self.mat, tuple(self.cols.tolist()), tuple(self.pvals.tolist()))
 
 
 class Submodule:
@@ -198,11 +306,9 @@ class Submodule:
         return self.rows.shape[0]
 
     def accumulator(self) -> HowellAccumulator:
+        """An accumulator that shares these rows as its basis."""
         acc = HowellAccumulator(self.ring, self.ncols)
-        acc.pivots = {j: self.rows[i] for i, j in enumerate(self.pivot_cols)}
-        acc.vals = dict(zip(self.pivot_cols, self.pivot_vals))
-        acc.length = self.length
-        acc._sorted = sorted(acc.pivots)
+        acc._set(self.rows, np.array(self.pivot_cols, dtype=np.int64), np.array(self.pivot_vals, dtype=np.int64))
         return acc
 
     def __eq__(self, other):

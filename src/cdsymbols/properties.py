@@ -63,8 +63,12 @@ def _coprime_divisor_pairs(N: int):
     return [(g, h) for g in divs for h in divs if gcd(g, h) == 1]
 
 
-def _even_characters(N, ring):
-    return [c for c in enumerate_characters(N, ring) if c.is_even()]
+@lru_cache(maxsize=16)
+def _characters(N: int, ring) -> tuple[tuple, tuple]:
+    """All characters mod N over the ring, and the even ones, enumerated once
+    per (N, ring)."""
+    chars = tuple(enumerate_characters(N, ring))
+    return chars, tuple(c for c in chars if c.is_even())
 
 
 @lru_cache(maxsize=16)
@@ -173,7 +177,7 @@ def check_characters(case: dict) -> bool:
     units = ug.units
     a = units[case["a"] % len(units)]
     b = units[case["b"] % len(units)]
-    chars = enumerate_characters(N, ring)
+    chars, evens = _characters(N, ring)
     zero = ring.zero()
     for chi in chars:
         if chi(a) * chi(b) != chi(a * b):
@@ -184,7 +188,7 @@ def check_characters(case: dict) -> bool:
         expect = ring.from_int(ug.phi) if chi.is_trivial() else zero
         if total != expect:
             return False
-    if N > 2 and sum(c.is_even() for c in chars) != ug.phi // 2:
+    if N > 2 and len(evens) != ug.phi // 2:
         return False
     # conductor multiplies over CRT components
     from .rings import prime_factorization
@@ -218,9 +222,8 @@ def _draw_eigen_case(rng: random.Random) -> dict:
 
 def _resolve_eigen(case: dict, variant: str = "full"):
     p, M, N, ring, space = _scenario_space(case["pool"], variant)
-    evens = _even_characters(N, ring)
+    chars, evens = _characters(N, ring)
     theta = evens[case["theta"] % len(evens)]
-    chars = enumerate_characters(N, ring)
     chi = chars[case["chi"] % len(chars)]
     pairs = _coprime_divisor_pairs(N)
     g, h = pairs[case["pair"] % len(pairs)]
@@ -241,7 +244,7 @@ def check_projected_symbol_expansion(case: dict) -> bool:
         i = space.idx(a * g * u, a * h * v)
         lhs[i] = (lhs[i] + np.array(coeff.coeffs, dtype=np.int64)) % ring.pk
     rhs = ring.vzeros(space.nsym)
-    for cchi in enumerate_characters(N, ring):
+    for cchi in _characters(N, ring)[0]:
         psi = theta * cchi.inverse()
         coeff = cchi(u) * psi(v)
         al = eigensymbol_free(space, cchi, psi, g, h)
@@ -291,7 +294,7 @@ def check_bezout_splitting(case: dict) -> bool:
     lhs = ring.vzeros(space.nsym)
     r1 = ring.vzeros(space.nsym)
     r2 = ring.vzeros(space.nsym)
-    for cchi in enumerate_characters(N, ring):
+    for cchi in _characters(N, ring)[0]:
         psi = theta * cchi.inverse()
         lhs = (
             lhs
@@ -342,14 +345,13 @@ def check_u_operator(case: dict) -> bool:
     N = M * p
     ring = make_coeff_ring(p, k, unit_group(N).phi)
     space = build_presentation(N, "full", ring)
-    evens = _even_characters(N, ring)
+    chars, evens = _characters(N, ring)
     theta = evens[case["theta"] % len(evens)]
     s = 0
     nn = N
     while nn % ell == 0:
         s += 1
         nn //= ell
-    chars = enumerate_characters(N, ring)
     chi = chars[case["chi"] % len(chars)]
     # admissible (g, h): ell does not divide g*h
     divs = [d for d in range(1, N + 1) if N % d == 0 and d % ell]

@@ -39,6 +39,15 @@ class RingError(ValueError):
 # generator adds two scaled rows to two more before reducing.  Requiring
 # 2 m p^(2k) <= 2^63 keeps every such sum exact; sums of residues alone
 # (at most one per symbol) stay far below it.
+#
+# A ring product of width w (CoeffRing.vcombine: w scalars times w rows)
+# sums, per entry and coefficient pair, w products of two residues, each at
+# most (p^k - 1)^2.  It is summed in chunks of at most
+# floor((2^63 - 1) / (p^k - 1)^2) of the w terms, each chunk reduced mod p^k
+# before the next is added, so every partial sum is exact; under the bound
+# below that chunk is at least 2m >= 2.  Folding the m^2 coefficient pairs
+# into the power basis then sums 2m - 1 products of two residues, again
+# inside the bound.
 
 
 def check_int64_precision(p: int, k: int, m: int) -> None:
@@ -354,6 +363,8 @@ class CoeffRing:
         # flattened to (m, m*m) so that s @ T is the matrix of s
         idx = np.add.outer(np.arange(m), np.arange(m))
         self._mult_tensor = pows[idx].reshape(m, m * m)
+        # terms per chunk of a vcombine sum (see check_int64_precision)
+        self.chunk = (2**63 - 1) // (self.pk - 1) ** 2
         self._teich_gen_coeffs: tuple[int, ...] | None = None
 
     # -- identity / comparison ------------------------------------------------
@@ -549,6 +560,41 @@ class CoeffRing:
             out = (row @ mats.reshape(m, -1)).reshape(len(row), len(scalars), m).transpose(1, 0, 2)
         out %= self.pk
         return out
+
+    def vcombine(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The stack (B, ncols, m) of combinations sum_t coeffs[b, t] rows[t]
+        of the rows (w, ncols, m) with the scalars `coeffs` (B, w, m).
+
+        One integer matrix product Z[b, s, j, u] = sum_t coeffs[b, t, s]
+        rows[t, j, u], taken in chunks of `self.chunk` of the w terms; for
+        m > 1, Z is then folded into the power basis: the products
+        x^(s+u) are gathered by degree (at most m residues each) and meet the
+        2m - 1 powers of x (see check_int64_precision)."""
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+        pk, m, chunk = self.pk, self.m, self.chunk
+        B, w = coeffs.shape[:2]
+        ncols = rows.shape[1]
+        left = coeffs.transpose(0, 2, 1).reshape(B * m, w)
+        right = rows.reshape(w, ncols * m)
+        z = left[:, :chunk] @ right[:chunk]
+        z %= pk
+        for t in range(chunk, w, chunk):
+            part = left[:, t : t + chunk] @ right[t : t + chunk]
+            part %= pk
+            z += part
+            z %= pk
+        z = z.reshape(B, m, ncols, m)
+        if m == 1:
+            return z[:, 0]
+        by_degree = np.zeros((2 * m - 1, B, ncols), dtype=np.int64)
+        for s in range(m):
+            for u in range(m):
+                by_degree[s + u] += z[:, s, :, u]
+        by_degree %= pk
+        out = np.zeros((B, ncols, m), dtype=np.int64)
+        for d, power in enumerate(self._pows):
+            out += by_degree[d, ..., None] * power
+        return out % pk
 
 
 @lru_cache(maxsize=None)

@@ -2,12 +2,13 @@
 and ring matrix products on the ambient free module, which the sigma-pair
 coordinate map of `cdsymbols.eigen` is checked against; the literal
 double loop behind `cd_eigensymbol`; row-at-a-time greedy Howell insertion,
-the reference for `HowellAccumulator.add_rows`, and the literal (c,d)-class
+which keeps the basis fully reduced one row at a time, the reference for
+`HowellAccumulator.add_rows` and `reduce_rows`, and the literal (c,d)-class
 enumeration built on it, the oracle for `cd_span`; the bilinear
 (c,d)-generator stream, the reference for `cd_span`'s short and reduced
 streams; the per-orbit T2-Eisenstein loop; span membership with a witness;
-the cusp0 presentation against the full one; the C^theta + [1:p] check
-of criterion 06; and characters kept by their generator images in RingElem
+the cusp0 presentation against the full one; the column of e_theta[u:v]
+and the C^theta + [1:p] check of criterion 06; and characters kept by their generator images in RingElem
 arithmetic, with the Teichmueller lift, the reference for the exponent
 arithmetic of `DirichletCharacter`.  The verdict path never builds an
 (nsym, nsym) matrix."""
@@ -26,12 +27,7 @@ from cdsymbols.rings import CoeffRing, RingElem, RingError, make_coeff_ring, roo
 from cdsymbols.symbols import CUSP0, FULL, SymbolSpace, build_presentation, cd_symbol
 
 
-def greedy_reduce(acc: HowellAccumulator, vec: np.ndarray) -> np.ndarray:
-    """Greedy leading-term reduction of one row against acc's pivots: it
-    stops at the first nonzero column with no pivot, or whose entry has a
-    smaller valuation than the pivot there.  The result is zero iff vec is
-    in the span."""
-    ring = acc.ring
+def _greedy_reduce(ring: CoeffRing, pivots: dict, vals: dict, vec: np.ndarray) -> np.ndarray:
     vec = vec % ring.pk
     start = 0
     while True:
@@ -39,10 +35,10 @@ def greedy_reduce(acc: HowellAccumulator, vec: np.ndarray) -> np.ndarray:
         if hits.size == 0:
             return vec
         j = start + int(hits[0])
-        row = acc.pivots.get(j)
+        row = pivots.get(j)
         if row is None:
             return vec
-        pv = acc.vals[j]
+        pv = vals[j]
         if (vec[j] % ring.p**pv).any():
             return vec
         q = vec[j] // ring.p**pv
@@ -50,16 +46,49 @@ def greedy_reduce(acc: HowellAccumulator, vec: np.ndarray) -> np.ndarray:
         start = j + 1
 
 
-def greedy_add(acc: HowellAccumulator, vec: np.ndarray) -> bool:
-    """Insert one row into acc by greedy reduction: a row that stops at a
-    column becomes the monic pivot there, the pivot it replaces and its
-    saturation row p^(k-v) pivot are inserted in turn.  Returns True if
-    the span grew."""
-    ring = acc.ring
-    before = acc.length
+def greedy_reduce(acc: HowellAccumulator, vec: np.ndarray) -> np.ndarray:
+    """Greedy leading-term reduction of one row against acc's pivots: it
+    stops at the first nonzero column with no pivot, or whose entry has a
+    smaller valuation than the pivot there.  The result is zero iff vec is
+    in the span."""
+    return _greedy_reduce(acc.ring, acc.pivots, acc.vals, vec)
+
+
+def _reduce_at(ring: CoeffRing, pivots: dict, vals: dict, row: np.ndarray, cols) -> np.ndarray:
+    """Reduce the row at each pivot column of `cols`, in increasing order."""
+    for c in cols:
+        q = row[c] // ring.p ** vals[c]
+        if q.any():
+            row = (row - ring.vscale(pivots[c], q)) % ring.pk
+    return row
+
+
+def _place(ring: CoeffRing, pivots: dict, vals: dict, j: int, r: np.ndarray, v: int) -> None:
+    """Make r, monic at j and zero before it, the pivot at j, keeping the
+    basis fully reduced one row at a time: r is reduced at the pivot columns
+    after j, and every row above at j.  Such a row then changes after j only
+    where r is nonzero at a pivot column, which r's reduction leaves only at
+    the non-unit ones."""
+    later = sorted(c for c in pivots if c > j)
+    r = _reduce_at(ring, pivots, vals, r, later)
+    again = [c for c in later if vals[c]]
+    for c, row in list(pivots.items()):
+        if c < j:
+            q = row[j] // ring.p**v
+            if q.any():
+                pivots[c] = _reduce_at(ring, pivots, vals, (row - ring.vscale(r, q)) % ring.pk, again)
+    pivots[j] = r
+    vals[j] = v
+
+
+def _greedy_insert(ring: CoeffRing, pivots: dict, vals: dict, vec: np.ndarray) -> int:
+    """Insert one row by greedy reduction: a row that stops at a column
+    becomes the monic pivot there, the pivot it replaces and its saturation
+    row p^(k-v) pivot are inserted in turn.  Returns the growth in length."""
+    grew = 0
     stack = [np.asarray(vec, dtype=np.int64) % ring.pk]
     while stack:
-        r = greedy_reduce(acc, stack.pop())
+        r = _greedy_reduce(ring, pivots, vals, stack.pop())
         hits = np.flatnonzero(r.any(axis=1))
         if hits.size == 0:
             continue
@@ -69,25 +98,41 @@ def greedy_add(acc: HowellAccumulator, vec: np.ndarray) -> bool:
             v += 1
         unit = tuple(int(c) for c in r[j] // ring.p**v)
         r = ring.vscale(r, ring.el(unit).inverse().as_array())
-        old = acc.pivots.get(j)
-        acc.pivots[j] = r
+        old = pivots.pop(j, None)
         if old is not None:
-            acc.length += acc.vals[j] - v
+            grew += vals.pop(j) - v
             stack.append(old)
         else:
-            acc.length += ring.k - v
-            acc._sorted = None
-        acc.vals[j] = v
+            grew += ring.k - v
         if v > 0:
             stack.append((r * ring.p ** (ring.k - v)) % ring.pk)
-    return acc.length > before
+        _place(ring, pivots, vals, j, r, v)
+    return grew
+
+
+def _store(acc: HowellAccumulator, pivots: dict, vals: dict) -> None:
+    """Write a fully reduced basis, kept as dicts by pivot column, into acc."""
+    cols = sorted(pivots)
+    mat = np.stack([pivots[c] for c in cols]) if cols else np.zeros((0, acc.ncols, acc.ring.m), dtype=np.int64)
+    acc._set(mat, np.array(cols, dtype=np.int64), np.array([vals[c] for c in cols], dtype=np.int64))
+
+
+def greedy_add(acc: HowellAccumulator, vec: np.ndarray) -> bool:
+    """Insert one row into acc by greedy insertion; returns True if the span grew."""
+    pivots, vals = acc.pivots, acc.vals
+    if not _greedy_insert(acc.ring, pivots, vals, vec):
+        return False
+    _store(acc, pivots, vals)
+    return True
 
 
 def greedy_accumulator(ring: CoeffRing, ncols: int, rows=()) -> HowellAccumulator:
-    """A HowellAccumulator filled by greedy_add, one row at a time."""
+    """A HowellAccumulator filled by greedy insertion, one row at a time."""
     acc = HowellAccumulator(ring, ncols)
+    pivots, vals = {}, {}
     for row in rows:
-        greedy_add(acc, row)
+        _greedy_insert(ring, pivots, vals, row)
+    _store(acc, pivots, vals)
     return acc
 
 
@@ -95,7 +140,7 @@ def cd_span_bruteforce(ctx: EigenContext) -> HowellAccumulator:
     """Literal enumeration over all residue classes of (c, d) modulo
     L = lcm(6N, p^k) prime to 6N, applied to every symbol and projected
     through pi.  Exponentially slower; the oracle for cd_span.  It inserts
-    one row at a time with greedy_add, so the comparison also checks
+    one row at a time by greedy insertion, so the comparison also checks
     cd_span's batched insertion against code that does not share it."""
     ring = ctx.ring
     space = ctx.space
@@ -103,13 +148,15 @@ def cd_span_bruteforce(ctx: EigenContext) -> HowellAccumulator:
     L = 6 * N * ring.pk // gcd(6 * N, ring.pk)
     classes = [c for c in range(1, L + 1) if gcd(c, 6 * N) == 1]
     acc = ctx.rel_acc.copy()
+    pivots, vals = acc.pivots, acc.vals
     for c in classes:
         cc = c if c > 1 else c + L
         for d in classes:
             dd = d if d > 1 else d + L
             vecs = np.stack([cd_symbol(space, cc, dd, u, v) for (u, v) in space.symbols])
             for vec in ctx.project(vecs):
-                greedy_add(acc, vec)
+                _greedy_insert(ring, pivots, vals, vec)
+    _store(acc, pivots, vals)
     return acc
 
 
@@ -297,6 +344,11 @@ def cusp0_agreement(N: int, ring: CoeffRing) -> dict:
     }
 
 
+def etheta_column(ctx: EigenContext, u: int, v: int) -> np.ndarray:
+    """Reduced representative of e_theta applied to the symbol (u, v)."""
+    return ctx.columns[ctx.space.idx(u, v)].copy()
+
+
 def verify_cd_span_of_one_p(
     p: int,
     k: int,
@@ -316,7 +368,7 @@ def verify_cd_span_of_one_p(
     acc, _ = cd_span(ctx, stop_at_length=target.length, unit_bound=cd_bound)
     plain_equal = acc.length == target.length
     if not plain_equal:
-        acc.add(ctx.etheta_column(1, p % N))
+        acc.add(etheta_column(ctx, 1, p % N))
     return {
         "theta": theta.label(),
         "f": ctx.f,

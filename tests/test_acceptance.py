@@ -21,7 +21,7 @@ from cdsymbols.linalg import howell_form
 from cdsymbols.properties import run_properties
 from cdsymbols.rings import chain_ring, make_coeff_ring
 from cdsymbols.symbols import FULL, build_presentation
-from dense_reference import verify_cd_span_of_one_p
+from dense_reference import etheta_column, verify_cd_span_of_one_p
 from manin_modp import ModpEigenspace, omega2_mod7, theta35
 
 import argparse
@@ -122,7 +122,7 @@ def _case_b_spans(p, k, M, theta):
     om2 = ctx.omega**2
     a1p = eigensymbol(ctx, om2, 1, p)
     aM1 = eigensymbol(ctx, om2, M, 1)
-    e1p = ctx.etheta_column(1, p)
+    e1p = etheta_column(ctx, 1, p)
     c_acc, _ = cd_span(ctx)
 
     def length(*extras):

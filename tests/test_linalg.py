@@ -188,6 +188,8 @@ def test_empty_input_is_zero_module():
 # insertion (dense_reference.greedy_add), which shares no insertion code with them
 
 KERNEL_RINGS = [
+    pytest.param(lambda: chain_ring(7, 1), id="Z/7"),
+    pytest.param(lambda: chain_ring(43, 1), id="Z/43"),
     pytest.param(lambda: chain_ring(2, 2), id="Z/4"),
     pytest.param(lambda: chain_ring(2, 3), id="Z/8"),
     pytest.param(lambda: chain_ring(3, 2), id="Z/9"),
@@ -368,3 +370,83 @@ def test_add_rows_empty_stack_changes_nothing(make_ring):
     length = acc.length
     assert acc.add_rows(np.zeros((0, 5, ring.m), dtype=np.int64)) is False
     assert acc.length == length and acc.finalize() == before
+
+
+# ---------------------------------------------------------------------------
+# exactness of the wide product (CoeffRing.vcombine) at the int64 bound
+
+
+def _exact_combination(ring, coeffs, rows):
+    """sum_t coeffs[b, t] rows[t] in Python integers, one RingElem product at a time."""
+    out = np.zeros((len(coeffs), rows.shape[1], ring.m), dtype=np.int64)
+    for b, row_coeffs in enumerate(coeffs):
+        for j in range(rows.shape[1]):
+            total = ring.zero()
+            for c, row in zip(row_coeffs, rows):
+                total = total + ring.el(tuple(int(x) for x in c)) * ring.el(tuple(int(x) for x in row[j]))
+            out[b, j] = total.coeffs
+    return out
+
+
+def test_wide_product_is_chunked_below_the_int64_bound():
+    """Z/(2^31 - 1) passes check_int64_precision with a chunk of 2 terms.  A
+    product of width 4 whose unchunked int64 sum wraps still equals the
+    exact combination, and reduce_rows and add_rows against 4 unit pivots
+    still match the greedy reference."""
+    ring = chain_ring(2**31 - 1, 1)
+    pk = ring.pk
+    assert ring.chunk == 2
+    rng = np.random.default_rng(31)
+    coeffs = rng.integers(pk - 2**20, pk, size=(6, 4, 1))
+    rows = rng.integers(pk - 2**20, pk, size=(4, 5, 1))
+    wrapped = coeffs[..., 0] @ rows[..., 0] % pk  # one unchunked int64 sum
+    exact = _exact_combination(ring, coeffs, rows)
+    assert not np.array_equal(wrapped, exact[..., 0])
+    assert np.array_equal(ring.vcombine(coeffs, rows), exact)
+    ncols = 7
+    acc = greedy_accumulator(ring, ncols, rng.integers(pk - 2**20, pk, size=(4, ncols, 1)))
+    assert acc.vals == {0: 0, 1: 0, 2: 0, 3: 0}
+    V = rng.integers(pk - 2**20, pk, size=(8, ncols, 1))
+    for v, r in zip(V, acc.reduce_rows(V)):
+        assert np.array_equal(r, _reduce_reference(acc, v))
+    seq = acc.copy()
+    for row in V[:2]:
+        greedy_add(seq, row)
+    batched = acc.copy()
+    assert batched.add_rows(V[:2])
+    assert batched.finalize() == seq.finalize()
+
+
+@pytest.mark.parametrize("p,e,top", [(3, 2, 19), (7, 24, 10), (13, 24, 8)])
+def test_kernels_match_greedy_at_the_precision_tops(p, e, top):
+    """At the tops of test_precision_ladder_straddles_int64_bound (Z/3^19,
+    GR(7^10, 2), GR(13^8, 2)) reduce_rows and add_rows match the greedy
+    reference, with entries p^k - 1 among the rows.  Z/3^19 and GR(13^8, 2)
+    have product chunks of 6 and 13 terms and get more unit pivots than
+    that, so their products run in several chunks."""
+    ring = make_coeff_ring(p, top, e)
+    pk = ring.pk
+    ncols = min(ring.chunk + 3, 16)
+    rng = np.random.default_rng(pk % 1000 + top)
+    top_row = np.full((1, ncols, ring.m), pk - 1, dtype=np.int64)
+    # echelon rows with unit leads, the first all p^k - 1
+    base = rng.integers(0, pk, size=(ncols - 2, ncols, ring.m))
+    for i, row in enumerate(base):
+        row[:i] = 0
+        row[i] = (1,) + (0,) * (ring.m - 1)
+    base[0] = top_row[0]
+    acc = greedy_accumulator(ring, ncols, base)
+    assert (acc.pvals == 0).sum() == ncols - 2
+    assert ncols - 2 > ring.chunk or ring.chunk > 100
+    V = np.concatenate([rng.integers(0, pk, size=(6, ncols, ring.m)), top_row, top_row * 0 + 1])
+    for v, r in zip(V, acc.reduce_rows(V)):
+        assert np.array_equal(r, _reduce_reference(acc, v))
+        assert not greedy_reduce(acc, (v - r) % pk).any()
+    # over the span of p times some rows (non-unit pivots), and over acc
+    for start in (greedy_accumulator(ring, ncols, base[:3] * p % pk), acc):
+        seq = start.copy()
+        for row in V:
+            greedy_add(seq, row)
+        batched = start.copy()
+        assert batched.add_rows(V)
+        assert batched.finalize() == seq.finalize()
