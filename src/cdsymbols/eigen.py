@@ -44,6 +44,31 @@ index and verdict, is that of the full stream, from at most phi(N) rows.
       the span stops growing after at most two representatives; the later
       streams reduce to zero and are not inserted.
 
+When p divides N, or p = 3, each unit a has one base s_a, and the stream is
+bilinear: one row per (a, b) in U x U.  When U is the whole unit group, the
+rows with a among the generators of (Z/N)^x span all of them:
+
+(v)   Write y_c as the formal vector e_c.  Row (a, b) is A_a g_b, where
+      g_b = s_b e_1 - e_b, A_a = s_a - theta(a) T_a and T_a e_c = e_{a^-1 c}.
+      For a multiplicative base s (so s_1 = 1 and A_1 = 0),
+
+          A_{ab} = s_a A_b + theta(b) T_b A_a,
+          T_c g_b = g_{c^-1 b} - s_b g_{c^-1}.
+
+      So G = span(g_b) is T-stable, T_b A_a G = A_a T_b G lies in A_a G,
+      and by induction on words in the generators the sum of A_a G over
+      a in U is the sum over the generators.  The fiber rows p(s_a x0 - x2)
+      are p A_a e_1, and since T_b e_1 = s_{b^-1} e_1 - g_{b^-1},
+      p A_{ab} e_1 lies in p A_a e_1, p A_b e_1 and p A_a G; so they too are
+      needed for the generators only.  The rows p g_b = p(s_b x0 - x1) stay
+      for every b, and p^2 x0 stays.  The base omega(a)^2 is multiplicative.
+      The literal base (a mod p)^2 equals it at k = 1 and differs from it by
+      a multiple of p at k >= 2; the fiber rows absorb the difference, as
+      the fiber collapse above holds for any base in the fiber.  Rows per
+      representative fall from at most phi(N)^2 + 2 phi(N) + 1 to at most
+      |gens| phi(N) + phi(N) + |gens| + 1 (1,764 -> 42 at N = 43, k = 1).
+      A unit bound keeps every a, since U^-1 U is not a group there.
+
 A scenario whose theta takes values in Z/p^k does all of this over Z/p^k,
 not over the Galois ring that holds every character mod N (working_ring).
 """
@@ -357,15 +382,20 @@ def _scalar_bases(p: int, pk: int, N: int, units: np.ndarray) -> np.ndarray:
 
 def _stream_invariants(ctx: EigenContext, units: np.ndarray):
     """What the streams of all representatives share: the sorted ratio set
-    U^-1 U (1 first), the positions in it of b, a^-1 and a^-1 b for a, b in
-    U, and the multiplication matrices of theta(a)."""
+    U^-1 U (1 first), the positions in it of b, a^-1 and a^-1 b for a on
+    the stream's a axis and b in U, the multiplication matrices of theta(a),
+    and the positions of the a axis in U.  The a axis is U itself, or only
+    the generators of (Z/N)^x when U is the whole unit group (step (v) of
+    the module docstring)."""
     N = ctx.N
-    inverses = np.array([pow(int(a), -1, N) for a in units], dtype=np.int64)
+    ug = unit_group(N)
+    pick = np.searchsorted(units, ug.generators) if len(units) == ug.phi else np.arange(len(units))
+    inverses = np.array([pow(int(a), -1, N) for a in units[pick]], dtype=np.int64)
     quotients = inverses[:, None] * units[None, :] % N  # a^-1 b on the axes (a, b)
     seen = np.bincount(quotients.ravel(), minlength=N) > 0
     at = np.cumsum(seen) - 1  # position in the ratio set
-    theta_a = ctx.theta.values[np.searchsorted(unit_group(N).units, units)]
-    return np.flatnonzero(seen), at[units], at[inverses], at[quotients], ctx.ring.smatrix(theta_a)
+    theta_a = ctx.theta.values[np.searchsorted(ug.units, units[pick])]
+    return np.flatnonzero(seen), at[units], at[inverses], at[quotients], ctx.ring.smatrix(theta_a), pick
 
 
 def _cd_generators(ctx: EigenContext, rep: int, units, bases, shared=None, span=None) -> np.ndarray:
@@ -378,17 +408,20 @@ def _cd_generators(ctx: EigenContext, rep: int, units, bases, shared=None, span=
     bilinear stream below spans, by (i)-(iii) of the module docstring.
 
     Otherwise (p | N, or p = 3) each unit a has one base s_a, and it is the
-    bilinear stream: for every (a, b), s_a s_b x0 - s_a x1 - s_b x2 + x3
-    with x0, x1, x2, x3 the columns of [u0:v0], [u0:b v0], [a u0:v0],
-    [a u0:b v0], then the fiber generators p(s_b x0 - x1), p(s_a x0 - x2)
-    (k >= 2) and p^2 x0 (k >= 3).  By (iii), x0 = y_1, x1 = y_b,
-    x2 = theta(a) y_{a^-1} and x3 = theta(a) y_{a^-1 b} exactly.
+    bilinear stream: for a on the a axis of `shared` and b in U,
+    s_a s_b x0 - s_a x1 - s_b x2 + x3 with x0, x1, x2, x3 the columns of
+    [u0:v0], [u0:b v0], [a u0:v0], [a u0:b v0], then the fiber generators
+    p(s_b x0 - x1), p(s_a x0 - x2) (k >= 2) and p^2 x0 (k >= 3).  By (iii),
+    x0 = y_1, x1 = y_b, x2 = theta(a) y_{a^-1} and x3 = theta(a) y_{a^-1 b}
+    exactly.  The a axis is U under a unit bound, and the generators of
+    (Z/N)^x when U is the whole unit group, whose rows span the rows of
+    every a by (v): |gens| phi(N) + phi(N) + |gens| + 1 rows at most.
 
     Given the running `span` (step (iv) of the module docstring), the y_c
     are reduced modulo it once it has grown past the relations, the stream
     is formed on the columns without a unit pivot, and zero rows are left out."""
     space, ring, pk = ctx.space, ctx.ring, ctx.ring.pk
-    ratios, at_b, at_inverse, at_ratio, theta_a = shared or _stream_invariants(ctx, units)
+    ratios, at_b, at_inverse, at_ratio, theta_a, pick = shared or _stream_invariants(ctx, units)
     u0, v0 = space.symbols[rep]
     y = ctx.columns[space.table[u0, ratios * v0 % space.N]]
     if span is not None:
@@ -405,13 +438,13 @@ def _cd_generators(ctx: EigenContext, rep: int, units, bases, shared=None, span=
         x0, x1 = y[0], y[at_b]  # (r, m) and (b, r, m)
         x2 = y[at_inverse] @ theta_a % pk  # (a, r, m)
         x3 = y[at_ratio] @ theta_a[:, None] % pk  # (a, b, r, m)
-        sq = bases[:, 0]
-        s, t = sq[:, None, None, None], sq[None, :, None, None]  # s_a and s_b on the axes (a, b, r, m)
+        sa, sb = bases[pick, 0], bases[:, 0]
+        s, t = sa[:, None, None, None], sb[None, :, None, None]  # s_a and s_b on the axes (a, b, r, m)
         # each product is below p^(2k), so every sum stays inside the int64 bound
         stacks = [(x0 * (s * t % pk) - x1[None] * s - x2[:, None] * t + x3) % pk]
         if ring.k >= 2:
-            stacks.append((x0 * sq[:, None, None] - x1) % pk * ring.p % pk)
-            stacks.append((x0 * sq[:, None, None] - x2) % pk * ring.p % pk)
+            stacks.append((x0 * sb[:, None, None] - x1) % pk * ring.p % pk)
+            stacks.append((x0 * sa[:, None, None] - x2) % pk * ring.p % pk)
         if ring.k >= 3:
             stacks.append(x0 * ring.p**2 % pk)
         rows = np.concatenate([g.reshape(-1, *x0.shape) for g in stacks])
@@ -441,13 +474,16 @@ def cd_span(
     When p does not divide N and p >= 5 each representative's stream is its
     symbol columns [u0 : c v0], c in U^-1 U, at most phi(N) rows; by (i)-(iii)
     of the module docstring they span what the bilinear (c,d)-stream spans,
-    so the accumulated span after every representative is the same.  By
-    (iv) every stream is formed from columns reduced modulo the span so far,
+    so the accumulated span after every representative is the same.  When
+    p | N or p = 3 the stream is bilinear, and when U is every unit its a
+    axis runs over the generators of (Z/N)^x only, by (v).  By (iv) every
+    stream is formed from columns reduced modulo the span so far,
     on the columns without a unit pivot, and a zero stream is not inserted.
 
     If stop_at_length is given (the length of a module known to contain the
-    span), accumulation stops after the first representative whose
-    generators bring the length there.  A unit_bound restricts the c mod N
+    span), accumulation stops once the length is there, before the next
+    representative's stream is formed (before the first one when the
+    relations already reach it).  A unit_bound restricts the c mod N
     and d mod N residues to representatives <= bound; the result is then
     marked not exhaustive."""
     ring = ctx.ring
@@ -463,11 +499,11 @@ def cd_span(
     shared = _stream_invariants(ctx, units)
     acc = ctx.rel_acc.copy()
     for rep in ctx.reps:
+        if stop_at_length is not None and acc.length >= stop_at_length:
+            break
         rows = _cd_generators(ctx, rep, units, bases, shared, acc)
         if len(rows):
             acc.add_rows(rows)
-        if stop_at_length is not None and acc.length >= stop_at_length:
-            break
     return acc, exhausted
 
 

@@ -94,8 +94,9 @@ def t2_eisenstein_relations(space: SymbolSpace, ring: CoeffRing, p: int, allow_f
     - [2u:2v]) for admissible (u, v); imposing them makes T2 act as
     1 + 2 omega^{-2}(2) on the omega^2-eigenspace.  One row per admissible
     diamond-orbit representative, in orbit order: the six terms of every
-    row are gathered from `space.table`, and the omega^-2-weighted diamond
-    sum of all rows is one `np.add.at`."""
+    row and the permutations of every diamond are gathered from
+    `space.table`, and the omega^-2-weighted diamond sum of all rows is one
+    `np.add.at`."""
     N = space.N
     if N % 2 == 0:
         raise ValueError("the T2 condition requires odd N")
@@ -109,7 +110,7 @@ def t2_eisenstein_relations(space: SymbolSpace, ring: CoeffRing, p: int, allow_f
     ug = unit_group(N)
     inv_phi = ring.from_int(ug.phi).inverse()
     coeffs = ring.vscale(omega2.inverse().values, inv_phi.as_array())
-    moves = np.stack([space.diamond_perm(a) for a in ug.units])  # <units[t]> sends i to moves[t, i]
+    moves = space.diamond_action()  # <units[t]> sends i to moves[t, i]
     u, v = np.array([space.symbols[s] for s in space.orbits()[0]], dtype=np.int64).reshape(-1, 2).T
     if space.variant == CUSP0:
         # admissibility: u, v, u+v nonzero (u, v nonzero already hold)

@@ -58,6 +58,60 @@ def enumerate_symbols(N: int, variant: str) -> tuple[tuple[int, int], ...]:
     return tuple(zip(u[keep].tolist(), v[keep].tolist()))
 
 
+@lru_cache(maxsize=None)
+def _ring_free_part(N: int, variant: str):
+    """What a presentation shares between rings: the symbols, their
+    coordinates u and v, `table` and the relation terms, as read-only arrays
+    (see SymbolSpace)."""
+    symbols = enumerate_symbols(N, variant)
+    n = len(symbols)
+    u, v = np.array(symbols, dtype=np.int64).reshape(-1, 2).T
+    table = np.full((N, N), -1, dtype=np.int64)
+    table[-u % N, -v % N] = np.arange(n)
+    table[u, v] = np.arange(n)
+    # Per symbol [u:v] in order: the sign row [u:v] + [-v:u] (once per pair)
+    # and the parabolic row [u:v] - [u:u+v] - [u+v:v].
+    me = np.arange(n)
+    w = (u + v) % N
+    sign_partner = table[-v % N, u]
+    keep = np.stack([me <= sign_partner, (w != 0) | (variant == FULL)], axis=1)
+    # (symbol, kind, term); the sign row's third term has coefficient 0
+    sign = np.stack([me, sign_partner, me], axis=1)
+    parabolic = np.stack([me, table[u, w], table[w, v]], axis=1)
+    cols = np.stack([sign, parabolic], axis=1)
+    coeffs = np.broadcast_to(np.array([[1, 1, 0], [1, -1, -1]], dtype=np.int64), cols.shape)
+    arrays = (u, v, table, cols[keep], coeffs[keep])
+    for a in arrays:
+        a.flags.writeable = False
+    return (symbols, *arrays)
+
+
+def _diamond_action(N: int, variant: str) -> np.ndarray:
+    """action[t, i] = index of <units[t]> symbol i, units in increasing order."""
+    _, u, v, table, _, _ = _ring_free_part(N, variant)
+    units = np.array(unit_group(N).units, dtype=np.int64)[:, None]
+    return table[units * u % N, units * v % N]
+
+
+@lru_cache(maxsize=None)
+def _orbit_data(N: int, variant: str):
+    """(reps, orbit_of, transporter) of SymbolSpace.orbits, shared between
+    rings."""
+    action = _diamond_action(N, variant)
+    nsym = action.shape[1]
+    least = action.min(axis=0)
+    reps = np.flatnonzero(least == np.arange(nsym))
+    orbit_of = np.searchsorted(reps, least)
+    # action[:, reps] in unit-major order: the first hit of each symbol comes
+    # from the first unit that reaches it
+    hits, first = np.unique(action[:, reps].ravel(), return_index=True)
+    trans = np.zeros(nsym, dtype=np.int64)
+    trans[hits] = np.array(unit_group(N).units, dtype=np.int64)[first // len(reps)]
+    for a in (orbit_of, trans):
+        a.flags.writeable = False
+    return tuple(int(i) for i in reps), orbit_of, trans
+
+
 class SymbolSpace:
     """Presentation of a level-N modular-symbol space over a coefficient ring.
 
@@ -66,23 +120,19 @@ class SymbolSpace:
     arrays (nrel, 3) over symbol indices), and `table`, the N x N array of
     symbol indices of all pairs (u, v) mod N (both signs of a symbol share
     its index; -1 where (u, v) is not a symbol), through which indexing and
-    the diamond action are gathers.  Immutable after construction.
+    the diamond action are gathers.  None of these depends on the ring: the
+    spaces of one (N, variant) share them, read-only, with their orbits.
+    Immutable after construction.
     """
 
     def __init__(self, N: int, variant: str, ring: CoeffRing):
         self.N = N
         self.variant = variant
         self.ring = ring
-        self.symbols = enumerate_symbols(N, variant)
-        self.nsym = len(self.symbols)
         self.units = unit_group(N).units
-        uv = np.array(self.symbols, dtype=np.int64).reshape(-1, 2)
-        self._u, self._v = uv[:, 0], uv[:, 1]
-        self.table = np.full((N, N), -1, dtype=np.int64)
-        self.table[(-self._u) % N, (-self._v) % N] = np.arange(self.nsym)
-        self.table[self._u, self._v] = np.arange(self.nsym)
-        self.relation_rows, self.relation_coeffs = self._relation_terms()
-        self._orbit_data = None
+        (self.symbols, self._u, self._v, self.table,
+         self.relation_rows, self.relation_coeffs) = _ring_free_part(N, variant)
+        self.nsym = len(self.symbols)
 
     # -- indexing ---------------------------------------------------------
     def idx(self, u: int, v: int) -> int:
@@ -92,22 +142,6 @@ class SymbolSpace:
         return i
 
     # -- relations ---------------------------------------------------------
-    def _relation_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per symbol [u:v] in order: the sign row [u:v] + [-v:u] (once per
-        pair) and the parabolic row [u:v] - [u:u+v] - [u+v:v]."""
-        N, n = self.N, self.nsym
-        me = np.arange(n)
-        u, v = self._u, self._v
-        w = (u + v) % N
-        sign_partner = self.table[-v % N, u]
-        keep = np.stack([me <= sign_partner, (w != 0) | (self.variant == FULL)], axis=1)
-        # (symbol, kind, term); the sign row's third term has coefficient 0
-        sign = np.stack([me, sign_partner, me], axis=1)
-        parabolic = np.stack([me, self.table[u, w], self.table[w, v]], axis=1)
-        cols = np.stack([sign, parabolic], axis=1)
-        coeffs = np.broadcast_to(np.array([[1, 1, 0], [1, -1, -1]], dtype=np.int64), cols.shape)
-        return cols[keep], coeffs[keep]
-
     def dense_relation_rows(self) -> np.ndarray:
         """The relations as dense rows (nrel, nsym, m), for reference checks
         in the ambient space; the verdict path never builds them."""
@@ -124,26 +158,17 @@ class SymbolSpace:
             raise ValueError(f"{a} is not a unit modulo {self.N}")
         return self.table[a * self._u % self.N, a * self._v % self.N]
 
+    def diamond_action(self) -> np.ndarray:
+        """The permutations of every <a> in one gather: row t is
+        diamond_perm(units[t])."""
+        return _diamond_action(self.N, self.variant)
+
     def orbits(self):
         """Diamond-orbit decomposition: (reps, orbit_of, transporter) where
         transporter[i] is the first unit a (in unit-group order) with
         <a> rep = symbol i.  The orbit of i is the column {<a> i} of the
         action table, and its representative is the least index in it."""
-        if self._orbit_data is None:
-            units = np.array(self.units, dtype=np.int64)
-            action = self.table[
-                units[:, None] * self._u % self.N, units[:, None] * self._v % self.N
-            ]  # action[t, i] = index of <units[t]> symbol i
-            least = action.min(axis=0)
-            reps = np.flatnonzero(least == np.arange(self.nsym))
-            orbit_of = np.searchsorted(reps, least)
-            # action[:, reps] in unit-major order: the first hit of each
-            # symbol comes from the first unit that reaches it
-            hits, first = np.unique(action[:, reps].ravel(), return_index=True)
-            trans = np.zeros(self.nsym, dtype=np.int64)
-            trans[hits] = units[first // len(reps)]
-            self._orbit_data = (tuple(int(i) for i in reps), orbit_of, trans)
-        return self._orbit_data
+        return _orbit_data(self.N, self.variant)
 
     def __repr__(self):
         return f"SymbolSpace(N={self.N}, {self.variant}, {self.nsym} symbols, {self.ring})"
@@ -152,7 +177,8 @@ class SymbolSpace:
 @lru_cache(maxsize=None)
 def build_presentation(N: int, variant: str, ring: CoeffRing) -> SymbolSpace:
     """Presentation with the sign rows, the parabolic rows admissible for the
-    variant, and the diamond permutation table."""
+    variant, and the diamond permutation table; its ring-free part is built
+    once per (N, variant)."""
     return SymbolSpace(N, variant, ring)
 
 

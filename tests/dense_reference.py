@@ -1,17 +1,18 @@
 """Reference code that only the tests call: the dense eigenspace projector
 and ring matrix products on the ambient free module, which the sigma-pair
-coordinate map of `cdsymbols.eigen` is checked against; the literal
-double loop behind `cd_eigensymbol`; row-at-a-time greedy Howell insertion,
-which keeps the basis fully reduced one row at a time, the reference for
+coordinate map of `cdsymbols.eigen` is checked against; the literal double
+loop behind `cd_eigensymbol`; row-at-a-time greedy Howell insertion, which
+keeps the basis fully reduced one row at a time, the reference for
 `HowellAccumulator.add_rows` and `reduce_rows`, and the literal (c,d)-class
 enumeration built on it, the oracle for `cd_span`; the bilinear
 (c,d)-generator stream, the reference for `cd_span`'s short and reduced
-streams; the per-orbit T2-Eisenstein loop; span membership with a witness;
-the cusp0 presentation against the full one; the column of e_theta[u:v]
-and the C^theta + [1:p] check of criterion 06; and characters kept by their generator images in RingElem
-arithmetic, with the Teichmueller lift, the reference for the exponent
-arithmetic of `DirichletCharacter`.  The verdict path never builds an
-(nsym, nsym) matrix."""
+streams, and its coefficient matrix over the symbol columns; the per-orbit
+T2-Eisenstein loop; span membership with a witness; the cusp0 presentation
+against the full one; the column of e_theta[u:v] and the C^theta + [1:p]
+check of criterion 06; and characters kept by their generator images in
+RingElem arithmetic, with the Teichmueller lift, the reference for the
+exponent arithmetic of `DirichletCharacter`.  The verdict path never builds
+an (nsym, nsym) matrix."""
 
 from __future__ import annotations
 
@@ -160,24 +161,30 @@ def cd_span_bruteforce(ctx: EigenContext) -> HowellAccumulator:
     return acc
 
 
-def cd_generators_full(ctx: EigenContext, rep: int, units: np.ndarray, bases: np.ndarray) -> np.ndarray:
+def cd_generators_full(
+    ctx: EigenContext, rep: int, units: np.ndarray, bases: np.ndarray, a_units: np.ndarray | None = None
+) -> np.ndarray:
     """The bilinear (c,d)-generator stream of one orbit representative
     [u0:v0], whatever the number of square classes: for every (a, b, s0, t0),
     s0 t0 x0 - s0 x1 - t0 x2 + x3 with x0, x1, x2, x3 the columns of
     [u0:v0], [u0:b v0], [a u0:v0], [a u0:b v0], then the fiber generators
     p(t0 x0 - x1), p(s0 x0 - x2) (k >= 2) and p^2 x0 (k >= 3), from the
-    columns of those symbols as they are.  The reference for the short stream
-    that `cdsymbols.eigen._cd_generators` returns when p does not divide N
-    and p >= 5, and for the streams `cd_span` forms from reduced columns."""
+    columns of those symbols as they are.  b runs over `units`, and a over
+    `a_units` (a subset of `units`; all of them if None).  The reference for
+    the short stream that `cdsymbols.eigen._cd_generators` returns when p
+    does not divide N and p >= 5, and for the streams `cd_span` forms from
+    reduced columns."""
     space, ring = ctx.space, ctx.ring
     p, pk, N = ring.p, ring.pk, space.N
+    a_units = units if a_units is None else np.asarray(a_units, dtype=np.int64)
+    a_bases = bases[np.searchsorted(units, a_units)]
     u0, v0 = space.symbols[rep]
-    au, bv = units * u0 % N, units * v0 % N
+    au, bv = a_units * u0 % N, units * v0 % N
     x0 = ctx.columns[rep]
     x1 = ctx.columns[space.table[u0, bv]]  # (b, r, m)
     x2 = ctx.columns[space.table[au, v0]]  # (a, r, m)
     x3 = ctx.columns[space.table[au[:, None], bv[None, :]]]  # (a, b, r, m)
-    s = bases[:, None, :, None, None, None]  # s0 on the axes (a, b, s0, t0, r, m)
+    s = a_bases[:, None, :, None, None, None]  # s0 on the axes (a, b, s0, t0, r, m)
     t = bases[None, :, None, :, None, None]  # t0 on the same axes
     main = (
         x0 * (s * t % pk)
@@ -187,12 +194,46 @@ def cd_generators_full(ctx: EigenContext, rep: int, units: np.ndarray, bases: np
     ) % pk
     stacks = [main]
     if ring.k >= 2:
-        fiber = bases[:, :, None, None]  # (a or b, s0 or t0, r, m)
-        stacks.append((x0 * fiber - x1[:, None]) % pk * p % pk)
-        stacks.append((x0 * fiber - x2[:, None]) % pk * p % pk)
+        # (a or b, s0 or t0, r, m)
+        stacks.append((x0 * bases[:, :, None, None] - x1[:, None]) % pk * p % pk)
+        stacks.append((x0 * a_bases[:, :, None, None] - x2[:, None]) % pk * p % pk)
     if ring.k >= 3:
         stacks.append(x0 * (p * p) % pk)
     return np.concatenate([g.reshape(-1, *x0.shape) for g in stacks])
+
+
+def cd_coefficient_matrix(theta: DirichletCharacter, a_units=None) -> np.ndarray:
+    """The bilinear (c,d)-stream as combinations of a representative's symbol
+    columns y_c, one column per unit c in increasing order, over theta's
+    ring Z/p^k, for one base per unit (p | N, or p = 3).  With e_c for y_c
+    and the literal bases s_a = (a mod p)^2 (1 for p = 3 prime to N): the
+    rows s_a s_b e_1 - s_a e_b - s_b theta(a) e_{a^-1} + theta(a) e_{a^-1 b},
+    then p(s_b e_1 - e_b), p(s_a e_1 - theta(a) e_{a^-1}) and p^2 e_1.  b runs
+    over every unit and a over `a_units` (every unit if None).  Built from
+    the formula, not from a symbol space: the reference for step (v) of the
+    `cdsymbols.eigen` docstring."""
+    ring, N = theta.ring, theta.N
+    p, pk = ring.p, ring.pk
+    if ring.m != 1:
+        raise ValueError("theta must take values in Z/p^k")
+    units = np.array(unit_group(N).units, dtype=np.int64)
+    a_units = units if a_units is None else np.asarray(a_units, dtype=np.int64)
+    at = np.searchsorted(units, a_units)
+    inverse = np.searchsorted(units, [pow(int(a), -1, N) for a in a_units])
+    ratio = np.searchsorted(units, units[inverse][:, None] * units[None, :] % N)  # a^-1 b
+    s = (units % p) ** 2 % pk if N % p == 0 else np.ones(len(units), dtype=np.int64)
+    sa, sb, th = s[at], s, theta.values[at, 0]
+    e = np.eye(len(units), dtype=np.int64)
+    main = (
+        (sa[:, None, None] * sb[None, :, None] % pk) * e[0]
+        - sa[:, None, None] * e[None, :, :]
+        - sb[None, :, None] * (th[:, None] * e[inverse])[:, None, :]
+        + th[:, None, None] * e[ratio]
+    )
+    fiber_b = sb[:, None] * e[0] - e
+    fiber_a = sa[:, None] * e[0] - th[:, None] * e[inverse]
+    rows = np.concatenate([main.reshape(-1, len(units)), p * fiber_b, p * fiber_a, p * p * e[:1]])
+    return (rows % pk)[..., None]
 
 
 def t2_eisenstein_relations_loop(space: SymbolSpace, ring: CoeffRing, p: int) -> list[np.ndarray]:

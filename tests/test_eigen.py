@@ -19,11 +19,12 @@ from cdsymbols.eigen import (
     working_ring,
 )
 from cdsymbols.hecke import QuotientSpec, quotient_rows
-from cdsymbols.linalg import HowellAccumulator, elementary_divisors
+from cdsymbols.linalg import HowellAccumulator, elementary_divisors, howell_form
 from cdsymbols.rings import RingError, make_coeff_ring
 from cdsymbols.symbols import build_presentation
 from dense_reference import (
     apply_matrix,
+    cd_coefficient_matrix,
     cd_eigensymbol_loop,
     cd_generators_full,
     cd_span_bruteforce,
@@ -513,7 +514,9 @@ def test_short_stream_spans_the_full_stream(p, k, M, variant):
 )
 def test_full_stream_kept_with_one_square_class(p, k, M, level):
     """With one square-class base per unit (p = 3, or p | N) the stream is
-    the bilinear one, row for row."""
+    the bilinear one, row for row: over every a in U when a unit bound
+    leaves out some unit, and over the generators of (Z/N)^x when U is the
+    whole unit group (at N = 4 and 5 the bound 6 admits every unit)."""
     import cdsymbols.eigen as eigen
 
     N, ring, sp = scenario(p, k, M, level)
@@ -523,10 +526,75 @@ def test_full_stream_kept_with_one_square_class(p, k, M, level):
         units = _stream_units(N, bound)
         bases = eigen._scalar_bases(p, ring.pk, N, units)
         assert bases.shape[1] == 1
+        ug = unit_group(N)
+        a_units = ug.generators if len(units) == ug.phi else None
         for rep in ctx.reps:
             assert np.array_equal(
-                eigen._cd_generators(ctx, rep, units, bases), cd_generators_full(ctx, rep, units, bases)
+                eigen._cd_generators(ctx, rep, units, bases),
+                cd_generators_full(ctx, rep, units, bases, a_units),
             )
+
+
+@pytest.mark.parametrize(
+    "N,p",
+    [(35, 7), (35, 5), (15, 3), (15, 5), (40, 5), (60, 5), (60, 3), (63, 7), (16, 3),
+     (11, 11), (11, 3), (13, 13), (43, 43), (5, 5), (5, 3)],
+)
+def test_generator_pairs_span_the_full_coefficient_matrix(N, p):
+    """Step (v) of the eigen docstring on the coefficient matrix of the
+    bilinear stream over the symbol columns: for every even theta valued in
+    Z/p^k, k = 1, 2, 3, the rows with a among the generators of (Z/N)^x have
+    the Howell form of the rows of every a.  Negative control: with two or
+    more generators, keeping only the first one loses rows for every theta
+    (all six at N = 35, p = 7)."""
+    ug = unit_group(N)
+    for k in (1, 2, 3):
+        canonical = make_coeff_ring(p, k, ug.phi)
+        ring = make_coeff_ring(p, k)
+        thetas = [c.over(ring) for c in enumerate_characters(N, canonical) if c.is_even() and c.descends]
+        assert thetas
+        for theta in thetas:
+            full = howell_form(cd_coefficient_matrix(theta), ring, ug.phi)
+            assert howell_form(cd_coefficient_matrix(theta, ug.generators), ring, ug.phi) == full, (k, theta.label())
+            if len(ug.generators) > 1:
+                assert howell_form(cd_coefficient_matrix(theta, ug.generators[:1]), ring, ug.phi) != full
+        if (N, p) == (35, 7):
+            assert len(thetas) == 6
+
+
+@pytest.mark.parametrize(
+    "p,k,M,level,variant",
+    [
+        (7, 1, 5, "Mp", "full"),
+        (7, 2, 5, "Mp", "cusp0"),
+        (5, 3, 1, "Mp", "full"),
+        (3, 2, 5, "Mp", "full"),
+        (5, 2, 8, "Mp", "full"),
+        (43, 2, 1, "Mp", "cusp0"),
+        (3, 3, 4, "M", "full"),
+        (3, 1, 16, "M", "cusp0"),
+    ],
+)
+def test_exhaustive_bilinear_stacks_are_at_most_gens_phi_rows(p, k, M, level, variant, monkeypatch):
+    """When p | N or p = 3, an exhaustive cd_span passes add_rows at most
+    |gens| phi(N) + phi(N) + |gens| + 1 rows per representative (the a axis
+    runs over the generators of (Z/N)^x), for every even character."""
+    N, ring, sp = scenario(p, k, M, level, variant)
+    ug = unit_group(N)
+    g = len(ug.generators)
+    contexts = [build_eigen_context(sp, p, M, c) for c in enumerate_characters(N, ring) if c.is_even()]
+    heights = []
+    add_rows = HowellAccumulator.add_rows
+
+    def recording(self, rows):
+        heights.append(len(rows))
+        return add_rows(self, rows)
+
+    monkeypatch.setattr(HowellAccumulator, "add_rows", recording)
+    for ctx in contexts:
+        heights.clear()
+        cd_span(ctx)
+        assert heights and max(heights) <= g * ug.phi + ug.phi + g + 1, (ctx.theta.label(), heights)
 
 
 @pytest.mark.parametrize("p,k,M", [(5, 1, 4), (5, 2, 6), (7, 1, 5), (7, 2, 9), (11, 1, 4), (13, 1, 5)])
