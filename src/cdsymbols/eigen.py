@@ -147,18 +147,20 @@ class EigenContext:
     H_theta is R^r' (24 columns at N = 35, against 48 orbits) modulo
     `rel_acc`, the projected parabolic and quotient relations.
 
-    `project` is the coordinate map on ambient rows of shape (..., nsym, m);
-    `reps` holds the representatives first in their sigma-pair, the ones
-    `cd_span` visits (a dropped orbit's among them); `basis` holds the unit
-    columns reduced against the relations, and `columns[i]` the reduced
-    column of symbol i (zero on a dropped orbit)."""
+    pi sends symbol i to scalars[i] times the unit column col_of[i], so a
+    row of symbol terms reaches R^r' through `_scatter`; `reps` holds the
+    representatives first in their sigma-pair, the ones `cd_span` visits (a
+    dropped orbit's among them); `basis` holds the unit columns reduced
+    against the relations, and `columns[i]` the reduced column of symbol i
+    (zero on a dropped orbit)."""
 
     space: SymbolSpace
     ring: CoeffRing
     p: int
     M: int
     theta: DirichletCharacter
-    project: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    col_of: np.ndarray = field(repr=False)
+    scalars: np.ndarray = field(repr=False)
     rel_acc: HowellAccumulator = field(repr=False)
     reps: tuple[int, ...] = field(repr=False)
     basis: np.ndarray = field(repr=False)
@@ -213,46 +215,41 @@ def _sign_pairs(space: SymbolSpace, reps, orbit_of: np.ndarray, theta_trans: np.
     return np.where(first, col, col[partner]), coef, first
 
 
-def _projection(ring: CoeffRing, col_of: np.ndarray, scalars, r: int):
-    """pi on ambient rows (..., nsym, m): scale entry i by scalars[i] and add
-    it into column col_of[i] (a sum of at most nsym residues per entry)."""
-    order = np.argsort(col_of, kind="stable")  # symbols grouped by column
-    starts = np.searchsorted(col_of[order], np.arange(r))
-    smat = ring.smatrix(scalars[order])
-
-    def project(vec: np.ndarray) -> np.ndarray:
-        vec = np.asarray(vec, dtype=np.int64)
-        if vec.shape[-1] != ring.m:  # einsum would broadcast a size-1 axis
-            raise ValueError(f"rows with {vec.shape[-1]} coefficients projected over {ring}")
-        vec = vec[..., order, :]
-        scaled = np.einsum("...ni,nic->...nc", vec, smat) % ring.pk
-        return np.add.reduceat(scaled, starts, axis=-2) % ring.pk
-
-    return project
+def _scatter(ring: CoeffRing, col_of: np.ndarray, scalars: np.ndarray, r: int, idx, coeffs) -> np.ndarray:
+    """pi of the term rows sum_t coeffs[n, t] [idx[n, t]], shape (n, r, m),
+    for ring-valued coefficients (n, t, m): coeffs[n, t] scalars[i] goes
+    into column col_of[i] of row n, i = idx[n, t], in one `np.add.at` (a
+    sum of at most t residues per entry).  A zero coefficient is padding."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    if coeffs.shape[-1] != ring.m:  # einsum would broadcast a size-1 axis
+        raise ValueError(f"coefficients of width {coeffs.shape[-1]} scattered over {ring}")
+    terms = np.einsum("nti,ntij->ntj", coeffs % ring.pk, ring.smatrix(scalars[idx])) % ring.pk
+    rows = np.zeros((len(idx), r, ring.m), dtype=np.int64)
+    np.add.at(rows, (np.arange(len(idx))[:, None], col_of[idx]), terms)
+    return rows % ring.pk
 
 
-def _relations_accumulator(space: SymbolSpace, project, orbit_of, col_of, scalars, r: int, extra_rows):
-    """Howell form of pi of the Manin relations and of every quotient row.
+def _relations_accumulator(ring: CoeffRing, orbit_of, col_of, scalars, r: int, blocks):
+    """Howell form of pi of the term blocks: the parabolic relations and every
+    quotient block, each a diamond-stable set of rows (indices,
+    coefficients).
 
-    pi kills every sign relation, so none is projected.  <a> maps the
-    parabolic relation R of [u:v] to that of [au:av], and pi(<a> R) =
-    theta(a) pi(R), so one parabolic relation per diamond orbit of its
-    first symbol spans the rest: at most r rows (48 instead of 864 at
-    N = 35).  A relation's terms c [i] go straight to c scalars[i] in column
-    col_of[i] (a sum of at most three residues per entry)."""
-    ring = space.ring
-    parabolic = np.flatnonzero(space.relation_coeffs[:, 2])  # a sign row's third term is 0
-    _, first = np.unique(orbit_of[space.relation_rows[parabolic, 0]], return_index=True)
-    chosen = parabolic[first]
-    cols = space.relation_rows[chosen]
-    rows = np.zeros((len(cols), r, ring.m), dtype=np.int64)
-    terms = space.relation_coeffs[chosen][..., None] * scalars[cols]
-    np.add.at(rows, (np.arange(len(cols))[:, None], col_of[cols]), terms)
-    stack = [rows % ring.pk]
-    if len(extra_rows):
-        stack.append(project(np.stack(extra_rows)))
+    pi kills every sign relation, so none is passed.  <a> maps the row of a
+    block whose first symbol is [u:v] to the row whose first symbol is
+    [au:av], and pi(<a> R) = theta(a) pi(R), so the first row per diamond
+    orbit of its first symbol spans the block: at most r rows per block
+    (48 parabolic rows instead of 864 relations at N = 35).  The kept rows,
+    padded to one width, reach R^r' in one scatter."""
+    width = max(idx.shape[1] for idx, _ in blocks)
+    kept = []
+    for idx, coeffs in blocks:
+        _, first = np.unique(orbit_of[idx[:, 0]], return_index=True)
+        padded = np.zeros((2, len(first), width), dtype=np.int64)  # index 0, coefficient 0
+        padded[:, :, : idx.shape[1]] = idx[first], coeffs[first]
+        kept.append(padded)
+    idx, coeffs = np.concatenate(kept, axis=1)
     acc = HowellAccumulator(ring, r)
-    acc.add_rows(np.concatenate(stack))
+    acc.add_rows(_scatter(ring, col_of, scalars, r, idx, coeffs[..., None] * ring.one().as_array()))
     return acc
 
 
@@ -264,7 +261,8 @@ def build_eigen_context(
     extra_rows=(),
 ) -> EigenContext:
     """Present the theta-eigenspace of the space modulo its relations and the
-    quotient rows `extra_rows` (ambient vectors, a diamond-stable set)."""
+    quotient blocks `extra_rows`, each a diamond-stable set of rows as
+    symbol indices and integer coefficients (rows, t)."""
     ring = space.ring
     N = space.N
     ug = unit_group(N)
@@ -280,8 +278,9 @@ def build_eigen_context(
     col_of = col[orbit_of]
     scalars = np.einsum("ni,nij->nj", theta_trans, ring.smatrix(coef[orbit_of])) % ring.pk
     r = int(col.max()) + 1
-    project = _projection(ring, col_of, scalars, r)
-    rel_acc = _relations_accumulator(space, project, orbit_of, col_of, scalars, r, extra_rows)
+    parabolic = np.flatnonzero(space.relation_coeffs[:, 2])  # a sign row's third term is 0
+    blocks = [(space.relation_rows[parabolic], space.relation_coeffs[parabolic]), *extra_rows]
+    rel_acc = _relations_accumulator(ring, orbit_of, col_of, scalars, r, blocks)
     basis = rel_acc.reduce_rows(_identity(ring, r))
     columns = np.einsum("nrc,ncd->nrd", basis[col_of], ring.smatrix(scalars)) % ring.pk
     omega = teichmuller_character(M, p, ring)
@@ -293,7 +292,8 @@ def build_eigen_context(
         p=p,
         M=M,
         theta=theta,
-        project=project,
+        col_of=col_of,
+        scalars=scalars,
         rel_acc=rel_acc,
         reps=tuple(s for s, f in zip(reps, first) if f),
         basis=basis,
@@ -355,9 +355,21 @@ def eigensymbol_free(
 
 
 def eigensymbol(ctx: EigenContext, chi: DirichletCharacter, g: int, h: int) -> np.ndarray:
-    """alpha_{chi,psi}^{g,h} with psi = theta chi^{-1}, in orbit coordinates
-    (pi of the ambient vector, which e_theta fixes)."""
-    return ctx.project(eigensymbol_free(ctx.space, chi, ctx.psi(chi), g, h))
+    """alpha_{chi,psi}^{g,h} with psi = theta chi^{-1}, in sigma-pair
+    coordinates: pi of eigensymbol_free.  As pi[ga:hb] = theta(a)
+    pi[g : h b/a] and chi psi = theta, that is the one phi(N)-term row
+    (1/phi(N)) sum_c psi^{-1}(c) [g : hc] through the scatter (zero in the
+    cuspidal-at-zero variant when g = N or h = N)."""
+    space, ring, N = ctx.space, ctx.ring, ctx.N
+    if N % g or N % h or gcd(g, h) != 1:
+        raise ValueError("g and h must be relatively prime divisors of N")
+    r = len(ctx.basis)
+    if space.variant == CUSP0 and (g == N or h == N):
+        return np.zeros((r, ring.m), dtype=np.int64)
+    ug = unit_group(N)
+    idx = space.table[g % N, h * np.array(ug.units, dtype=np.int64) % N]
+    coeffs = ring.vscale(ctx.psi(chi).inverse().values, ring.from_int(ug.phi).inverse().as_array())
+    return _scatter(ring, ctx.col_of, ctx.scalars, r, idx[None], coeffs[None])[0]
 
 
 def cd_eigensymbol(ctx: EigenContext, c: int, d: int, chi: DirichletCharacter, g: int, h: int) -> np.ndarray:
@@ -644,14 +656,14 @@ def _generation_core(
     level: str,
     variant: str,
     theta,
-    quotient: Callable[[SymbolSpace], list] | None = None,
+    quotient: Callable[[SymbolSpace, DirichletCharacter], list] | None = None,
     quotient_label: str = "none",
     trivial_u: tuple[int, ...] = (),
     t2: bool = False,
     cd_bound: int | None = None,
 ) -> GenerationReport:
-    """The verdict of one scenario; `quotient` gives the quotient rows of
-    the presented space in the working ring."""
+    """The verdict of one scenario; `quotient` gives the quotient blocks of
+    the presented space and theta in the working ring."""
     t_start = time.perf_counter()
     N = _validate_scenario(p, k, M, level)
     canonical = make_coeff_ring(p, k, unit_group(N).phi)
@@ -661,8 +673,9 @@ def _generation_core(
         raise ValueError(f"theta does not take values in {canonical}")
     ring = working_ring(theta)
     space = build_presentation(N, variant, ring)
-    extra_rows = quotient(space) if quotient else ()
-    ctx = build_eigen_context(space, p, M, theta.over(ring), extra_rows)
+    theta_w = theta.over(ring)
+    extra_rows = quotient(space, theta_w) if quotient else ()
+    ctx = build_eigen_context(space, p, M, theta_w, extra_rows)
     case = _classify(ctx, variant, trivial_u, t2)
     target = ctx.htheta_target()
     c_acc, exhausted = cd_span(ctx, stop_at_length=target.length, unit_bound=cd_bound)

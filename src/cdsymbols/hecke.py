@@ -6,7 +6,9 @@ U_ell [ell*u : v] = sum_k [u + k N/ell : v] holds with U_ell = 1; imposing
 it is the universal quotient with that property, realized by one relation
 row per admissible symbol.  The T2 condition is imposed inside the
 omega^2-eigenspace, following the identity
-e_{omega^2}(<2> T2 [u:v] - 2 [u:v] - [2u:2v]) = 0.
+e_{omega^2}(<2> T2 [u:v] - 2 [u:v] - [2u:2v]) = 0.  Both kinds of rows
+reach an eigenspace as term blocks, symbol indices and integer
+coefficients, like the Manin relations of the presentation.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import teichmuller_character, unit_group
+from .characters import DirichletCharacter, teichmuller_character
 from .eigen import GenerationReport, _generation_core
-from .rings import CoeffRing, is_prime
+from .rings import is_prime
 # build_presentation is not called here since the verdict path builds its
 # space in eigen; perfbench/tracer.py still wraps it under this name.
 from .symbols import CUSP0, SymbolSpace, build_presentation  # noqa: F401
@@ -69,100 +71,65 @@ class QuotientSpec:
                 )
 
 
-def trivial_Ul_relations(space: SymbolSpace, ell: int) -> np.ndarray:
+def trivial_Ul_relations(space: SymbolSpace, ell: int):
     """Rows [ell*u : v] - sum over u' with ell*u' = ell*u of [u' : v], one per
     admissible symbol with first coordinate divisible by ell, in symbol
-    order, as one array (rows, nsym, m).  Every lift (u', v) is a symbol:
-    a prime dividing u', v and N would divide ell*u' as well."""
+    order, as the term block (indices, coefficients), both (rows, ell + 1).
+    Every lift (u', v) is a symbol: a prime dividing u', v and N would
+    divide ell*u' as well."""
     N = space.N
-    ring = space.ring
     if not is_prime(ell) or N % ell != 0:
         raise ValueError(f"{ell} must be a prime divisor of {N}")
-    w, z = np.array(space.symbols, dtype=np.int64).reshape(-1, 2).T
+    w, z = space.u, space.v
     # cusp0 spaces never contain w == 0, so the ell*u != 0 condition holds
     sel = np.flatnonzero(w % ell == 0)
     lifts = space.table[(w[sel] // ell)[:, None] + np.arange(ell) * (N // ell), z[sel, None]]
-    rows = np.zeros((len(sel), space.nsym, ring.m), dtype=np.int64)
-    at = np.arange(len(sel))
-    np.add.at(rows[..., 0], (at, sel), 1)
-    np.add.at(rows[..., 0], (at[:, None], lifts), -1)
-    return rows % ring.pk
+    coeffs = np.repeat([[1] + [-1] * ell], len(sel), axis=0)
+    return np.concatenate([sel[:, None], lifts], axis=1), coeffs
 
 
-def t2_eisenstein_relations(space: SymbolSpace, ring: CoeffRing, p: int, allow_full: bool = False):
-    """Vectors e_{omega^2}([2u:v] + [2u:u+v] + [u+v:2v] + [u:2v] - 2[u:v]
-    - [2u:2v]) for admissible (u, v); imposing them makes T2 act as
-    1 + 2 omega^{-2}(2) on the omega^2-eigenspace.  One row per admissible
-    diamond-orbit representative, in orbit order: the six terms of every
-    row and the permutations of every diamond are gathered from
-    `space.table`, and the omega^-2-weighted diamond sum of all rows is one
-    `np.add.at`."""
+def t2_eisenstein_relations(space: SymbolSpace, allow_full: bool = False):
+    """The six-term rows [2u:v] + [2u:u+v] + [u+v:2v] + [u:2v] - 2[u:v]
+    - [2u:2v], one per admissible symbol [u:v] in symbol order, as the term
+    block (indices, coefficients), both (rows, 6), gathered from
+    `space.table`.
+
+    The T2 condition imposes e_{omega^2} of these rows, which makes T2 act
+    as 1 + 2 omega^{-2}(2) on the omega^2-eigenspace.  On the
+    theta-eigenspace pi(<a> x) = theta(a) pi(x), so pi(e_{omega^2} x) is
+    (1/phi(N)) sum_a omega^-2(a) theta(a) pi(x): pi(x) when theta = omega^2
+    and 0 otherwise, as p does not divide phi(N).  So the rows enter the
+    omega^2-eigenspace as they are, and no other eigenspace at all."""
     N = space.N
     if N % 2 == 0:
         raise ValueError("the T2 condition requires odd N")
     if space.variant != CUSP0 and not allow_full:
         raise ValueError("T2 relations are asserted on cuspidal-at-zero spaces only")
-    if N % p != 0:
-        raise ValueError("omega^2 needs p to divide the level")
-    if ring != space.ring:
-        raise ValueError("ring mismatch")
-    omega2 = teichmuller_character(N // p, p, ring) ** 2
-    ug = unit_group(N)
-    inv_phi = ring.from_int(ug.phi).inverse()
-    coeffs = ring.vscale(omega2.inverse().values, inv_phi.as_array())
-    moves = space.diamond_action()  # <units[t]> sends i to moves[t, i]
-    u, v = np.array([space.symbols[s] for s in space.orbits()[0]], dtype=np.int64).reshape(-1, 2).T
-    if space.variant == CUSP0:
-        # admissibility: u, v, u+v nonzero (u, v nonzero already hold)
-        admissible = (u + v) % N != 0
-        u, v = u[admissible], v[admissible]
+    u, v = space.u, space.v
+    # admissibility on cusp0: u, v, u+v nonzero (u, v nonzero already hold)
+    keep = ((u + v) % N != 0) | (space.variant != CUSP0)
+    u, v = u[keep], v[keep]
     # N is odd, so every term below is a symbol of the space
     w, u2, v2 = (u + v) % N, 2 * u % N, 2 * v % N
     terms = space.table[np.stack([u2, u2, w, u, u, u2], axis=1), np.stack([v, w, v2, v2, v, v2], axis=1)]
-    six = np.array([1, 1, 1, 1, -2, -1], dtype=np.int64)
-    rows = np.zeros((len(terms), space.nsym, ring.m), dtype=np.int64)
-    at = np.arange(len(terms))[None, :, None]
-    np.add.at(rows, (at, moves[:, terms]), six[None, None, :, None] * coeffs[:, None, None, :])
-    return list(rows % ring.pk)
+    return terms, np.broadcast_to(np.array([1, 1, 1, 1, -2, -1], dtype=np.int64), terms.shape)
 
 
-def t2_global_relations(space: SymbolSpace, ring: CoeffRing) -> list[np.ndarray]:
-    """Exploration variant: the raw six-term vectors without projection."""
-    N = space.N
-    if N % 2 == 0:
-        raise ValueError("the T2 condition requires odd N")
-    rows = []
-    for (u, v) in space.symbols:
-        if space.variant == CUSP0 and (u + v) % N == 0:
-            continue
-        rows.append(_t2_vector(space, u, v) % ring.pk)
-    return rows
-
-
-def _t2_vector(space: SymbolSpace, u: int, v: int) -> np.ndarray:
-    N = space.N
-    vec = space.ring.vzeros(space.nsym)
-    w = (u + v) % N
-    vec[space.idx(2 * u, v), 0] += 1
-    vec[space.idx(2 * u, w), 0] += 1
-    vec[space.idx(w, 2 * v), 0] += 1
-    vec[space.idx(u, 2 * v), 0] += 1
-    vec[space.idx(u, v), 0] -= 2
-    vec[space.idx(2 * u, 2 * v), 0] -= 1
-    return vec
-
-
-def quotient_rows(space: SymbolSpace, ring: CoeffRing, p: int, spec: QuotientSpec):
+def quotient_rows(space: SymbolSpace, p: int, spec: QuotientSpec, theta: DirichletCharacter):
+    """The term blocks spec imposes on the theta-eigenspace: one per trivial
+    U_ell, and the six-term T2 block.  `t2eis` imposes that block on the
+    omega^2-eigenspace only (see t2_eisenstein_relations); `t2eis-global`
+    imposes the raw six-term rows on every eigenspace."""
     spec.validate(space.N, space.variant)
-    rows: list[np.ndarray] = []
-    for ell in spec.trivial_u:
-        rows.extend(trivial_Ul_relations(space, ell))
+    blocks = [trivial_Ul_relations(space, ell) for ell in spec.trivial_u]
+    if spec.t2 and not spec.t2_global:
+        if space.N % p != 0:
+            raise ValueError("omega^2 needs p to divide the level")
+        if theta != teichmuller_character(space.N // p, p, space.ring) ** 2:
+            return blocks
     if spec.t2:
-        if spec.t2_global:
-            rows.extend(t2_global_relations(space, ring))
-        else:
-            rows.extend(t2_eisenstein_relations(space, ring, p, allow_full=spec.t2_allow_full))
-    return rows
+        blocks.append(t2_eisenstein_relations(space, spec.t2_allow_full))
+    return blocks
 
 
 def check_generation_with_quotient(
@@ -184,7 +151,7 @@ def check_generation_with_quotient(
         level,
         variant,
         theta,
-        quotient=lambda space: quotient_rows(space, space.ring, p, spec),
+        quotient=lambda space, chi: quotient_rows(space, p, spec, chi),
         quotient_label=spec.label(),
         trivial_u=spec.trivial_u,
         t2=spec.t2,

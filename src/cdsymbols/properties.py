@@ -19,7 +19,7 @@ import numpy as np
 
 from .characters import enumerate_characters, teichmuller_character, unit_group
 from .eigen import bezout_units, build_eigen_context, cd_eigensymbol, eigensymbol_free
-from .hecke import QuotientSpec, quotient_rows
+from .hecke import trivial_Ul_relations
 from .linalg import HowellAccumulator, howell_form
 from .rings import chain_ring, make_coeff_ring, root_of_unity
 from .symbols import build_presentation
@@ -72,10 +72,12 @@ def _characters(N: int, ring) -> tuple[tuple, tuple]:
 
 
 @lru_cache(maxsize=16)
-def _ambient_relations(space, p: int, spec: QuotientSpec = QuotientSpec()) -> HowellAccumulator:
-    """Howell form of the ambient relation rows plus the quotient rows of
-    spec: the eigensymbol identities are checked in the ambient quotient."""
-    rows = list(space.dense_relation_rows()) + quotient_rows(space, space.ring, p, spec)
+def _ambient_relations(space, trivial_u: tuple[int, ...] = ()) -> HowellAccumulator:
+    """Howell form of the ambient relation rows plus the trivial U_ell rows
+    of trivial_u: the eigensymbol identities are checked in the ambient
+    quotient."""
+    blocks = [trivial_Ul_relations(space, ell) for ell in trivial_u]
+    rows = np.concatenate([space.dense_relation_rows()] + [space.dense_relation_rows(b) for b in blocks])
     return HowellAccumulator(space.ring, space.nsym, rows)
 
 
@@ -267,7 +269,7 @@ def check_antisymmetry(case: dict) -> bool:
     v1 = eigensymbol_free(space, chi, psi, g, h)
     v2 = eigensymbol_free(space, psi, chi, h, g)
     tot = (v1 + ring.vscale(v2, np.array(chi(-1).coeffs, dtype=np.int64))) % ring.pk
-    return _ambient_relations(space, p).contains(tot)
+    return _ambient_relations(space).contains(tot)
 
 
 def check_cd_scalar_identity(case: dict) -> bool:
@@ -317,7 +319,7 @@ def check_bezout_splitting(case: dict) -> bool:
                 np.array(psi(b).coeffs, dtype=np.int64),
             )
         ) % ring.pk
-    return _ambient_relations(space, p).contains((lhs - r1 - r2) % ring.pk)
+    return _ambient_relations(space).contains((lhs - r1 - r2) % ring.pk)
 
 
 def check_omega2_vanishing(case: dict) -> bool:
@@ -377,7 +379,7 @@ def check_u_operator(case: dict) -> bool:
             eigensymbol_free(space, chi, psi, ell ** (s - 1) * g, h),
             np.array(ring.from_int(ell - 1).coeffs, dtype=np.int64),
         )
-    return _ambient_relations(space, p, QuotientSpec(trivial_u=(ell,))).contains((lhs - rhs) % ring.pk)
+    return _ambient_relations(space, (ell,)).contains((lhs - rhs) % ring.pk)
 
 
 @dataclass(frozen=True)

@@ -115,14 +115,15 @@ def _orbit_data(N: int, variant: str):
 class SymbolSpace:
     """Presentation of a level-N modular-symbol space over a coefficient ring.
 
-    Holds the canonical generator list, the relations as sparse terms
-    (relation t is sum_s relation_coeffs[t, s] [relation_rows[t, s]], both
-    arrays (nrel, 3) over symbol indices), and `table`, the N x N array of
+    Holds the canonical generator list with its coordinates as arrays `u`
+    and `v`, the relations as sparse terms (relation t is
+    sum_s relation_coeffs[t, s] [relation_rows[t, s]], both arrays (nrel, 3)
+    over symbol indices), and `table`, the N x N array of
     symbol indices of all pairs (u, v) mod N (both signs of a symbol share
-    its index; -1 where (u, v) is not a symbol), through which indexing and
-    the diamond action are gathers.  None of these depends on the ring: the
-    spaces of one (N, variant) share them, read-only, with their orbits.
-    Immutable after construction.
+    its index; -1 where (u, v) is not a symbol), through which indexing, the
+    diamond orbits and every relation's terms are gathers.  None of these
+    depends on the ring: the spaces of one (N, variant) share them,
+    read-only, with their orbits.  Immutable after construction.
     """
 
     def __init__(self, N: int, variant: str, ring: CoeffRing):
@@ -130,7 +131,7 @@ class SymbolSpace:
         self.variant = variant
         self.ring = ring
         self.units = unit_group(N).units
-        (self.symbols, self._u, self._v, self.table,
+        (self.symbols, self.u, self.v, self.table,
          self.relation_rows, self.relation_coeffs) = _ring_free_part(N, variant)
         self.nsym = len(self.symbols)
 
@@ -142,26 +143,15 @@ class SymbolSpace:
         return i
 
     # -- relations ---------------------------------------------------------
-    def dense_relation_rows(self) -> np.ndarray:
-        """The relations as dense rows (nrel, nsym, m), for reference checks
-        in the ambient space; the verdict path never builds them."""
-        cols = self.relation_rows
+    def dense_relation_rows(self, terms=None) -> np.ndarray:
+        """The term block `terms` = (indices, coefficients), both (rows, t),
+        as dense rows (rows, nsym, m); the Manin relations by default.  For
+        reference checks in the ambient space; the verdict path never builds
+        them."""
+        cols, coeffs = terms or (self.relation_rows, self.relation_coeffs)
         rows = np.zeros((len(cols), self.nsym, self.ring.m), dtype=np.int64)
-        np.add.at(rows[..., 0], (np.arange(len(cols))[:, None], cols), self.relation_coeffs)
+        np.add.at(rows[..., 0], (np.arange(len(cols))[:, None], cols), coeffs)
         return rows % self.ring.pk
-
-    # -- diamond action ------------------------------------------------------
-    def diamond_perm(self, a: int) -> np.ndarray:
-        """Index permutation of <a>: symbol (u, v) goes to position of (au, av)."""
-        a %= self.N
-        if gcd(a, self.N) != 1:
-            raise ValueError(f"{a} is not a unit modulo {self.N}")
-        return self.table[a * self._u % self.N, a * self._v % self.N]
-
-    def diamond_action(self) -> np.ndarray:
-        """The permutations of every <a> in one gather: row t is
-        diamond_perm(units[t])."""
-        return _diamond_action(self.N, self.variant)
 
     def orbits(self):
         """Diamond-orbit decomposition: (reps, orbit_of, transporter) where
@@ -177,8 +167,8 @@ class SymbolSpace:
 @lru_cache(maxsize=None)
 def build_presentation(N: int, variant: str, ring: CoeffRing) -> SymbolSpace:
     """Presentation with the sign rows, the parabolic rows admissible for the
-    variant, and the diamond permutation table; its ring-free part is built
-    once per (N, variant)."""
+    variant, and the diamond orbits; its ring-free part is built once per
+    (N, variant)."""
     return SymbolSpace(N, variant, ring)
 
 

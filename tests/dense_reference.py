@@ -1,13 +1,15 @@
-"""Reference code that only the tests call: the dense eigenspace projector
-and ring matrix products on the ambient free module, which the sigma-pair
-coordinate map of `cdsymbols.eigen` is checked against; the literal double
+"""Reference code that only the tests call: the diamond permutations, the
+dense eigenspace projector, the projection through it and ring matrix
+products on the ambient free module, which the sigma-pair coordinate map of
+`cdsymbols.eigen` is checked against, and that map on dense rows (the
+scatter over all symbols); the literal double
 loop behind `cd_eigensymbol`; row-at-a-time greedy Howell insertion, which
 keeps the basis fully reduced one row at a time, the reference for
 `HowellAccumulator.add_rows` and `reduce_rows`, and the literal (c,d)-class
 enumeration built on it, the oracle for `cd_span`; the bilinear
 (c,d)-generator stream, the reference for `cd_span`'s short and reduced
-streams, and its coefficient matrix over the symbol columns; the per-orbit
-T2-Eisenstein loop; span membership with a witness; the cusp0 presentation
+streams, and its coefficient matrix over the symbol columns; the dense
+six-term T2 vector and the per-orbit T2-Eisenstein loop; span membership with a witness; the cusp0 presentation
 against the full one; the column of e_theta[u:v] and the C^theta + [1:p]
 check of criterion 06; and characters kept by their generator images in
 RingElem arithmetic, with the Teichmueller lift, the reference for the
@@ -21,8 +23,7 @@ from math import gcd
 import numpy as np
 
 from cdsymbols.characters import DirichletCharacter, parse_theta, teichmuller_character, unit_group
-from cdsymbols.eigen import EigenContext, _validate_scenario, build_eigen_context, cd_span
-from cdsymbols.hecke import _t2_vector
+from cdsymbols.eigen import EigenContext, _scatter, _validate_scenario, build_eigen_context, cd_span
 from cdsymbols.linalg import HowellAccumulator, Submodule
 from cdsymbols.rings import CoeffRing, RingElem, RingError, make_coeff_ring, root_of_unity
 from cdsymbols.symbols import CUSP0, FULL, SymbolSpace, build_presentation, cd_symbol
@@ -155,7 +156,7 @@ def cd_span_bruteforce(ctx: EigenContext) -> HowellAccumulator:
         for d in classes:
             dd = d if d > 1 else d + L
             vecs = np.stack([cd_symbol(space, cc, dd, u, v) for (u, v) in space.symbols])
-            for vec in ctx.project(vecs):
+            for vec in project(ctx, vecs):
                 _greedy_insert(ring, pivots, vals, vec)
     _store(acc, pivots, vals)
     return acc
@@ -236,23 +237,54 @@ def cd_coefficient_matrix(theta: DirichletCharacter, a_units=None) -> np.ndarray
     return (rows % pk)[..., None]
 
 
+def diamond_perm(space: SymbolSpace, a: int) -> np.ndarray:
+    """Index permutation of <a>: symbol (u, v) goes to the position of
+    (au, av), gathered from `space.table`."""
+    N = space.N
+    a %= N
+    if gcd(a, N) != 1:
+        raise ValueError(f"{a} is not a unit modulo {N}")
+    return space.table[a * space.u % N, a * space.v % N]
+
+
+def diamond_action(space: SymbolSpace) -> np.ndarray:
+    """The permutations of every <a>: row t is diamond_perm(units[t])."""
+    return np.stack([diamond_perm(space, a) for a in unit_group(space.N).units])
+
+
+def t2_vector(space: SymbolSpace, u: int, v: int) -> np.ndarray:
+    """The dense six-term vector [2u:v] + [2u:u+v] + [u+v:2v] + [u:2v]
+    - 2[u:v] - [2u:2v], one `idx` call per term."""
+    N = space.N
+    vec = space.ring.vzeros(space.nsym)
+    w = (u + v) % N
+    vec[space.idx(2 * u, v), 0] += 1
+    vec[space.idx(2 * u, w), 0] += 1
+    vec[space.idx(w, 2 * v), 0] += 1
+    vec[space.idx(u, 2 * v), 0] += 1
+    vec[space.idx(u, v), 0] -= 2
+    vec[space.idx(2 * u, 2 * v), 0] -= 1
+    return vec % space.ring.pk
+
+
 def t2_eisenstein_relations_loop(space: SymbolSpace, ring: CoeffRing, p: int) -> list[np.ndarray]:
-    """The T2-Eisenstein rows one orbit representative at a time: the dense
-    six-term vector of [u:v] and one `np.add.at` of its omega^-2-weighted
-    diamond translates.  The reference for
-    `cdsymbols.hecke.t2_eisenstein_relations` (same rows, same order)."""
+    """The T2-Eisenstein rows e_{omega^2}(six-term vector of [u:v]) one
+    admissible orbit representative at a time, in orbit order: the dense
+    six-term vector and one `np.add.at` of its omega^-2-weighted diamond
+    translates.  The reference for the six-term block of
+    `cdsymbols.hecke.t2_eisenstein_relations`."""
     N = space.N
     omega2 = teichmuller_character(N // p, p, ring) ** 2
     ug = unit_group(N)
     inv_phi = ring.from_int(ug.phi).inverse()
     coeffs = ring.vscale(omega2.inverse().values, inv_phi.as_array())
-    moves = np.stack([space.diamond_perm(a) for a in ug.units])
+    moves = diamond_action(space)
     rows = []
     for rep in space.orbits()[0]:
         u, v = space.symbols[rep]
         if space.variant == CUSP0 and (u + v) % N == 0:
             continue
-        raw = _t2_vector(space, u, v)[:, 0]
+        raw = t2_vector(space, u, v)[:, 0]
         support = np.flatnonzero(raw)
         terms = raw[support][None, :, None] * coeffs[:, None, :]  # (unit, support, m)
         row = ring.vzeros(space.nsym)
@@ -279,8 +311,76 @@ def idempotent_projector(space: SymbolSpace, theta: DirichletCharacter, strict: 
     cols = np.arange(n)
     for a in ug.units:
         coeff = np.array((theta_inv(a) * inv_phi).coeffs, dtype=np.int64)
-        P[space.diamond_perm(a), cols] = (P[space.diamond_perm(a), cols] + coeff) % ring.pk
+        perm = diamond_perm(space, a)
+        P[perm, cols] = (P[perm, cols] + coeff) % ring.pk
     return P
+
+
+def sign_pairs(sp: SymbolSpace, theta: DirichletCharacter):
+    """Per diamond orbit O (in sp.orbits() order): its sigma-pair column, the
+    coefficient of e_O there, and whether O is first in its pair.  With
+    sigma rep(O) = <t_O> rep(sigma O), S(e_O) is e_c(O) for the first orbit
+    of a pair, -theta(t_O) e_c(sigma O) for its partner, and 0 for an orbit
+    that is its own partner with theta(t_O) = 1."""
+    ring = sp.ring
+    reps, orbit_of, trans = sp.orbits()
+    units = list(unit_group(sp.N).units)
+    one = ring.one().as_array()
+    col, coef, first = [], [], []
+    columns = 0
+    for o, s in enumerate(reps):
+        u, v = sp.symbols[s]
+        image = int(sp.table[-v % sp.N, u])
+        partner = int(orbit_of[image])
+        theta_t = theta.values[units.index(int(trans[image]))]
+        first.append(partner >= o)
+        if partner == o and np.array_equal(theta_t, one):
+            col.append(0)
+            coef.append(0 * one)
+        elif partner >= o:
+            col.append(columns)
+            coef.append(one)
+            columns += 1
+        else:
+            col.append(col[partner])
+            coef.append(-theta_t % ring.pk)
+    return col, coef, first
+
+
+def sign_pair_map(sp: SymbolSpace, theta: DirichletCharacter, w: np.ndarray) -> np.ndarray:
+    """S applied to orbit coordinates w of shape (r, m)."""
+    ring = sp.ring
+    col, coef, _ = sign_pairs(sp, theta)
+    out = ring.vzeros(max(col) + 1)
+    for o in range(len(col)):
+        out[col[o]] = (out[col[o]] + ring.vscale(w[o], coef[o])) % ring.pk
+    return out
+
+
+def reference_projection(space: SymbolSpace, theta: DirichletCharacter, vecs) -> np.ndarray:
+    """pi of ambient rows (B, nsym, m) through the dense projector P of
+    e_theta: every orbit representative has stabilizer {1, -1}, so e_theta
+    [rep] has entry 2/phi(N) at rep, and pi(v) is S (`sign_pair_map`) of
+    phi(N)/2 times the representative entries of P v.  Shares no code with
+    the scatter of `cdsymbols.eigen`, which it is the reference for."""
+    ring = space.ring
+    P = idempotent_projector(space, theta)
+    reps = list(space.orbits()[0])
+    half_phi = ring.from_int(unit_group(space.N).phi // 2).as_array()
+    return np.stack([
+        sign_pair_map(space, theta, ring.vscale(apply_matrix(ring, P, vec)[reps], half_phi)) for vec in vecs
+    ])
+
+
+def project(ctx: EigenContext, vecs) -> np.ndarray:
+    """pi of dense ambient rows (..., nsym, m): the scatter of
+    `cdsymbols.eigen` over all symbols, with the entries as ring-valued
+    coefficients."""
+    vecs = np.asarray(vecs, dtype=np.int64)
+    flat = vecs.reshape(-1, *vecs.shape[-2:])
+    idx = np.broadcast_to(np.arange(ctx.space.nsym), flat.shape[:2])
+    out = _scatter(ctx.ring, ctx.col_of, ctx.scalars, len(ctx.basis), idx, flat)
+    return out.reshape(*vecs.shape[:-2], *out.shape[1:])
 
 
 def _contract(ring: CoeffRing, spec: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:

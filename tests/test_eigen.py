@@ -4,11 +4,12 @@ from math import gcd
 import numpy as np
 import pytest
 
-from cdsymbols.characters import enumerate_characters, parse_theta, unit_group
+from cdsymbols.characters import enumerate_characters, parse_theta, teichmuller_character, unit_group
 from cdsymbols.cli import parse_quotient
 from cdsymbols.eigen import (
     _case_extras,
     _classify,
+    _scatter,
     bezout_units,
     build_eigen_context,
     cd_eigensymbol,
@@ -18,9 +19,9 @@ from cdsymbols.eigen import (
     eigensymbol_free,
     working_ring,
 )
-from cdsymbols.hecke import QuotientSpec, quotient_rows
+from cdsymbols.hecke import QuotientSpec, quotient_rows, t2_eisenstein_relations, trivial_Ul_relations
 from cdsymbols.linalg import HowellAccumulator, elementary_divisors, howell_form
-from cdsymbols.rings import RingError, make_coeff_ring
+from cdsymbols.rings import RingError, is_prime, make_coeff_ring
 from cdsymbols.symbols import build_presentation
 from dense_reference import (
     apply_matrix,
@@ -28,8 +29,15 @@ from dense_reference import (
     cd_eigensymbol_loop,
     cd_generators_full,
     cd_span_bruteforce,
+    diamond_perm,
     idempotent_projector,
     matrix_product,
+    project,
+    reference_projection,
+    sign_pair_map,
+    sign_pairs,
+    t2_eisenstein_relations_loop,
+    t2_vector,
     verify_cd_span_of_one_p,
 )
 from manin_modp import ModpEigenspace
@@ -39,47 +47,6 @@ def scenario(p, k, M, level="Mp", variant="full"):
     N = M if level == "M" else M * p
     ring = make_coeff_ring(p, k, unit_group(N).phi)
     return N, ring, build_presentation(N, variant, ring)
-
-
-def sign_pairs(sp, theta):
-    """Per diamond orbit O (in sp.orbits() order): its sigma-pair column, the
-    coefficient of e_O there, and whether O is first in its pair.  With
-    sigma rep(O) = <t_O> rep(sigma O), S(e_O) is e_c(O) for the first orbit
-    of a pair, -theta(t_O) e_c(sigma O) for its partner, and 0 for an orbit
-    that is its own partner with theta(t_O) = 1."""
-    ring = sp.ring
-    reps, orbit_of, trans = sp.orbits()
-    units = list(unit_group(sp.N).units)
-    one = ring.one().as_array()
-    col, coef, first = [], [], []
-    columns = 0
-    for o, s in enumerate(reps):
-        u, v = sp.symbols[s]
-        image = int(sp.table[-v % sp.N, u])
-        partner = int(orbit_of[image])
-        theta_t = theta.values[units.index(int(trans[image]))]
-        first.append(partner >= o)
-        if partner == o and np.array_equal(theta_t, one):
-            col.append(0)
-            coef.append(0 * one)
-        elif partner >= o:
-            col.append(columns)
-            coef.append(one)
-            columns += 1
-        else:
-            col.append(col[partner])
-            coef.append(-theta_t % ring.pk)
-    return col, coef, first
-
-
-def sign_pair_map(sp, theta, w):
-    """S applied to orbit coordinates w of shape (r, m)."""
-    ring = sp.ring
-    col, coef, _ = sign_pairs(sp, theta)
-    out = ring.vzeros(max(col) + 1)
-    for o in range(len(col)):
-        out[col[o]] = (out[col[o]] + ring.vscale(w[o], coef[o])) % ring.pk
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +127,7 @@ def test_projector_commutes_with_diamonds():
     theta = [c for c in enumerate_characters(12, ring) if c.is_even()][1]
     P = idempotent_projector(sp, theta)
     for a in unit_group(12).units:
-        perm = sp.diamond_perm(a)
+        perm = diamond_perm(sp, a)
         assert np.array_equal(P[perm][:, perm], P)
 
 
@@ -201,9 +168,9 @@ def test_orbit_projection_matches_dense_projector(p, k, M):
             for _ in range(size):
                 vec = np.array([[rng.randrange(ring.pk) for _ in range(ring.m)] for _ in range(sp.nsym)])
                 pvec = apply_matrix(ring, P, vec)
-                assert np.array_equal(ctx.project(vec), sign_pair_map(sp, theta, ring.vscale(pvec[reps], half_phi)))
+                assert np.array_equal(project(ctx, vec), sign_pair_map(sp, theta, ring.vscale(pvec[reps], half_phi)))
                 amb_v.add(pvec)
-                proj_v.add(ctx.project(vec))
+                proj_v.add(project(ctx, vec))
             assert amb_v.length - amb.length == proj_v.length - ctx.rel_length, theta.label()
         assert proj_v.length - ctx.rel_length == ctx.dim_H
 
@@ -220,16 +187,55 @@ PROJECTION_GRID = [
 ]
 
 
+def first_per_orbit(sp, block):
+    """The rows of a term block that _relations_accumulator keeps, found row
+    by row: the first of each diamond orbit of its first symbol, in orbit
+    order."""
+    idx, coeffs = block
+    orbit_of = sp.orbits()[1]
+    first = {}
+    for i, row in enumerate(idx):
+        first.setdefault(int(orbit_of[row[0]]), i)
+    keep = [first[o] for o in sorted(first)]
+    return idx[keep], coeffs[keep]
+
+
+def quotient_cases(N, p, sp, evens):
+    """(theta, spec, dense quotient rows) for the projected-relation checks:
+    no quotient; trivial U_ell for the least prime ell | N; at odd N the
+    raw six-term rows of `t2eis-global` (dense_reference.t2_vector); and
+    when p | N as well, `t2eis` under theta = omega^2 and under another
+    theta, whose dense rows are the e_{omega^2} rows of
+    dense_reference.t2_eisenstein_relations_loop (pi kills them there)."""
+    ring, cusp0 = sp.ring, sp.variant == "cusp0"
+    ell = min(q for q in (2, 3, 5, 7) if N % q == 0)
+    cases = [
+        (evens[0], QuotientSpec(), np.zeros((0, sp.nsym, ring.m), dtype=np.int64)),
+        (evens[-1], QuotientSpec(trivial_u=(ell,)), sp.dense_relation_rows(trivial_Ul_relations(sp, ell))),
+    ]
+    if N % 2:
+        admissible = [(u, v) for u, v in sp.symbols if not cusp0 or (u + v) % N]
+        spec = QuotientSpec(t2=True, t2_global=True, t2_allow_full=not cusp0)
+        cases.append((evens[-1], spec, np.stack([t2_vector(sp, u, v) for u, v in admissible])))
+    if N % 2 and N % p == 0:
+        omega2 = teichmuller_character(N // p, p, ring) ** 2
+        loop = np.stack(t2_eisenstein_relations_loop(sp, ring, p))
+        other = next(c for c in evens if c != omega2)
+        spec = QuotientSpec(t2=True, t2_allow_full=not cusp0)
+        cases += [(omega2, spec, loop), (other, spec, loop)]
+    return cases
+
+
 @pytest.mark.parametrize("N,p,M", PROJECTION_GRID)
 def test_projected_relations_equal_projected_dense_rows(N, p, M, monkeypatch):
-    """The stack _relations_accumulator builds from the sparse terms (and
-    the quotient rows of trivial U_ell for the least prime ell | N) is pi of
-    the selected dense relation rows, row for row: no sign row, and the
-    first parabolic row of each diamond orbit of its first symbol.  Its
-    Howell form equals that of pi of all dense rows, sign rows included,
+    """The stack _relations_accumulator builds from the term blocks is pi of
+    the selected dense rows, row for row: no sign row, and in each block
+    (the parabolic rows, then the quotient blocks) the first row of each
+    diamond orbit of its first symbol.  The quotient blocks are those of
+    `quotient_cases`: trivial U_ell, and at odd N the six-term T2 block of
+    `t2eis-global` and (p | N) of `t2eis`.  Its Howell form equals that of
+    pi of all dense rows, sign rows and every dense quotient row included,
     under sequential `add`, and the H_theta target is all of R^r'."""
-    from cdsymbols.hecke import trivial_Ul_relations
-
     stacks = []
     add_rows = HowellAccumulator.add_rows
 
@@ -237,30 +243,26 @@ def test_projected_relations_equal_projected_dense_rows(N, p, M, monkeypatch):
         stacks.append(np.array(rows))
         return add_rows(acc, rows)
 
-    ell = min(q for q in (2, 3, 5, 7) if N % q == 0)
     for k in (1, 2):
         ring = make_coeff_ring(p, k, unit_group(N).phi)
         evens = [c for c in enumerate_characters(N, ring) if c.is_even()]
         for variant in ("full", "cusp0"):
             sp = build_presentation(N, variant, ring)
-            quotient = tuple(trivial_Ul_relations(sp, ell))
-            for theta, extra in ((evens[0], ()), (evens[-1], quotient)):
+            dense = sp.dense_relation_rows()
+            parabolic = sp.relation_coeffs[:, 2] != 0
+            for theta, spec, quotient in quotient_cases(N, p, sp, evens):
+                blocks = quotient_rows(sp, p, spec, theta)
                 stacks.clear()
                 with monkeypatch.context() as m:
                     m.setattr(HowellAccumulator, "add_rows", recording)
-                    ctx = build_eigen_context(sp, p, M, theta, extra)
-                dense = sp.dense_relation_rows()
-                orbit_of = sp.orbits()[1]
-                selected, seen = [], set()
-                for row, terms, coeffs in zip(dense, sp.relation_rows, sp.relation_coeffs):
-                    if coeffs[2] != 0 and orbit_of[terms[0]] not in seen:
-                        seen.add(orbit_of[terms[0]])
-                        selected.append(row)
-                expected = ctx.project(np.stack(selected + list(extra)))
-                assert len(stacks) == 1 and np.array_equal(stacks[0], expected)
+                    ctx = build_eigen_context(sp, p, M, theta, blocks)
+                manin = (sp.relation_rows[parabolic], sp.relation_coeffs[parabolic])
+                selected = [sp.dense_relation_rows(first_per_orbit(sp, b)) for b in [manin, *blocks]]
+                expected = project(ctx, np.concatenate(selected))
+                assert len(stacks) == 1 and np.array_equal(stacks[0], expected), spec.label()
                 r = len(ctx.basis)
-                every = ctx.project(np.stack(list(dense) + list(extra)))
-                assert ctx.rel_acc.finalize() == HowellAccumulator(ring, r, list(every)).finalize()
+                every = project(ctx, np.concatenate([dense, quotient]))
+                assert ctx.rel_acc.finalize() == HowellAccumulator(ring, r, list(every)).finalize(), spec.label()
                 target = ctx.rel_acc.copy()
                 for row in ctx.basis:
                     target.add(row)
@@ -268,18 +270,60 @@ def test_projected_relations_equal_projected_dense_rows(N, p, M, monkeypatch):
                 assert target.length == r * k
 
 
+@pytest.mark.parametrize("N,p,M", PROJECTION_GRID)
+def test_every_term_with_a_nonzero_coefficient_is_a_symbol(N, p, M, monkeypatch):
+    """A -1 gathered from `space.table` would scatter into the last symbol
+    without a trace.  The Manin rows, trivial U_ell for every prime ell | N,
+    the six-term T2 block (`t2eis` and `t2eis-global`, odd N) and the terms
+    of every eigensymbol (all coprime g, h | N) index a symbol wherever
+    their coefficient is nonzero, in both variants."""
+    import cdsymbols.eigen as eigen
+
+    scattered = []
+    scatter = eigen._scatter
+
+    def recording(ring, col_of, scalars, r, idx, coeffs):
+        scattered.append((np.asarray(idx), np.asarray(coeffs)))
+        return scatter(ring, col_of, scalars, r, idx, coeffs)
+
+    monkeypatch.setattr(eigen, "_scatter", recording)
+    ring = make_coeff_ring(p, 1, unit_group(N).phi)
+    chars = enumerate_characters(N, ring)
+    theta = next(c for c in chars if c.is_even())
+    divs = [d for d in range(1, N + 1) if N % d == 0]
+    for variant in ("full", "cusp0"):
+        sp = build_presentation(N, variant, ring)
+        blocks = [(sp.relation_rows, sp.relation_coeffs)]
+        blocks += [trivial_Ul_relations(sp, ell) for ell in divs if is_prime(ell)]
+        if N % 2:
+            blocks.append(t2_eisenstein_relations(sp, allow_full=True))
+        ctx = build_eigen_context(sp, p, M, theta)
+        scattered.clear()
+        for chi in chars[:4]:
+            for g in divs:
+                for h in divs:
+                    if gcd(g, h) == 1:
+                        eigensymbol(ctx, chi, g, h)
+        assert len(scattered) >= 4
+        for idx, coeffs in blocks + scattered:
+            nonzero = coeffs != 0 if coeffs.ndim == idx.ndim else coeffs.any(axis=-1)
+            assert nonzero.any() and (idx[nonzero] >= 0).all()
+
+
 def test_eigenspace_of_zero_module_is_zero():
     N, ring, sp = scenario(5, 1, 1)
     theta = [c for c in enumerate_characters(5, ring) if c.is_even()][0]
-    kill = [np.eye(sp.nsym, dtype=np.int64)[:, :, None][i] for i in range(sp.nsym)]
-    ctx = build_eigen_context(sp, 5, 1, theta, extra_rows=tuple(kill))
+    kill = (np.arange(sp.nsym)[:, None], np.ones((sp.nsym, 1), dtype=np.int64))  # one-term rows [i]
+    ctx = build_eigen_context(sp, 5, 1, theta, extra_rows=(kill,))
     assert ctx.htheta_target().length - ctx.rel_length == 0
 
 
 def test_projection_rejects_rows_of_another_coefficient_width():
-    """A context over Z/7 (theta = [2,4] mod 35 descended from GR(7, 2))
-    refuses 2-wide rows instead of summing their coefficients, and a
-    GR(7, 2) context refuses 1-wide rows."""
+    """Ring-valued coefficients reach the scatter as dense rows and as the
+    eigensymbol's psi^{-1} values.  A context over Z/7 (theta = [2,4] mod 35
+    descended from GR(7, 2)) refuses 2-wide coefficients instead of summing
+    them, GR(7, 2) psi^{-1} values among them, and a GR(7, 2) context
+    refuses 1-wide rows; a character of the other ring is refused too."""
     for k in (1, 2):
         N, gr, sp_gr = scenario(7, k, 5)
         theta = parse_theta("[2,4]", N, 7, gr)
@@ -287,17 +331,57 @@ def test_projection_rejects_rows_of_another_coefficient_width():
         sp_z = build_presentation(N, "full", z)
         ctx_z = build_eigen_context(sp_z, 7, 5, theta.over(z))
         ctx_gr = build_eigen_context(sp_gr, 7, 5, theta)
-        assert ctx_z.project(z.vzeros(sp_z.nsym)).shape == (len(ctx_z.basis), 1)
+        assert project(ctx_z, z.vzeros(sp_z.nsym)).shape == (len(ctx_z.basis), 1)
         with pytest.raises(ValueError):
-            ctx_z.project(gr.vzeros(sp_z.nsym))
+            project(ctx_z, gr.vzeros(sp_z.nsym))
         with pytest.raises(ValueError):
-            ctx_z.project(np.ones((3, sp_z.nsym, 2), dtype=np.int64))
+            project(ctx_z, np.ones((3, sp_z.nsym, 2), dtype=np.int64))
         with pytest.raises(ValueError):
-            ctx_gr.project(z.vzeros(sp_gr.nsym))
+            project(ctx_gr, z.vzeros(sp_gr.nsym))
+        om2 = ctx_gr.omega**2
+        units = np.array(unit_group(N).units)
+        idx = sp_z.table[1, 7 * units % N][None]
+        psi_inv = ctx_gr.psi(om2).inverse().values[None]  # (1, phi(N), 2)
+        with pytest.raises(ValueError):
+            _scatter(z, ctx_z.col_of, ctx_z.scalars, len(ctx_z.basis), idx, psi_inv)
+        assert _scatter(gr, ctx_gr.col_of, ctx_gr.scalars, len(ctx_gr.basis), idx, psi_inv).shape == (1, 24, 2)
+        with pytest.raises(ValueError):
+            eigensymbol(ctx_z, om2, 1, 7)
 
 
 # ---------------------------------------------------------------------------
 # eigensymbols
+
+
+@pytest.mark.parametrize("N,p,M", PROJECTION_GRID)
+def test_eigensymbol_is_the_reference_projection_of_the_free_vector(N, p, M):
+    """eigensymbol, one phi(N)-term row through the scatter, equals the
+    dense reference projection of eigensymbol_free for every coprime (g, h)
+    with g, h | N, in both variants (g = N and h = N included, zero in
+    cusp0), at k = 1 and 2, for two seeded even theta and a seeded
+    character chi per pair, drawn where the conductors allow a nonzero
+    symbol (f_chi | N/g and f_psi | N/h) when some chi does."""
+    rng = random.Random(N * p)
+    divs = [d for d in range(1, N + 1) if N % d == 0]
+    pairs = [(g, h) for g in divs for h in divs if gcd(g, h) == 1]
+    for k in (1, 2):
+        ring = make_coeff_ring(p, k, unit_group(N).phi)
+        chars = enumerate_characters(N, ring)
+        evens = [c for c in chars if c.is_even()]
+        for variant in ("full", "cusp0"):
+            sp = build_presentation(N, variant, ring)
+            for theta in rng.sample(evens, 2):
+                ctx = build_eigen_context(sp, p, M, theta)
+                cases = []
+                for g, h in pairs:
+                    support = [c for c in chars if (N // g) % c.conductor() == 0 and (N // h) % ctx.psi(c).conductor() == 0]
+                    cases.append((rng.choice(support or chars), g, h))
+                free = np.stack([eigensymbol_free(sp, chi, ctx.psi(chi), g, h) for chi, g, h in cases])
+                want = reference_projection(sp, theta, free)
+                got = np.stack([eigensymbol(ctx, chi, g, h) for chi, g, h in cases])
+                assert np.array_equal(got, want), (k, variant, theta.label())
+                if variant == "cusp0":
+                    assert not got[[i for i, (_, g, h) in enumerate(cases) if N in (g, h)]].any()
 
 
 @pytest.mark.parametrize("p,k,M", [(3, 1, 4), (5, 2, 3), (7, 1, 5)])
@@ -711,8 +795,7 @@ def test_reduced_streams_keep_the_span_after_every_representative(
 
     N, ring, sp = scenario(p, k, M, level, variant)
     theta = parse_theta(theta, N, p, ring)
-    rows = quotient_rows(sp, ring, p, parse_quotient(quotient))
-    ctx = build_eigen_context(sp, p, M, theta, tuple(rows))
+    ctx = build_eigen_context(sp, p, M, theta, quotient_rows(sp, p, parse_quotient(quotient), theta))
     spans = []
     generators = eigen._cd_generators
 
@@ -814,8 +897,7 @@ def _descent_invariants(N, p, k, M, spec, quotient, ring):
     canonical = make_coeff_ring(p, k, unit_group(N).phi)
     theta = parse_theta(spec, N, p, canonical).over(ring)
     sp = build_presentation(N, "full", ring)
-    rows = quotient_rows(sp, ring, p, QuotientSpec(trivial_u=quotient))
-    ctx = build_eigen_context(sp, p, M, theta, tuple(rows))
+    ctx = build_eigen_context(sp, p, M, theta, quotient_rows(sp, p, QuotientSpec(trivial_u=quotient), theta))
     target = ctx.htheta_target()
     span, exhausted = cd_span(ctx)
     assert exhausted

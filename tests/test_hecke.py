@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdsymbols.characters import enumerate_characters, parse_theta, teichmuller_character, unit_group
-from cdsymbols.eigen import build_eigen_context, eigensymbol_free
+from cdsymbols.eigen import _scatter, build_eigen_context, eigensymbol_free
 from cdsymbols.hecke import (
     QuotientSpec,
     check_generation_with_quotient,
@@ -15,7 +15,13 @@ from cdsymbols.hecke import (
 from cdsymbols.linalg import HowellAccumulator
 from cdsymbols.rings import make_coeff_ring
 from cdsymbols.symbols import build_presentation
-from dense_reference import t2_eisenstein_relations_loop
+from dense_reference import (
+    apply_matrix,
+    diamond_perm,
+    idempotent_projector,
+    reference_projection,
+    t2_eisenstein_relations_loop,
+)
 
 
 def scenario(p, k, M, variant="full"):
@@ -43,7 +49,7 @@ def test_quotient_spec_validation():
 
 def test_trivial_ul_relations_idempotent():
     N, ring, sp = scenario(7, 1, 5)
-    rows = trivial_Ul_relations(sp, 7)
+    rows = sp.dense_relation_rows(trivial_Ul_relations(sp, 7))
     acc1 = HowellAccumulator(ring, sp.nsym, np.concatenate([sp.dense_relation_rows(), rows]))
     acc2 = HowellAccumulator(ring, sp.nsym, np.concatenate([sp.dense_relation_rows(), rows, rows]))
     assert acc1.finalize() == acc2.finalize()
@@ -51,14 +57,14 @@ def test_trivial_ul_relations_idempotent():
 
 def test_trivial_ul_relations_are_diamond_stable():
     N, ring, sp = scenario(3, 1, 4)
-    rows = trivial_Ul_relations(sp, 2)
+    rows = sp.dense_relation_rows(trivial_Ul_relations(sp, 2))
     acc = HowellAccumulator(ring, sp.nsym, np.concatenate([sp.dense_relation_rows(), rows]))
     rng = random.Random(51)
     units = unit_group(12).units
     for row in rows[:10]:
         a = rng.choice(units)
         moved = np.zeros_like(row)
-        moved[sp.diamond_perm(a)] = row
+        moved[diamond_perm(sp, a)] = row
         assert acc.contains(moved)
 
 
@@ -78,7 +84,7 @@ def test_trivial_ul_relations_match_definition(p, M, ell, variant):
             if ell * u % N == w:
                 row[sp.idx(u, z), 0] -= 1
         want.append(row % ring.pk)
-    got = trivial_Ul_relations(sp, ell)
+    got = sp.dense_relation_rows(trivial_Ul_relations(sp, ell))
     assert len(got) == len(want) > 0
     assert np.array_equal(got, np.stack(want))
 
@@ -86,7 +92,7 @@ def test_trivial_ul_relations_match_definition(p, M, ell, variant):
 def test_u_operator_identity_at_35():
     # in the trivial-U_7 quotient: (1 - chi^{-1}(7)) alpha^{7g,h} = 6 alpha^{g,h}
     N, ring, sp = scenario(7, 1, 5)
-    rows = tuple(trivial_Ul_relations(sp, 7))
+    rows = sp.dense_relation_rows(trivial_Ul_relations(sp, 7))
     theta = parse_theta("[2,2]", N, 7, ring)
     rel = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()) + list(rows))
     rng = random.Random(52)
@@ -115,7 +121,7 @@ def test_u_operator_t_less_than_s_at_45():
     # N = 45 has a square factor: U_3 with t = 1 < s = 2 gives
     # alpha^{3g,h} = 3 alpha^{g,h} in the trivial-U_3 quotient
     N, ring, sp = scenario(5, 1, 9)
-    rows = tuple(trivial_Ul_relations(sp, 3))
+    rows = sp.dense_relation_rows(trivial_Ul_relations(sp, 3))
     theta = parse_theta("[0,0]", N, 5, ring)
     rel = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()) + list(rows))
     chars = enumerate_characters(N, ring)
@@ -139,32 +145,90 @@ def test_u_operator_t_less_than_s_at_45():
 def test_t2_relations_reject_bad_setups():
     N, ring, sp = scenario(3, 1, 4)  # N = 12 even
     with pytest.raises(ValueError):
-        t2_eisenstein_relations(sp, ring, 3)
+        t2_eisenstein_relations(sp)
     N5, ring5, sp5 = scenario(5, 1, 1)
     with pytest.raises(ValueError):
-        t2_eisenstein_relations(sp5, ring5, 5)  # full variant without override
-    assert t2_eisenstein_relations(sp5, ring5, 5, allow_full=True)
+        t2_eisenstein_relations(sp5)  # full variant without override
+    idx, coeffs = t2_eisenstein_relations(sp5, allow_full=True)
+    assert idx.shape == coeffs.shape == (sp5.nsym, 6)
+    # omega^2 needs p | N; the global rows do not
+    sp9 = build_presentation(9, "cusp0", make_coeff_ring(5, 1, 6))
+    theta = next(c for c in enumerate_characters(9, sp9.ring) if c.is_even())
+    with pytest.raises(ValueError):
+        quotient_rows(sp9, 5, QuotientSpec(t2=True), theta)
+    assert len(quotient_rows(sp9, 5, QuotientSpec(t2=True, t2_global=True), theta)) == 1
 
 
 @pytest.mark.parametrize("p,M,variant", [(7, 5, "cusp0"), (5, 9, "cusp0"), (5, 3, "full"), (11, 1, "cusp0")])
 def test_t2_relations_match_the_orbit_loop(p, M, variant):
-    """The vectorised T2-Eisenstein rows equal the per-orbit loop of
+    """The dense projector of e_{omega^2} applied to the six-term rows of
+    the admissible orbit representatives gives the per-orbit loop of
     dense_reference, row for row and in order, over Z/p^k and over the
     Galois ring of the characters mod N, at k = 1 and 2."""
     N = M * p
     for k in (1, 2):
         for ring in (make_coeff_ring(p, k), make_coeff_ring(p, k, unit_group(N).phi)):
             sp = build_presentation(N, variant, ring)
-            rows = t2_eisenstein_relations(sp, ring, p, allow_full=True)
+            idx, coeffs = t2_eisenstein_relations(sp, allow_full=True)
+            reps = np.isin(idx[:, 4], sp.orbits()[0])  # the term -2[u:v] is the symbol [u:v]
+            P = idempotent_projector(sp, teichmuller_character(M, p, ring) ** 2)
+            rows = [apply_matrix(ring, P, row) for row in sp.dense_relation_rows((idx[reps], coeffs[reps]))]
             expected = t2_eisenstein_relations_loop(sp, ring, p)
             assert len(rows) == len(expected) > 0
             assert np.array_equal(np.stack(rows), np.stack(expected)), (N, k, str(ring))
 
 
+# (p, k, M, variant, ring degree m) of the T2 projection check
+T2_PROJECTION_POOL = [
+    (5, 1, 1, "cusp0", 1),
+    (7, 2, 1, "cusp0", 1),
+    (13, 1, 1, "cusp0", 1),
+    (5, 2, 3, "full", 2),
+    (3, 2, 5, "cusp0", 2),
+    (7, 1, 5, "full", 2),
+    (7, 1, 5, "cusp0", 2),
+]
+
+
+@pytest.mark.parametrize("p,k,M,variant,m", T2_PROJECTION_POOL)
+def test_t2_block_is_the_projection_of_the_eisenstein_rows(p, k, M, variant, m):
+    """For every even theta, the dense reference projection of the
+    e_{omega^2} rows of dense_reference.t2_eisenstein_relations_loop equals
+    the scattered six-term rows of the same orbit representatives when
+    theta = omega^2, and is zero otherwise; quotient_rows gives the
+    six-term block to omega^2 alone under `t2eis`, and to every theta under
+    `t2eis-global`."""
+    N = M * p
+    ring = make_coeff_ring(p, k, unit_group(N).phi)
+    assert ring.m == m
+    sp = build_presentation(N, variant, ring)
+    omega2 = teichmuller_character(M, p, ring) ** 2
+    loop = np.stack(t2_eisenstein_relations_loop(sp, ring, p))
+    idx, coeffs = t2_eisenstein_relations(sp, allow_full=True)
+    reps = np.isin(idx[:, 4], sp.orbits()[0])  # the term -2[u:v] is the symbol [u:v]
+    eisenstein = QuotientSpec(t2=True, t2_allow_full=variant == "full")
+    everywhere = QuotientSpec(t2=True, t2_global=True, t2_allow_full=variant == "full")
+    thetas = [c for c in enumerate_characters(N, ring) if c.is_even()]
+    assert omega2 in thetas and len(thetas) > 1
+    for theta in thetas:
+        ctx = build_eigen_context(sp, p, M, theta)
+        want = reference_projection(sp, theta, loop)
+        ring_coeffs = coeffs[reps][..., None] * ring.one().as_array()
+        got = _scatter(ring, ctx.col_of, ctx.scalars, len(ctx.basis), idx[reps], ring_coeffs)
+        if theta == omega2:
+            assert want.any() and np.array_equal(got, want)
+        else:
+            assert not want.any()
+        assert len(quotient_rows(sp, p, eisenstein, theta)) == (theta == omega2)
+        assert len(quotient_rows(sp, p, everywhere, theta)) == 1
+
+
 def test_t2_relation_vector_matches_independent_evaluation():
+    """e_{omega^2} of the six-term row of [1:1], evaluated by hand, is the
+    dense projector applied to that row of the block."""
     N, ring, sp = scenario(5, 1, 1, variant="cusp0")
-    rows = t2_eisenstein_relations(sp, ring, 5)
-    # independent re-implementation for the orbit of (1, 1)
+    idx, coeffs = t2_eisenstein_relations(sp)
+    # independent evaluation for the orbit of (1, 1)
     omega2 = teichmuller_character(1, 5, ring) ** 2
     inv_phi = ring.from_int(4).inverse()
     expected = ring.vzeros(sp.nsym)
@@ -174,9 +238,9 @@ def test_t2_relation_vector_matches_independent_evaluation():
                         ((a, 2 * a), 1), ((a, a), -2), ((2 * a, 2 * a), -1)]:
             i = sp.idx(*pair)
             expected[i] = (expected[i] + c * np.array(coeff, dtype=np.int64)) % ring.pk
-    rep_row = next(r for r in rows if r.any())
-    candidates = [r for r in rows]
-    assert any(np.array_equal(r, expected) for r in candidates)
+    row = list(idx[:, 4]).index(sp.idx(1, 1))  # the term -2[u:v]
+    dense = sp.dense_relation_rows((idx[row : row + 1], coeffs[row : row + 1]))[0]
+    assert np.array_equal(apply_matrix(ring, idempotent_projector(sp, omega2), dense), expected)
 
 
 def test_criterion_scenarios_pass_at_k1():
@@ -227,7 +291,7 @@ def test_quotient_monotonicity():
     """The image of C computed upstairs equals C computed in the quotient."""
     N, ring, sp = scenario(5, 1, 1, variant="cusp0")
     theta = parse_theta("omega^2", N, 5, ring)
-    rows = tuple(quotient_rows(sp, ring, 5, QuotientSpec(t2=True)))
+    rows = quotient_rows(sp, 5, QuotientSpec(t2=True), theta)
     from cdsymbols.eigen import cd_span
 
     ctx_plain = build_eigen_context(sp, 5, 1, theta)
