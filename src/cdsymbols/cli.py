@@ -13,8 +13,6 @@ bytes reproducible for a fixed seed and configuration.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import csv
 import json
 import os
 import shlex
@@ -152,6 +150,8 @@ def _csv_row(r: GenerationReport) -> dict:
 
 
 def _write_csv(path: str, reports) -> None:
+    import csv  # only the CSV mirror needs it; verify and grid load without it
+
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
         w.writeheader()
@@ -307,6 +307,8 @@ def main(argv=None) -> int:
         reports: list = []
         errors: list[dict] = []
         if workers > 1:
+            import concurrent.futures  # only a worker pool needs it
+
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_run_config_safe, configs))
         else:

@@ -678,7 +678,15 @@ def _generation_core(
     ctx = build_eigen_context(space, p, M, theta_w, extra_rows)
     case = _classify(ctx, variant, trivial_u, t2)
     target = ctx.htheta_target()
-    c_acc, exhausted = cd_span(ctx, stop_at_length=target.length, unit_bound=cd_bound)
+    if p >= 5 and N % p:
+        # c = 1 is in U^-1 U for every unit bound >= 1, so by (i)-(iii) of the
+        # module docstring the span holds each sigma-first representative's
+        # own column, and C^theta = H^theta: cd_span would only confirm it
+        if cd_bound is not None and cd_bound < 1:
+            raise ValueError("cd bound excludes every residue class")
+        c_acc, exhausted = target, cd_bound is None
+    else:
+        c_acc, exhausted = cd_span(ctx, stop_at_length=target.length, unit_bound=cd_bound)
     dim_h = ctx.dim_H
     dim_c = c_acc.length - ctx.rel_length
     equal = c_acc.length == target.length

@@ -11,10 +11,13 @@ reduced modulo the other pivots, so it vanishes on the columns of the unit
 pivots.  That form is a canonical invariant of the span, and it lets a whole
 stack of rows reduce against all unit pivots in one ring product,
 rows - rows[:, U] B_U; only the non-unit pivots take one step per column,
-and at k = 1 there are none.  `add_rows` inserts a stack by one elimination
-over the columns its rows reach, then one product back-substitutes the new
-unit pivots into the old basis.  The rule depends only on whether a pivot is
-a unit, so every (p, k, m) takes the same path.
+and at k = 1 there are none.  `add_rows` inserts a stack by one column
+sweep: the old non-unit pivots join the reduced stack, each column the stack
+reaches is visited once, and there the row of least valuation becomes the
+pivot and one step updates every row nonzero at that column.  Then one
+product back-substitutes the new unit pivots into the old unit rows.  The
+rule depends only on whether a pivot is a unit, so every (p, k, m) takes the
+same path.
 
 Rows are numpy int64 arrays of shape (ncols, m); all arithmetic goes through
 the CoeffRing vector helpers (`vcombine` for the products, exact in int64;
@@ -22,6 +25,8 @@ see rings.check_int64_precision).
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -167,11 +172,13 @@ class HowellAccumulator:
         """Insert a stack of rows (B, ncols, m); returns True if the span grew.
 
         The stack is reduced against the basis (`reduce_rows`) and its
-        nonzero rows are eliminated in rounds of at most max(32, 2 ncols)
-        rows (`_eliminate`).  A round makes at most ncols pivots, so the rows
-        of a taller stack are mostly dependent: after each round one product
-        clears the new unit pivots from the rest, which drops the rows that
-        reduce to zero without carrying them through every column step."""
+        nonzero rows are swept in rounds of at most max(32, 2 ncols) rows
+        (`_eliminate`, one visit per column the round reaches; Storjohann,
+        PhD thesis, ETH Zurich 2000).  A round makes at most ncols
+        pivots, so the rows of a taller stack are mostly dependent: after
+        each round one product clears the new unit pivots from the rest,
+        which drops the rows that reduce to zero without carrying them
+        through every column step."""
         before, n = self.length, self.ncols
         size = max(_ROUND, 2 * n)
         work = self.reduce_rows(rows)
@@ -187,84 +194,61 @@ class HowellAccumulator:
         """Insert rows reduced against the basis, all nonzero; returns the
         columns of the new unit pivots.
 
-        One pass over the columns where some row leads, in increasing order
-        (Storjohann and Mulders, ESA 1998).  At column j the rows leading
-        there compete with an old pivot at j, which can only be a non-unit
-        one: the entry of least valuation v wins (the old pivot on a tie).
-        One vectorised step clears column j in the rows leading there and
-        brings the new pivots made so far into [0, p^v)^m there, so the new
-        unit pivots are the identity on their columns.  A new pivot's
-        saturation row p^(k-v) pivot joins the rows, and so does a replaced
-        pivot.  Every row the step touches leads further right afterwards,
-        so each column is visited once.  Then one product clears the new
-        unit columns in the old rows, and one step per non-unit pivot column
-        restores the residues there (there are none at k = 1)."""
+        The old non-unit pivots join the rows, and one sweep visits, in
+        increasing order, the columns some row reaches (no other column
+        fills in; Storjohann and Mulders, ESA 1998).  At column j the rows
+        not yet pivots vanish before j, and the one whose entry there has
+        the least valuation v becomes the monic pivot.  One vectorised step
+        with it updates every row nonzero at j: the others among the rows
+        vanish at j, and the pivots made so far are brought into [0, p^v)^m
+        there, so the new unit pivots are the identity on their columns.  If
+        v > 0 the saturation row p^(k-v) pivot joins the rows.  Then one
+        product clears the new unit columns in the old unit rows, and one
+        step per non-unit pivot column restores the residues there (there
+        are none at k = 1)."""
         ring = self.ring
-        p, k, pk, n = ring.p, ring.k, ring.pk, self.ncols
-        old_at = {int(self.cols[b]): b for b in self._nonunit}
-        replaced = []
-        made_cols: list[int] = []
-        made_vals: list[int] = []
+        p, k, pk = ring.p, ring.k, ring.pk
+        if self._nonunit:
+            work = np.concatenate([work, self.mat[self._nonunit]])
+        taken = np.zeros(len(work), dtype=np.int64)  # p^k on the rows that are pivots
+        made = []  # (row, column, valuation) of each new pivot, in column order
         exponent = {p**t: t for t in range(k + 1)}
-        lead = (work.reshape(len(work), -1) != 0).argmax(axis=1) // ring.m  # every row is nonzero
-        made = np.zeros(0, dtype=np.int64)  # the rows of work that became pivots
-        while (j := int(lead.min())) < n:
-            at = (lead == j).nonzero()[0]
-            # p^v for the entry at j of every row (gcd with p^k over the coefficients)
-            pv = np.gcd.reduce(work[at, j], axis=1, initial=pk)
-            i = int(pv.argmin())
-            b = old_at.get(j)
-            winner = None
-            if b is None or p ** self.pvals[b] > pv[i]:
-                v = exponent[int(pv[i])]
-                winner = at[i]
-                pivot = self._monic(work[winner], j, v)
-                joining = [pivot * p ** (k - v) % pk] if v else []  # zero at j
-                if b is not None:
-                    replaced.append(b)
-                    del old_at[j]
-                    joining.append(self.mat[b])
-                if joining:
-                    at = np.concatenate([at, np.arange(len(work), len(work) + len(joining))])
-                    lead = np.concatenate([lead, [j] * len(joining)])
-                    work = np.concatenate([work, joining])
-            else:
-                pivot, v = self.mat[b], int(self.pvals[b])
-            # clear column j in the rows leading there (the winner's row
-            # becomes zero), and bring the new pivots there into [0, p^v)^m
-            touch = np.concatenate([at, made[work[made, j].any(axis=1)]]) if len(made) else at
+        for j in work.any(axis=(0, 2)).nonzero()[0].tolist():
+            # p^v for the entry at j of every row (gcd with p^k over the
+            # coefficients), p^k on a zero entry; a pivot never wins
+            pv = reduce(np.gcd, work[:, j].T, pk)
+            winner = int((pv + taken).argmin())
+            if pv[winner] + taken[winner] >= pk:
+                continue
+            v = exponent[int(pv[winner])]
+            pivot = self._monic(work[winner], j, v)
+            touch = (pv < pk).nonzero()[0]
             sub = work[touch, j:]
             sub -= ring.vscale_stack(pivot[j:], sub[:, 0] // p**v if v else sub[:, 0])
             sub %= pk
             work[touch, j:] = sub
-            # column j is now zero in these rows, so a first hit at 0 means a zero row
-            first = (sub[: len(at)].reshape(len(at), -1) != 0).argmax(axis=1) // ring.m
-            lead[at] = np.where(first, j + first, n)
-            if winner is not None:
-                work[winner] = pivot
-                made = np.concatenate([made, [winner]])
-                made_cols.append(j)
-                made_vals.append(v)
-        pivots = work[made]
-        new_cols = np.array(made_cols, dtype=np.int64)
-        new_vals = np.array(made_vals, dtype=np.int64)
-        unit_cols, unit_rows = new_cols, pivots
-        if new_vals.any():
-            unit = new_vals == 0
-            unit_cols, unit_rows = new_cols[unit], pivots[unit]
-        if len(self.cols):
-            old, cols, pvals = self.mat, self.cols, self.pvals
-            if replaced:
-                old, cols, pvals = (np.delete(a, replaced, axis=0) for a in (old, cols, pvals))
-            # one product clears the new unit columns in the old rows; then
-            # the old rows and the new pivots are merged in column order
+            work[winner] = pivot
+            taken[winner] = pk
+            made.append((winner, j, v))
+            if v:  # the saturation row vanishes up to column j
+                work = np.concatenate([work, (pivot * p ** (k - v) % pk)[None]])
+                taken = np.append(taken, 0)
+        rows, new_cols, new_vals = np.array(made, dtype=np.int64).reshape(-1, 3).T
+        pivots = work[rows]
+        unit = new_vals == 0
+        unit_cols, unit_rows = new_cols[unit], pivots[unit]
+        if len(self._unit_cols):
+            # one product clears the new unit columns in the old rows, all
+            # unit pivots now; then they and the new pivots are merged in
+            # column order
+            old = self._unit_rows
             if len(unit_cols):
                 old = self._clear(old, unit_cols, unit_rows)
-            cols = np.concatenate([cols, new_cols])
+            cols = np.concatenate([self._unit_cols, new_cols])
             order = cols.argsort(kind="stable")
             mat = np.concatenate([old, pivots])[order]
             cols = cols[order]
-            pvals = np.concatenate([pvals, new_vals])[order]
+            pvals = np.concatenate([np.zeros(len(old), dtype=np.int64), new_vals])[order]
             # residues at the non-unit pivot columns, in increasing order; the
             # rows there vanish on every unit column, so those stay cleared
             for b in pvals.nonzero()[0].tolist():

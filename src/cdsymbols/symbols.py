@@ -89,8 +89,9 @@ def _ring_free_part(N: int, variant: str):
 def _diamond_action(N: int, variant: str) -> np.ndarray:
     """action[t, i] = index of <units[t]> symbol i, units in increasing order."""
     _, u, v, table, _, _ = _ring_free_part(N, variant)
-    units = np.array(unit_group(N).units, dtype=np.int64)[:, None]
-    return table[units * u % N, units * v % N]
+    units = np.array(unit_group(N).units, dtype=np.int64)
+    times = units[:, None] * np.arange(N) % N  # times[t, x] = units[t] x mod N
+    return table.ravel()[times[:, u] * N + times[:, v]]
 
 
 @lru_cache(maxsize=None)

@@ -102,6 +102,15 @@ def test_cd_exhaustive_spells_the_default(capsys):
     assert '"cd": "exhaustive"' in default
 
 
+@pytest.mark.parametrize("M,level,theta", [(9, "M", "[2]"), (5, "Mp", "[2,4]")])
+def test_cd_bound_below_every_unit_is_rejected(M, level, theta, capsys):
+    """A bound below 1 leaves no residue class, whether or not the verdict
+    needs cd_span (p = 7 does not divide N = 9, and divides N = 35)."""
+    args = ["verify", "--p", "7", "--k", "1", "--M", str(M), "--level", level, "--theta", theta]
+    assert main(args + ["--cd-bound", "0"]) == 2
+    assert capsys.readouterr().err == "error: cd bound excludes every residue class\n"
+
+
 def test_verify_rejects_precision_beyond_int64_bound(capsys):
     assert main(["verify", "--p", "3", "--k", "20", "--M", "4", "--theta", "[0,0]"]) == 2
     assert "2^63" in capsys.readouterr().err

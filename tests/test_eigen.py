@@ -703,20 +703,34 @@ def test_cd_span_stacks_are_at_most_phi_rows_when_p_prime_to_N(p, k, M, monkeypa
 
 
 @pytest.mark.parametrize("p,k,M", [(5, 1, 4), (5, 2, 6), (7, 1, 5), (7, 2, 9), (11, 1, 4), (13, 1, 5)])
-def test_every_scenario_prime_to_p_is_equal(p, k, M):
+def test_every_scenario_prime_to_p_is_equal(p, k, M, monkeypatch):
     """For p not dividing N and p >= 5, C^theta is all of H^theta for every
     even theta and both variants, with or without a unit bound: c = 1
-    already gives each sigma-first representative's own column."""
+    already gives each sigma-first representative's own column.  cd_span
+    reaches the target length, and check_generation, which knows this,
+    does not call it."""
+    import cdsymbols.eigen as eigen
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("check_generation called cd_span")
+
     N = M
     canonical = make_coeff_ring(p, k, unit_group(N).phi)
     for variant in ("full", "cusp0"):
+        sp = build_presentation(N, variant, canonical)
         for theta in enumerate_characters(N, canonical):
             if not theta.is_even():
                 continue
+            ctx = build_eigen_context(sp, p, M, theta)
             for bound in (None, 1, 6):
-                r = check_generation(p, k, M, "M", variant, theta, cd_bound=bound)
+                span, _ = cd_span(ctx, unit_bound=bound)
+                assert span.length == ctx.htheta_target().length, (variant, theta.label(), bound)
+                with monkeypatch.context() as m:
+                    m.setattr(eigen, "cd_span", not_called)
+                    r = check_generation(p, k, M, "M", variant, theta, cd_bound=bound)
                 assert r.equal and r.dim_C == r.dim_H, (variant, theta.label(), bound)
                 assert r.extras == () and r.divisors == ()
+                assert r.cd == ("exhaustive" if bound is None else f"bound={bound}")
 
 
 @pytest.mark.parametrize(

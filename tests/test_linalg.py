@@ -266,26 +266,33 @@ def test_add_rows_replaces_pivots_and_saturates_like_add(make_ring):
     that only a saturation row reaches.  Over the span of p e0:
     e0 + e1 replaces the pivot p e0, which moves on to -p e1; p e2 + e3
     saturates to p^(k-1) e3; p e4 precedes e4 + e5, the pivot at column 4,
-    and leaves -p e5.  Each row is scaled by a random unit.  Then random
-    stacks shorter than the number of columns."""
+    and leaves -p e5.  A second stack ties the pivot p e0: p e0 + e1 and
+    p e0 + p e2 + e3 have valuation 1 at column 0, like the pivot, so any
+    of the three may become the pivot there, and the form must not depend
+    on which.  Each row is scaled by a random unit.  Then random stacks
+    shorter than the number of columns."""
     ring = make_ring()
     p, k, pk = ring.p, ring.k, ring.pk
     rng = np.random.default_rng(ring.pk * 10 + ring.m + 2)
     e = np.zeros((6, 6, ring.m), dtype=np.int64)
     e[np.arange(6), np.arange(6), 0] = 1
-    rows = [e[0] + e[1], p * e[2] + e[3], p * e[4], e[4] + e[5]]
-    for trial in range(6):
-        base = greedy_accumulator(ring, 6, [ring.vscale(p * e[0] % pk, _random_unit(rng, ring))])
-        stack = np.stack([ring.vscale(r % pk, _random_unit(rng, ring)) for r in rows])
-        seq = base.copy()
-        for row in stack:
-            greedy_add(seq, row)
-        batched = base.copy()
-        assert batched.add_rows(stack)
-        assert batched.finalize() == seq.finalize()
-        if k >= 2:
-            assert base.vals == {0: 1}
-            assert batched.vals == {0: 0, 1: 1, 2: 1, 3: k - 1, 4: 0, 5: 1}
+    stacks = [
+        ([e[0] + e[1], p * e[2] + e[3], p * e[4], e[4] + e[5]], {0: 0, 1: 1, 2: 1, 3: k - 1, 4: 0, 5: 1}),
+        ([p * e[0] + e[1], p * e[0] + p * e[2] + e[3]], {0: 1, 1: 0, 2: 1, 3: k - 1}),
+    ]
+    for rows, vals in stacks:
+        for trial in range(6):
+            base = greedy_accumulator(ring, 6, [ring.vscale(p * e[0] % pk, _random_unit(rng, ring))])
+            stack = np.stack([ring.vscale(r % pk, _random_unit(rng, ring)) for r in rows])
+            seq = base.copy()
+            for row in stack:
+                greedy_add(seq, row)
+            batched = base.copy()
+            assert batched.add_rows(stack)
+            assert batched.finalize() == seq.finalize()
+            if k >= 2:
+                assert base.vals == {0: 1}
+                assert batched.vals == vals
     # random stacks too short to fill the ambient, so that a lost pivot or
     # saturation row is not covered by the other rows
     for trial in range(40):

@@ -140,6 +140,9 @@ def test_diamond_action():
     from cdsymbols.symbols import _diamond_action
 
     assert np.array_equal(_diamond_action(5, "full"), diamond_action(sp))
+    for N in (12, 35, 36):
+        for variant in ("full", "cusp0"):
+            assert np.array_equal(_diamond_action(N, variant), diamond_action(build_presentation(N, variant, ring)))
 
 
 def test_diamond_preserves_relation_span():
