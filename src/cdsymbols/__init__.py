@@ -14,7 +14,7 @@ from .characters import (
     teichmuller_character,
     unit_group,
 )
-from .symbols import SymbolSpace, build_presentation, cd_symbol, enumerate_symbols
+from .symbols import SymbolSpace, build_presentation, enumerate_symbols
 from .linalg import (
     HowellAccumulator,
     Submodule,
@@ -50,7 +50,6 @@ __all__ = [
     "unit_group",
     "SymbolSpace",
     "build_presentation",
-    "cd_symbol",
     "enumerate_symbols",
     "HowellAccumulator",
     "Submodule",

@@ -18,10 +18,11 @@ vector at (s0, t0) together with p(t0 x0 - x1), p(s0 x0 - x2) and p^2 x0.
 This collapse is exact (it is tested against the literal class enumeration)
 and keeps the generator stream linear in phi(N)^2.
 
-When p does not divide N and p >= 5, every unit carries at least two
-square classes, and the stream of a representative [u0:v0] spans no more
-than the plain symbol columns y_c of [u0 : c v0], c in U^-1 U (U the units
-visited; all of them unless a unit bound is given):
+When p does not divide N and p >= 5, C^theta is all of R^r' for every
+unit bound >= 1, and cd_span returns that without forming a stream.  Every
+unit carries at least two square classes, and the bilinear stream of a
+representative [u0:v0] spans the plain symbol columns y_c of [u0 : c v0],
+c in U^-1 U (U the units visited; all of them unless a unit bound is given):
 
 (i)   The fiber sum separates the terms.  For bases s1 != s2 and t1 != t2
       in [1, p) the 4x4 matrix of (1, s, t, st) on {s1, s2} x {t1, t2} has
@@ -33,20 +34,22 @@ visited; all of them unless a unit bound is given):
       columns[i] exactly (theta is even), and [a u0 : b v0] =
       <a>[u0 : a^-1 b v0], so x3[a, b] = theta(a) y_{a^-1 b}.
 
-So the span after each representative, and with it every length, stop
-index and verdict, is that of the full stream, from at most phi(N) rows.
+Among them is y_1, the column of [u0:v0] itself: the reduced unit column of
+its sigma-pair (zero for a dropped orbit, which has no column).  So the
+relations and the streams of the representatives first in their sigma-pair
+span R^r'.
 
-(iv)  Every stream, short or bilinear, is R-linear in the y_c with
-      coefficients that do not depend on the representative (x2[a] =
-      theta(a) y_{a^-1} by (iii)).  So y_c may be replaced by its reduced
-      representative modulo the running span S: S + span(stream) stays the
-      same, and the reduced rows vanish where S has a unit pivot.  At N = 35
-      the span stops growing after at most two representatives; the later
-      streams reduce to zero and are not inserted.
+(iv)  Every stream is R-linear in the y_c with coefficients that do not
+      depend on the representative (x2[a] = theta(a) y_{a^-1} by (iii)).
+      So y_c may be replaced by its reduced representative modulo the
+      running span S: S + span(stream) stays the same, and the reduced rows
+      vanish where S has a unit pivot.  At N = 35 the span stops growing
+      after at most two representatives; the later streams reduce to zero
+      and are not inserted.
 
-When p divides N, or p = 3, each unit a has one base s_a, and the stream is
-bilinear: one row per (a, b) in U x U.  When U is the whole unit group, the
-rows with a among the generators of (Z/N)^x span all of them:
+When p divides N, or p = 3, each unit a has one base s_a, and cd_span forms
+the bilinear stream: one row per (a, b) in U x U.  When U is the whole unit
+group, the rows with a among the generators of (Z/N)^x span all of them:
 
 (v)   Write y_c as the formal vector e_c.  Row (a, b) is A_a g_b, where
       g_b = s_b e_1 - e_b, A_a = s_a - theta(a) T_a and T_a e_c = e_{a^-1 c}.
@@ -166,7 +169,6 @@ class EigenContext:
     basis: np.ndarray = field(repr=False)
     columns: np.ndarray = field(repr=False)
     omega: DirichletCharacter = field(repr=False)
-    eta: DirichletCharacter = field(repr=False)
     f: int = 0
 
     @property
@@ -285,7 +287,6 @@ def build_eigen_context(
     columns = np.einsum("nrc,ncd->nrd", basis[col_of], ring.smatrix(scalars)) % ring.pk
     omega = teichmuller_character(M, p, ring)
     theta_mp = theta if N == M * p else theta.extend(M * p)
-    eta = theta_mp * omega ** (-2)
     return EigenContext(
         space=space,
         ring=ring,
@@ -299,8 +300,7 @@ def build_eigen_context(
         basis=basis,
         columns=columns,
         omega=omega,
-        eta=eta,
-        f=eta.conductor(),
+        f=(theta_mp * omega ** (-2)).conductor(),
     )
 
 
@@ -383,23 +383,15 @@ def cd_eigensymbol(ctx: EigenContext, c: int, d: int, chi: DirichletCharacter, g
 # the (c,d)-span
 
 
-def _scalar_bases(p: int, pk: int, N: int, units: np.ndarray) -> np.ndarray:
-    """Base values s0 of the fibers {c^2 mod p^k : c in the class of a}, one
-    row per unit a."""
-    if N % p == 0:
-        return ((units % p) ** 2 % pk)[:, None]
-    squares = sorted({(x * x) % p for x in range(1, p)})
-    return np.tile(np.array(squares, dtype=np.int64), (len(units), 1))
-
-
 def _stream_invariants(ctx: EigenContext, units: np.ndarray):
     """What the streams of all representatives share: the sorted ratio set
     U^-1 U (1 first), the positions in it of b, a^-1 and a^-1 b for a on
     the stream's a axis and b in U, the multiplication matrices of theta(a),
-    and the positions of the a axis in U.  The a axis is U itself, or only
-    the generators of (Z/N)^x when U is the whole unit group (step (v) of
-    the module docstring)."""
-    N = ctx.N
+    and the bases s_a and s_b.  The a axis is U itself, or only the
+    generators of (Z/N)^x when U is the whole unit group (step (v) of the
+    module docstring).  Each unit has the one base (a mod p)^2 when p | N,
+    and 1 when p = 3 does not divide N."""
+    N, ring = ctx.N, ctx.ring
     ug = unit_group(N)
     pick = np.searchsorted(units, ug.generators) if len(units) == ug.phi else np.arange(len(units))
     inverses = np.array([pow(int(a), -1, N) for a in units[pick]], dtype=np.int64)
@@ -407,21 +399,15 @@ def _stream_invariants(ctx: EigenContext, units: np.ndarray):
     seen = np.bincount(quotients.ravel(), minlength=N) > 0
     at = np.cumsum(seen) - 1  # position in the ratio set
     theta_a = ctx.theta.values[np.searchsorted(ug.units, units[pick])]
-    return np.flatnonzero(seen), at[units], at[inverses], at[quotients], ctx.ring.smatrix(theta_a), pick
+    s = (units % ring.p) ** 2 % ring.pk if N % ring.p == 0 else np.ones(len(units), dtype=np.int64)
+    return np.flatnonzero(seen), at[units], at[inverses], at[quotients], ring.smatrix(theta_a), s[pick], s
 
 
-def _cd_generators(ctx: EigenContext, rep: int, units, bases, shared=None, span=None) -> np.ndarray:
-    """The generator stream of one orbit representative [u0:v0], as a stack,
-    formed from its symbol columns y_c of [u0 : c v0], c in U^-1 U
-    (U = `units`; `shared` is `_stream_invariants(ctx, units)`).
-
-    With two or more square-class bases per unit (p does not divide N and
-    p >= 5) it is the y_c themselves: at most phi(N) rows spanning what the
-    bilinear stream below spans, by (i)-(iii) of the module docstring.
-
-    Otherwise (p | N, or p = 3) each unit a has one base s_a, and it is the
-    bilinear stream: for a on the a axis of `shared` and b in U,
-    s_a s_b x0 - s_a x1 - s_b x2 + x3 with x0, x1, x2, x3 the columns of
+def _cd_generators(ctx: EigenContext, rep: int, shared, span=None) -> np.ndarray:
+    """The bilinear generator stream of one orbit representative [u0:v0], as
+    a stack, formed from its symbol columns y_c of [u0 : c v0], c in U^-1 U
+    (`shared` is `_stream_invariants(ctx, U)`): for a on its a axis and b in
+    U, s_a s_b x0 - s_a x1 - s_b x2 + x3 with x0, x1, x2, x3 the columns of
     [u0:v0], [u0:b v0], [a u0:v0], [a u0:b v0], then the fiber generators
     p(s_b x0 - x1), p(s_a x0 - x2) (k >= 2) and p^2 x0 (k >= 3).  By (iii),
     x0 = y_1, x1 = y_b, x2 = theta(a) y_{a^-1} and x3 = theta(a) y_{a^-1 b}
@@ -433,7 +419,7 @@ def _cd_generators(ctx: EigenContext, rep: int, units, bases, shared=None, span=
     are reduced modulo it once it has grown past the relations, the stream
     is formed on the columns without a unit pivot, and zero rows are left out."""
     space, ring, pk = ctx.space, ctx.ring, ctx.ring.pk
-    ratios, at_b, at_inverse, at_ratio, theta_a, pick = shared or _stream_invariants(ctx, units)
+    ratios, at_b, at_inverse, at_ratio, theta_a, sa, sb = shared
     u0, v0 = space.symbols[rep]
     y = ctx.columns[space.table[u0, ratios * v0 % space.N]]
     if span is not None:
@@ -444,22 +430,18 @@ def _cd_generators(ctx: EigenContext, rep: int, units, bases, shared=None, span=
         y = y[:, free]
         if not y.any():
             return np.zeros((0, span.ncols, ring.m), dtype=np.int64)
-    if bases.shape[1] >= 2:
-        rows = y
-    else:
-        x0, x1 = y[0], y[at_b]  # (r, m) and (b, r, m)
-        x2 = y[at_inverse] @ theta_a % pk  # (a, r, m)
-        x3 = y[at_ratio] @ theta_a[:, None] % pk  # (a, b, r, m)
-        sa, sb = bases[pick, 0], bases[:, 0]
-        s, t = sa[:, None, None, None], sb[None, :, None, None]  # s_a and s_b on the axes (a, b, r, m)
-        # each product is below p^(2k), so every sum stays inside the int64 bound
-        stacks = [(x0 * (s * t % pk) - x1[None] * s - x2[:, None] * t + x3) % pk]
-        if ring.k >= 2:
-            stacks.append((x0 * sb[:, None, None] - x1) % pk * ring.p % pk)
-            stacks.append((x0 * sa[:, None, None] - x2) % pk * ring.p % pk)
-        if ring.k >= 3:
-            stacks.append(x0 * ring.p**2 % pk)
-        rows = np.concatenate([g.reshape(-1, *x0.shape) for g in stacks])
+    x0, x1 = y[0], y[at_b]  # (r, m) and (b, r, m)
+    x2 = y[at_inverse] @ theta_a % pk  # (a, r, m)
+    x3 = y[at_ratio] @ theta_a[:, None] % pk  # (a, b, r, m)
+    s, t = sa[:, None, None, None], sb[None, :, None, None]  # s_a and s_b on the axes (a, b, r, m)
+    # each product is below p^(2k), so every sum stays inside the int64 bound
+    stacks = [(x0 * (s * t % pk) - x1[None] * s - x2[:, None] * t + x3) % pk]
+    if ring.k >= 2:
+        stacks.append((x0 * sb[:, None, None] - x1) % pk * ring.p % pk)
+        stacks.append((x0 * sa[:, None, None] - x2) % pk * ring.p % pk)
+    if ring.k >= 3:
+        stacks.append(x0 * ring.p**2 % pk)
+    rows = np.concatenate([g.reshape(-1, *x0.shape) for g in stacks])
     if span is None:
         return rows
     out = np.zeros((len(rows), span.ncols, ring.m), dtype=np.int64)
@@ -467,56 +449,43 @@ def _cd_generators(ctx: EigenContext, rep: int, units, bases, shared=None, span=
     return out[rows.any(axis=(1, 2))]
 
 
-def cd_span(
-    ctx: EigenContext,
-    stop_at_length: int | None = None,
-    unit_bound: int | None = None,
-):
-    """Accumulate the Howell span of e_theta applied to all (c,d)-symbols,
-    with (c, d) ranging over every residue class prime to 6N modulo
-    lcm(6N, p^k).  Returns (accumulator, exhausted).
+def cd_span(ctx: EigenContext, unit_bound: int | None = None) -> HowellAccumulator:
+    """The Howell span C^theta of e_theta applied to all (c,d)-symbols, with
+    (c, d) ranging over every residue class prime to 6N modulo lcm(6N, p^k),
+    plus the relations.  A unit_bound restricts the c mod N and d mod N
+    residues to representatives <= bound.
 
-    Only the representatives first in their sigma-pair (`ctx.reps`) are
+    When p does not divide N and p >= 5 the span is all of R^r' by
+    (i)-(iii) of the module docstring, and no stream is formed.  Otherwise
+    only the representatives first in their sigma-pair (`ctx.reps`) are
     visited.  Modulo the sign relations the (c,d)-symbol of sigma[u:v] is
     minus the (d,c)-symbol of [u:v], the partner's representative is a
     diamond translate of sigma of the first one, and the class set is
     symmetric in (c, d), also under a unit_bound; so the partner's stream
-    adds nothing.
-
-    When p does not divide N and p >= 5 each representative's stream is its
-    symbol columns [u0 : c v0], c in U^-1 U, at most phi(N) rows; by (i)-(iii)
-    of the module docstring they span what the bilinear (c,d)-stream spans,
-    so the accumulated span after every representative is the same.  When
-    p | N or p = 3 the stream is bilinear, and when U is every unit its a
-    axis runs over the generators of (Z/N)^x only, by (v).  By (iv) every
-    stream is formed from columns reduced modulo the span so far,
-    on the columns without a unit pivot, and a zero stream is not inserted.
-
-    If stop_at_length is given (the length of a module known to contain the
-    span), accumulation stops once the length is there, before the next
+    adds nothing.  When U is every unit the a axis of each bilinear stream
+    runs over the generators of (Z/N)^x only, by (v).  By (iv) every stream
+    is formed from columns reduced modulo the span so far, on the columns
+    without a unit pivot, and a zero stream is not inserted.  The visit
+    stops once the span is all of R^r' (length r' k), before the next
     representative's stream is formed (before the first one when the
-    relations already reach it).  A unit_bound restricts the c mod N
-    and d mod N residues to representatives <= bound; the result is then
-    marked not exhaustive."""
-    ring = ctx.ring
-    N = ctx.space.N
-    units = np.array(unit_group(N).units, dtype=np.int64)
-    exhausted = True
+    relations already reach it)."""
+    units = np.array(unit_group(ctx.N).units, dtype=np.int64)
     if unit_bound is not None:
         units = units[units <= unit_bound]
-        if not len(units):
-            raise ValueError("cd bound excludes every residue class")
-        exhausted = False
-    bases = _scalar_bases(ring.p, ring.pk, N, units)
+    if not len(units):
+        raise ValueError("cd bound excludes every residue class")
+    if ctx.p >= 5 and ctx.N % ctx.p:
+        return ctx.htheta_target()
+    full = len(ctx.basis) * ctx.ring.k
     shared = _stream_invariants(ctx, units)
     acc = ctx.rel_acc.copy()
     for rep in ctx.reps:
-        if stop_at_length is not None and acc.length >= stop_at_length:
+        if acc.length == full:
             break
-        rows = _cd_generators(ctx, rep, units, bases, shared, acc)
+        rows = _cd_generators(ctx, rep, shared, acc)
         if len(rows):
             acc.add_rows(rows)
-    return acc, exhausted
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -622,17 +591,14 @@ def _classify(ctx: EigenContext, variant: str, trivial_u: tuple[int, ...], t2: b
 
 
 def _case_extras(ctx: EigenContext, case: str):
-    N, p = ctx.N, ctx.p
     out = []
     if case == "b":
-        chi = (ctx.omega**2) if N == ctx.M * p else None
-        assert chi is not None
-        out.append((chi, 1, p))
+        out.append((ctx.omega**2, 1, ctx.p))
     elif case == "c":
         triv = ctx.theta * ctx.theta.inverse()
         out.append((triv, 1, 1))
         if ctx.space.variant == FULL:
-            out.append((triv, N, 1))
+            out.append((triv, ctx.N, 1))
     return out
 
 
@@ -678,15 +644,7 @@ def _generation_core(
     ctx = build_eigen_context(space, p, M, theta_w, extra_rows)
     case = _classify(ctx, variant, trivial_u, t2)
     target = ctx.htheta_target()
-    if p >= 5 and N % p:
-        # c = 1 is in U^-1 U for every unit bound >= 1, so by (i)-(iii) of the
-        # module docstring the span holds each sigma-first representative's
-        # own column, and C^theta = H^theta: cd_span would only confirm it
-        if cd_bound is not None and cd_bound < 1:
-            raise ValueError("cd bound excludes every residue class")
-        c_acc, exhausted = target, cd_bound is None
-    else:
-        c_acc, exhausted = cd_span(ctx, stop_at_length=target.length, unit_bound=cd_bound)
+    c_acc = cd_span(ctx, unit_bound=cd_bound)
     dim_h = ctx.dim_H
     dim_c = c_acc.length - ctx.rel_length
     equal = c_acc.length == target.length
@@ -709,7 +667,7 @@ def _generation_core(
         variant=variant,
         theta=theta.label(),
         quotient=quotient_label,
-        cd="exhaustive" if exhausted else f"bound={cd_bound}",
+        cd="exhaustive" if cd_bound is None else f"bound={cd_bound}",
         case=case,
         dim_H=dim_h,
         dim_C=dim_c,

@@ -93,16 +93,6 @@ class HowellAccumulator:
             unit = pvals == 0
             self._unit_cols, self._unit_rows = cols[unit], mat[unit]
 
-    @property
-    def pivots(self) -> dict[int, np.ndarray]:
-        """Pivot column -> basis row."""
-        return dict(zip(self.cols.tolist(), self.mat))
-
-    @property
-    def vals(self) -> dict[int, int]:
-        """Pivot column -> valuation of the pivot."""
-        return dict(zip(self.cols.tolist(), self.pvals.tolist()))
-
     def copy(self) -> "HowellAccumulator":
         """A copy that shares the basis arrays (they are never written into)."""
         other = object.__new__(HowellAccumulator)
@@ -286,9 +276,6 @@ class Submodule:
     def length(self) -> int:
         return sum(self.ring.k - v for v in self.pivot_vals)
 
-    def nrows(self) -> int:
-        return self.rows.shape[0]
-
     def accumulator(self) -> HowellAccumulator:
         """An accumulator that shares these rows as its basis."""
         acc = HowellAccumulator(self.ring, self.ncols)
@@ -309,7 +296,7 @@ class Submodule:
         return hash((self.ring, self.ncols, self.pivot_cols, self.pivot_vals, self.rows.tobytes()))
 
     def __repr__(self):
-        return f"Submodule({self.ring}, ambient {self.ncols}, {self.nrows()} rows, length {self.length})"
+        return f"Submodule({self.ring}, ambient {self.ncols}, {len(self.rows)} rows, length {self.length})"
 
 
 def howell_form(rows, ring: CoeffRing, ncols: int | None = None) -> Submodule:

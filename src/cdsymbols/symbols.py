@@ -21,24 +21,15 @@ from .characters import unit_group
 __all__ = [
     "FULL",
     "CUSP0",
-    "canonical_pair",
     "enumerate_symbols",
     "SymbolSpace",
     "build_presentation",
     "cd_terms",
-    "cd_symbol",
 ]
 
 FULL = "full"
 CUSP0 = "cusp0"
 _VARIANTS = (FULL, CUSP0)
-
-
-def canonical_pair(N: int, u: int, v: int) -> tuple[int, int]:
-    """Lexicographically least of (u, v) and (-u, -v) modulo N."""
-    u %= N
-    v %= N
-    return min((u, v), ((-u) % N, (-v) % N))
 
 
 @lru_cache(maxsize=None)
@@ -186,12 +177,3 @@ def cd_terms(space: SymbolSpace, c: int, d: int) -> tuple[tuple[int, int, int], 
     c2 = c * c % space.ring.pk
     d2 = d * d % space.ring.pk
     return ((1, 1, c2 * d2), (1, d, -c2), (c, 1, -d2), (c, d, 1))
-
-
-def cd_symbol(space: SymbolSpace, c: int, d: int, u: int, v: int) -> np.ndarray:
-    """The four-term combination c^2 d^2 [u:v] - c^2 [u:dv] - d^2 [cu:v] + [cu:dv]."""
-    ring = space.ring
-    vec = ring.vzeros(space.nsym)
-    for x, y, coeff in cd_terms(space, c, d):
-        vec[space.idx(x * u, y * v), 0] += coeff
-    return vec % ring.pk

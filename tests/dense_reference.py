@@ -3,12 +3,15 @@ dense eigenspace projector, the projection through it and ring matrix
 products on the ambient free module, which the sigma-pair coordinate map of
 `cdsymbols.eigen` is checked against, and that map on dense rows (the
 scatter over all symbols); the literal double
-loop behind `cd_eigensymbol`; row-at-a-time greedy Howell insertion, which
-keeps the basis fully reduced one row at a time, the reference for
-`HowellAccumulator.add_rows` and `reduce_rows`, and the literal (c,d)-class
-enumeration built on it, the oracle for `cd_span`; the bilinear
-(c,d)-generator stream, the reference for `cd_span`'s short and reduced
-streams, and its coefficient matrix over the symbol columns; the dense
+loop behind `cd_eigensymbol`; a Howell basis as dicts by pivot column, and
+row-at-a-time greedy Howell insertion, which keeps the basis fully reduced
+one row at a time, the reference for `HowellAccumulator.add_rows` and
+`reduce_rows`; the canonical pair and the (c,d)-symbol of one symbol as an
+ambient vector, and the literal (c,d)-class enumeration built on them, the
+oracle for `cd_span`; the literal square-class bases of the fibers, and the
+bilinear (c,d)-generator stream over them, the reference for the span
+`cd_span` settles without a stream (p prime to N, p >= 5) and for its
+reduced streams, and its coefficient matrix over the symbol columns; the dense
 six-term T2 vector and the per-orbit T2-Eisenstein loop; span membership with a witness; the cusp0 presentation
 against the full one; the column of e_theta[u:v] and the C^theta + [1:p]
 check of criterion 06; and characters kept by their generator images in
@@ -26,7 +29,14 @@ from cdsymbols.characters import DirichletCharacter, parse_theta, teichmuller_ch
 from cdsymbols.eigen import EigenContext, _scatter, _validate_scenario, build_eigen_context, cd_span
 from cdsymbols.linalg import HowellAccumulator, Submodule
 from cdsymbols.rings import CoeffRing, RingElem, RingError, make_coeff_ring, root_of_unity
-from cdsymbols.symbols import CUSP0, FULL, SymbolSpace, build_presentation, cd_symbol
+from cdsymbols.symbols import CUSP0, FULL, SymbolSpace, build_presentation, cd_terms
+
+
+def basis_dicts(acc: HowellAccumulator) -> tuple[dict, dict]:
+    """The basis of acc by pivot column: column -> row, and column ->
+    valuation of the pivot."""
+    cols = acc.cols.tolist()
+    return dict(zip(cols, acc.mat)), dict(zip(cols, acc.pvals.tolist()))
 
 
 def _greedy_reduce(ring: CoeffRing, pivots: dict, vals: dict, vec: np.ndarray) -> np.ndarray:
@@ -53,7 +63,7 @@ def greedy_reduce(acc: HowellAccumulator, vec: np.ndarray) -> np.ndarray:
     stops at the first nonzero column with no pivot, or whose entry has a
     smaller valuation than the pivot there.  The result is zero iff vec is
     in the span."""
-    return _greedy_reduce(acc.ring, acc.pivots, acc.vals, vec)
+    return _greedy_reduce(acc.ring, *basis_dicts(acc), vec)
 
 
 def _reduce_at(ring: CoeffRing, pivots: dict, vals: dict, row: np.ndarray, cols) -> np.ndarray:
@@ -121,7 +131,7 @@ def _store(acc: HowellAccumulator, pivots: dict, vals: dict) -> None:
 
 def greedy_add(acc: HowellAccumulator, vec: np.ndarray) -> bool:
     """Insert one row into acc by greedy insertion; returns True if the span grew."""
-    pivots, vals = acc.pivots, acc.vals
+    pivots, vals = basis_dicts(acc)
     if not _greedy_insert(acc.ring, pivots, vals, vec):
         return False
     _store(acc, pivots, vals)
@@ -138,6 +148,23 @@ def greedy_accumulator(ring: CoeffRing, ncols: int, rows=()) -> HowellAccumulato
     return acc
 
 
+def canonical_pair(N: int, u: int, v: int) -> tuple[int, int]:
+    """Lexicographically least of (u, v) and (-u, -v) modulo N."""
+    u %= N
+    v %= N
+    return min((u, v), ((-u) % N, (-v) % N))
+
+
+def cd_symbol(space: SymbolSpace, c: int, d: int, u: int, v: int) -> np.ndarray:
+    """The four-term combination c^2 d^2 [u:v] - c^2 [u:dv] - d^2 [cu:v] + [cu:dv]
+    as an ambient vector."""
+    ring = space.ring
+    vec = ring.vzeros(space.nsym)
+    for x, y, coeff in cd_terms(space, c, d):
+        vec[space.idx(x * u, y * v), 0] += coeff
+    return vec % ring.pk
+
+
 def cd_span_bruteforce(ctx: EigenContext) -> HowellAccumulator:
     """Literal enumeration over all residue classes of (c, d) modulo
     L = lcm(6N, p^k) prime to 6N, applied to every symbol and projected
@@ -150,7 +177,7 @@ def cd_span_bruteforce(ctx: EigenContext) -> HowellAccumulator:
     L = 6 * N * ring.pk // gcd(6 * N, ring.pk)
     classes = [c for c in range(1, L + 1) if gcd(c, 6 * N) == 1]
     acc = ctx.rel_acc.copy()
-    pivots, vals = acc.pivots, acc.vals
+    pivots, vals = basis_dicts(acc)
     for c in classes:
         cc = c if c > 1 else c + L
         for d in classes:
@@ -162,6 +189,16 @@ def cd_span_bruteforce(ctx: EigenContext) -> HowellAccumulator:
     return acc
 
 
+def scalar_bases(p: int, pk: int, N: int, units: np.ndarray) -> np.ndarray:
+    """Base values s0 of the fibers {c^2 mod p^k : c in the class of a}, one
+    row per unit a: (a mod p)^2 when p | N, and every square class mod p
+    otherwise."""
+    if N % p == 0:
+        return ((units % p) ** 2 % pk)[:, None]
+    squares = sorted({(x * x) % p for x in range(1, p)})
+    return np.tile(np.array(squares, dtype=np.int64), (len(units), 1))
+
+
 def cd_generators_full(
     ctx: EigenContext, rep: int, units: np.ndarray, bases: np.ndarray, a_units: np.ndarray | None = None
 ) -> np.ndarray:
@@ -171,10 +208,11 @@ def cd_generators_full(
     [u0:v0], [u0:b v0], [a u0:v0], [a u0:b v0], then the fiber generators
     p(t0 x0 - x1), p(s0 x0 - x2) (k >= 2) and p^2 x0 (k >= 3), from the
     columns of those symbols as they are.  b runs over `units`, and a over
-    `a_units` (a subset of `units`; all of them if None).  The reference for
-    the short stream that `cdsymbols.eigen._cd_generators` returns when p
-    does not divide N and p >= 5, and for the streams `cd_span` forms from
-    reduced columns."""
+    `a_units` (a subset of `units`; all of them if None), and `bases` are
+    `scalar_bases(p, p^k, N, units)`.  The reference for the span that
+    `cdsymbols.eigen.cd_span` returns without a stream when p does not
+    divide N and p >= 5, and for the streams it forms from reduced
+    columns."""
     space, ring = ctx.space, ctx.ring
     p, pk, N = ring.p, ring.pk, space.N
     a_units = units if a_units is None else np.asarray(a_units, dtype=np.int64)
@@ -506,7 +544,7 @@ def verify_cd_span_of_one_p(
         theta = parse_theta(theta, N, p, ring)
     ctx = build_eigen_context(space, p, M, theta)
     target = ctx.htheta_target()
-    acc, _ = cd_span(ctx, stop_at_length=target.length, unit_bound=cd_bound)
+    acc = cd_span(ctx, unit_bound=cd_bound)
     plain_equal = acc.length == target.length
     if not plain_equal:
         acc.add(etheta_column(ctx, 1, p % N))

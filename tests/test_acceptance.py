@@ -123,7 +123,7 @@ def _case_b_spans(p, k, M, theta):
     a1p = eigensymbol(ctx, om2, 1, p)
     aM1 = eigensymbol(ctx, om2, M, 1)
     e1p = etheta_column(ctx, 1, p)
-    c_acc, _ = cd_span(ctx)
+    c_acc = cd_span(ctx)
 
     def length(*extras):
         acc = c_acc.copy()

@@ -104,8 +104,8 @@ def test_cd_exhaustive_spells_the_default(capsys):
 
 @pytest.mark.parametrize("M,level,theta", [(9, "M", "[2]"), (5, "Mp", "[2,4]")])
 def test_cd_bound_below_every_unit_is_rejected(M, level, theta, capsys):
-    """A bound below 1 leaves no residue class, whether or not the verdict
-    needs cd_span (p = 7 does not divide N = 9, and divides N = 35)."""
+    """A bound below 1 leaves no residue class, whether or not cd_span forms
+    a stream (p = 7 does not divide N = 9, and divides N = 35)."""
     args = ["verify", "--p", "7", "--k", "1", "--M", str(M), "--level", level, "--theta", theta]
     assert main(args + ["--cd-bound", "0"]) == 2
     assert capsys.readouterr().err == "error: cd bound excludes every residue class\n"

@@ -34,6 +34,7 @@ from dense_reference import (
     matrix_product,
     project,
     reference_projection,
+    scalar_bases,
     sign_pair_map,
     sign_pairs,
     t2_eisenstein_relations_loop,
@@ -542,8 +543,7 @@ def test_cd_span_matches_bruteforce(p, k, M, level, variant):
         if not theta.is_even():
             continue
         ctx = build_eigen_context(sp, p, M, theta)
-        opt, exhausted = cd_span(ctx)
-        assert exhausted
+        opt = cd_span(ctx)
         brute = cd_span_bruteforce(ctx)
         assert opt.finalize() == brute.finalize()
 
@@ -551,45 +551,6 @@ def test_cd_span_matches_bruteforce(p, k, M, level, variant):
 def _stream_units(N, bound):
     units = np.array(unit_group(N).units, dtype=np.int64)
     return units if bound is None else units[units <= bound]
-
-
-@pytest.mark.parametrize(
-    "p,k,M,variant",
-    [
-        (7, 1, 5, "full"),  # GR(7, 2)
-        (7, 2, 5, "full"),  # GR(49, 2)
-        (7, 3, 5, "cusp0"),  # GR(343, 2)
-        (7, 1, 9, "full"),  # Z/7
-        (7, 2, 9, "cusp0"),  # Z/49
-        (7, 3, 9, "full"),  # Z/343
-        (5, 2, 6, "full"),  # Z/25
-        (11, 1, 4, "cusp0"),  # Z/11, five square classes
-    ],
-)
-def test_short_stream_spans_the_full_stream(p, k, M, variant):
-    """When p does not divide N and p >= 5, cd_span feeds each
-    representative's symbol columns [u0 : c v0], c in U^-1 U, instead of
-    the bilinear (c,d)-stream.  After every representative in turn the
-    Howell form of the relations plus the streams so far is the same under
-    both, for every even character, exhaustively and with a unit bound."""
-    import cdsymbols.eigen as eigen
-
-    N, ring, sp = scenario(p, k, M, "M", variant)
-    for theta in enumerate_characters(N, ring):
-        if not theta.is_even():
-            continue
-        ctx = build_eigen_context(sp, p, M, theta)
-        for bound in (None, 6):
-            units = _stream_units(N, bound)
-            bases = eigen._scalar_bases(p, ring.pk, N, units)
-            assert bases.shape[1] == (p - 1) // 2
-            short, full = ctx.rel_acc.copy(), ctx.rel_acc.copy()
-            for rep in ctx.reps:
-                stream = eigen._cd_generators(ctx, rep, units, bases)
-                assert len(stream) <= unit_group(N).phi
-                short.add_rows(stream)
-                full.add_rows(cd_generators_full(ctx, rep, units, bases))
-                assert short.finalize() == full.finalize(), (theta.label(), bound, rep)
 
 
 @pytest.mark.parametrize(
@@ -608,13 +569,14 @@ def test_full_stream_kept_with_one_square_class(p, k, M, level):
     ctx = build_eigen_context(sp, p, M, theta)
     for bound in (None, 6):
         units = _stream_units(N, bound)
-        bases = eigen._scalar_bases(p, ring.pk, N, units)
+        bases = scalar_bases(p, ring.pk, N, units)
         assert bases.shape[1] == 1
+        shared = eigen._stream_invariants(ctx, units)
         ug = unit_group(N)
         a_units = ug.generators if len(units) == ug.phi else None
         for rep in ctx.reps:
             assert np.array_equal(
-                eigen._cd_generators(ctx, rep, units, bases),
+                eigen._cd_generators(ctx, rep, shared),
                 cd_generators_full(ctx, rep, units, bases, a_units),
             )
 
@@ -681,54 +643,66 @@ def test_exhaustive_bilinear_stacks_are_at_most_gens_phi_rows(p, k, M, level, va
         assert heights and max(heights) <= g * ug.phi + ug.phi + g + 1, (ctx.theta.label(), heights)
 
 
-@pytest.mark.parametrize("p,k,M", [(5, 1, 4), (5, 2, 6), (7, 1, 5), (7, 2, 9), (11, 1, 4), (13, 1, 5)])
-def test_cd_span_stacks_are_at_most_phi_rows_when_p_prime_to_N(p, k, M, monkeypatch):
-    """cd_span passes add_rows at most phi(N) rows per representative when p
-    does not divide N and p >= 5, exhaustively and with a unit bound."""
-    N, ring, sp = scenario(p, k, M, "M")
-    contexts = [build_eigen_context(sp, p, M, c) for c in enumerate_characters(N, ring) if c.is_even()]
-    heights = []
-    add_rows = HowellAccumulator.add_rows
+SETTLED_POOL = [
+    pytest.param(p, k, M, ("full", "cusp0"), None, id=f"{p}-{k}-{M}")
+    for p, k, M in [(5, 1, 4), (5, 2, 6), (7, 1, 5), (7, 2, 9), (11, 1, 4), (13, 1, 5)]
+] + [
+    pytest.param(p, k, M, (variant,), None, id=f"{p}-{k}-{M}-{variant}")
+    for p, k, M, variant in [
+        (7, 1, 5, "full"),  # GR(7, 2)
+        (7, 2, 5, "full"),  # GR(49, 2)
+        (7, 3, 5, "cusp0"),  # GR(343, 2)
+        (7, 1, 9, "full"),  # Z/7
+        (7, 2, 9, "cusp0"),  # Z/49
+        (7, 3, 9, "full"),  # Z/343
+        (5, 2, 6, "full"),  # Z/25
+        (11, 1, 4, "cusp0"),  # Z/11, five square classes
+    ]
+] + [
+    pytest.param(7, 1, 5, ("full",), "[0]", id="Z7-N5-short"),
+    pytest.param(7, 2, 9, ("cusp0",), "[2]", id="Z49-N9-short-cusp0"),
+    pytest.param(7, 3, 9, ("full",), "[2]", id="Z343-N9-short"),
+]
 
-    def recording(self, rows):
-        heights.append(len(rows))
-        return add_rows(self, rows)
 
-    monkeypatch.setattr(HowellAccumulator, "add_rows", recording)
-    for ctx in contexts:
-        for bound in (None, 6):
-            heights.clear()
-            cd_span(ctx, unit_bound=bound)
-            assert heights and max(heights) <= unit_group(N).phi, (ctx.theta.label(), bound, heights)
-
-
-@pytest.mark.parametrize("p,k,M", [(5, 1, 4), (5, 2, 6), (7, 1, 5), (7, 2, 9), (11, 1, 4), (13, 1, 5)])
-def test_every_scenario_prime_to_p_is_equal(p, k, M, monkeypatch):
-    """For p not dividing N and p >= 5, C^theta is all of H^theta for every
-    even theta and both variants, with or without a unit bound: c = 1
-    already gives each sigma-first representative's own column.  cd_span
-    reaches the target length, and check_generation, which knows this,
-    does not call it."""
+@pytest.mark.parametrize("p,k,M,variants,theta", SETTLED_POOL)
+def test_every_scenario_prime_to_p_is_equal(p, k, M, variants, theta, monkeypatch):
+    """For p not dividing N and p >= 5, C^theta is all of R^r' (so equal to
+    H^theta) for every even theta, with or without a unit bound: the
+    relations plus the literal bilinear streams over every square class
+    (dense_reference.cd_generators_full) of the representatives first in
+    their sigma-pair have the Howell form of R^r', exhaustively and with unit
+    bounds 1 and 6.  cd_span returns that span, and neither it nor
+    check_generation forms a stream."""
     import cdsymbols.eigen as eigen
 
     def not_called(*args, **kwargs):
-        raise AssertionError("check_generation called cd_span")
+        raise AssertionError("a (c,d)-stream was formed")
 
     N = M
     canonical = make_coeff_ring(p, k, unit_group(N).phi)
-    for variant in ("full", "cusp0"):
+    for variant in variants:
         sp = build_presentation(N, variant, canonical)
-        for theta in enumerate_characters(N, canonical):
-            if not theta.is_even():
-                continue
-            ctx = build_eigen_context(sp, p, M, theta)
+        if theta is None:
+            chars = [c for c in enumerate_characters(N, canonical) if c.is_even()]
+        else:
+            chars = [parse_theta(theta, N, p, canonical)]
+        for chi in chars:
+            ctx = build_eigen_context(sp, p, M, chi)
+            target = ctx.htheta_target().finalize()
             for bound in (None, 1, 6):
-                span, _ = cd_span(ctx, unit_bound=bound)
-                assert span.length == ctx.htheta_target().length, (variant, theta.label(), bound)
+                units = _stream_units(N, bound)
+                bases = scalar_bases(p, canonical.pk, N, units)
+                assert bases.shape[1] == (p - 1) // 2
+                full = ctx.rel_acc.copy()
+                for rep in ctx.reps:
+                    full.add_rows(cd_generators_full(ctx, rep, units, bases))
+                assert full.finalize() == target, (variant, chi.label(), bound)
                 with monkeypatch.context() as m:
-                    m.setattr(eigen, "cd_span", not_called)
-                    r = check_generation(p, k, M, "M", variant, theta, cd_bound=bound)
-                assert r.equal and r.dim_C == r.dim_H, (variant, theta.label(), bound)
+                    m.setattr(eigen, "_cd_generators", not_called)
+                    assert cd_span(ctx, unit_bound=bound).finalize() == target
+                    r = check_generation(p, k, M, "M", variant, chi, cd_bound=bound)
+                assert r.equal and r.dim_C == r.dim_H, (variant, chi.label(), bound)
                 assert r.extras == () and r.divisors == ()
                 assert r.cd == ("exhaustive" if bound is None else f"bound={bound}")
 
@@ -742,20 +716,33 @@ def test_every_scenario_prime_to_p_is_equal(p, k, M, monkeypatch):
         (13, 1, 9, "M", "full", "[2]"),
         (7, 1, 5, "Mp", "full", "[2,4]"),
         (7, 1, 5, "Mp", "full", "[0,4]"),
+        (5, 1, 1, "Mp", "cusp0", "[0]"),  # dim_H = 0
+        (5, 2, 1, "Mp", "cusp0", "[0]"),
     ],
 )
 def test_cd_span_stops_at_target_with_the_exhaustive_length(p, k, M, level, variant, theta, monkeypatch):
-    """With stop_at_length = the target length, cd_span returns the
-    exhaustive span's length, and its Howell form when that span is the
-    target; it stops before the last orbit representative in the case-a
-    scenarios, and runs through every representative that is first in its
-    sigma-pair when the span falls short."""
+    """cd_span returns the length of the exhaustive span of the literal
+    bilinear streams (dense_reference.cd_generators_full), and its Howell
+    form when that span is the target.  It forms the streams of the
+    representatives first in their sigma-pair up to the first one after
+    which the reference span is all of R^r': before the last one in the
+    case-a scenarios, through every one when the span falls short, and none
+    when p does not divide N and p >= 5 or when the relations already fill
+    R^r' (dim_H = 0 at N = 5, cusp0, theta trivial)."""
     import cdsymbols.eigen as eigen
 
     N, ring, sp = scenario(p, k, M, level, variant)
     ctx = build_eigen_context(sp, p, M, parse_theta(theta, N, p, ring))
     target = ctx.htheta_target()
-    full, _ = cd_span(ctx)
+    units = _stream_units(N, None)
+    bases = scalar_bases(p, ring.pk, N, units)
+    full = ctx.rel_acc.copy()
+    expected = []
+    for rep in ctx.reps:
+        if full.length == target.length:
+            break
+        expected.append(rep)
+        full.add_rows(cd_generators_full(ctx, rep, units, bases))
     seen = []
     generators = eigen._cd_generators
 
@@ -764,11 +751,13 @@ def test_cd_span_stops_at_target_with_the_exhaustive_length(p, k, M, level, vari
         return generators(ctx, rep, *args)
 
     monkeypatch.setattr(eigen, "_cd_generators", recording)
-    stopped, exhausted = cd_span(ctx, stop_at_length=target.length)
-    assert exhausted
+    stopped = cd_span(ctx)
     assert stopped.length == full.length
     if full.length == target.length:
         assert stopped.finalize() == full.finalize()
+    assert seen == ([] if p >= 5 and N % p else expected)
+    if ctx.dim_H == 0:
+        assert seen == [] and stopped.length == ctx.rel_length
     if _classify(ctx, variant, (), False) == "a":
         assert full.length == target.length
         assert len(seen) < len(ctx.reps)
@@ -778,9 +767,6 @@ def test_cd_span_stops_at_target_with_the_exhaustive_length(p, k, M, level, vari
 
 
 REDUCED_STREAM_POOL = [
-    pytest.param(7, 1, 5, "M", "full", "[0]", "none", id="Z7-N5-short"),
-    pytest.param(7, 2, 9, "M", "cusp0", "[2]", "none", id="Z49-N9-short-cusp0"),
-    pytest.param(7, 3, 9, "M", "full", "[2]", "none", id="Z343-N9-short"),
     pytest.param(5, 3, 1, "Mp", "full", "omega^2", "none", id="Z125-N5"),
     pytest.param(7, 2, 5, "Mp", "full", "[1,3]", "none", id="GR49-N35"),
     pytest.param(7, 1, 5, "Mp", "cusp0", "[2,4]", "trivU:7", id="N35-cusp0-trivU7"),
@@ -803,30 +789,33 @@ def test_reduced_streams_keep_the_span_after_every_representative(
     and skips an all-zero stream.  After every representative its span has
     the Howell form of the relations plus the bilinear streams inserted
     unreduced (dense_reference.cd_generators_full), exhaustively and with
-    unit bounds 1 and 6; the pool runs k = 1, 2, 3 and 19 (GR(3^19, 2), the
-    top of the int64 ladder), Galois rings, cusp0 and quotient contexts."""
+    unit bounds 1 and 6, up to the first span that is all of R^r', where it
+    stops; the pool runs k = 1, 2, 3 and 19 (GR(3^19, 2), the top of the
+    int64 ladder), Galois rings, cusp0 and quotient contexts."""
     import cdsymbols.eigen as eigen
 
     N, ring, sp = scenario(p, k, M, level, variant)
     theta = parse_theta(theta, N, p, ring)
     ctx = build_eigen_context(sp, p, M, theta, quotient_rows(sp, p, parse_quotient(quotient), theta))
+    full_length = ctx.htheta_target().length
     spans = []
     generators = eigen._cd_generators
 
-    def recording(ctx, rep, units, bases, shared, span):
+    def recording(ctx, rep, shared, span):
         spans.append(span.finalize())
-        return generators(ctx, rep, units, bases, shared, span)
+        return generators(ctx, rep, shared, span)
 
     monkeypatch.setattr(eigen, "_cd_generators", recording)
     for bound in (None, 1, 6):
         spans.clear()
-        span, _ = cd_span(ctx, unit_bound=bound)
-        spans.append(span.finalize())
+        spans.append(cd_span(ctx, unit_bound=bound).finalize())
         units = _stream_units(N, bound)
-        bases = eigen._scalar_bases(p, ring.pk, N, units)
+        bases = scalar_bases(p, ring.pk, N, units)
         full = ctx.rel_acc.copy()
         expected = [full.finalize()]
         for rep in ctx.reps:
+            if full.length == full_length:
+                break
             full.add_rows(cd_generators_full(ctx, rep, units, bases))
             expected.append(full.finalize())
         assert spans == expected, (bound, [a == b for a, b in zip(spans, expected)])
@@ -852,7 +841,7 @@ def test_deficit_streams_reduce_to_zero_after_the_span_stops_growing(theta, call
         return add_rows(self, rows)
 
     monkeypatch.setattr(HowellAccumulator, "add_rows", recording)
-    span, _ = cd_span(ctx, stop_at_length=target.length)
+    span = cd_span(ctx)
     assert len(ctx.reps) == 24 and span.length < target.length
     assert len(heights) == calls and min(heights) > 0
 
@@ -880,11 +869,11 @@ def test_sigma_partner_streams_add_nothing(p, M, thetas):
                 units = np.array(unit_group(N).units, dtype=np.int64)
                 if bound is not None:
                     units = units[units <= bound]
-                bases = eigen._scalar_bases(p, ring.pk, N, units)
+                shared = eigen._stream_invariants(ctx, units)
                 acc = ctx.rel_acc.copy()
                 for rep in every:
-                    acc.add_rows(eigen._cd_generators(ctx, rep, units, bases))
-                span, _ = cd_span(ctx, unit_bound=bound)
+                    acc.add_rows(eigen._cd_generators(ctx, rep, shared))
+                span = cd_span(ctx, unit_bound=bound)
                 assert span.finalize() == acc.finalize(), (k, theta.label(), bound)
 
 
@@ -893,11 +882,9 @@ def test_cd_span_containment_and_bound_mode():
     theta = parse_theta("[2,4]", 35, 7, ring)
     ctx = build_eigen_context(sp, 7, 5, theta)
     target = ctx.htheta_target()
-    full, exhausted = cd_span(ctx)
-    assert exhausted
+    full = cd_span(ctx)
     assert full.length <= target.length  # C^theta inside H^theta
-    bounded, exhausted2 = cd_span(ctx, unit_bound=6)
-    assert not exhausted2
+    bounded = cd_span(ctx, unit_bound=6)
     assert bounded.length <= full.length
 
 
@@ -913,8 +900,7 @@ def _descent_invariants(N, p, k, M, spec, quotient, ring):
     sp = build_presentation(N, "full", ring)
     ctx = build_eigen_context(sp, p, M, theta, quotient_rows(sp, p, QuotientSpec(trivial_u=quotient), theta))
     target = ctx.htheta_target()
-    span, exhausted = cd_span(ctx)
-    assert exhausted
+    span = cd_span(ctx)
     cd_length = span.length
     case = _classify(ctx, "full", quotient, False)
     for chi, g, h in _case_extras(ctx, case):
@@ -1008,7 +994,7 @@ def test_case_b_corrected_span_structure():
         theta = parse_theta("omega^2*quad@5", N, 7, ring)
         ctx = build_eigen_context(sp, 7, 5, theta)
         target = ctx.htheta_target()
-        acc, _ = cd_span(ctx)
+        acc = cd_span(ctx)
         om2 = ctx.omega**2
         assert target.length - acc.length == 2 * 1  # corank two, length one each
         acc.add(eigensymbol(ctx, om2, 1, 7))

@@ -7,13 +7,15 @@ import pytest
 from cdsymbols.linalg import HowellAccumulator
 from cdsymbols.rings import make_coeff_ring
 from cdsymbols.characters import unit_group
-from cdsymbols.symbols import (
-    build_presentation,
+from cdsymbols.symbols import build_presentation, enumerate_symbols
+from dense_reference import (
     canonical_pair,
     cd_symbol,
-    enumerate_symbols,
+    cusp0_agreement,
+    diamond_action,
+    diamond_perm,
+    vector_to_dict,
 )
-from dense_reference import cusp0_agreement, diamond_action, diamond_perm, vector_to_dict
 
 
 def brute_count(N, variant):
