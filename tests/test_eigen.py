@@ -643,6 +643,46 @@ def test_exhaustive_bilinear_stacks_are_at_most_gens_phi_rows(p, k, M, level, va
         assert heights and max(heights) <= g * ug.phi + ug.phi + g + 1, (ctx.theta.label(), heights)
 
 
+@pytest.mark.parametrize("p,k,M", [(5, 1, 4), (5, 2, 6), (7, 1, 5), (7, 2, 9), (11, 1, 4), (13, 1, 5)])
+def test_cd_span_stacks_are_at_most_phi_rows_when_p_prime_to_N(p, k, M, monkeypatch):
+    """When p does not divide N and p >= 5, cd_span passes add_rows no
+    stack at all, and stacks of at most phi(N) rows per representative
+    reach the span it returns: the relations plus the symbol columns y_c of
+    [u0 : c v0], c in U^-1 U, of the representatives first in their
+    sigma-pair have the Howell form of R^r' ((i)-(iii) of the eigen module
+    docstring), exhaustively and with a unit bound."""
+    N, ring, sp = scenario(p, k, M, "M")
+    phi = unit_group(N).phi
+    contexts = [build_eigen_context(sp, p, M, c) for c in enumerate_characters(N, ring) if c.is_even()]
+    heights = []
+    add_rows = HowellAccumulator.add_rows
+
+    def recording(self, rows):
+        heights.append(len(rows))
+        return add_rows(self, rows)
+
+    for ctx in contexts:
+        space = ctx.space
+        target = ctx.htheta_target().finalize()
+        for bound in (None, 6):
+            units = [int(a) for a in _stream_units(N, bound)]
+            quotients = np.array(sorted({pow(a, -1, N) * b % N for a in units for b in units}), dtype=np.int64)
+            assert 1 in quotients and len(quotients) <= phi
+            heights.clear()
+            with monkeypatch.context() as m:
+                m.setattr(HowellAccumulator, "add_rows", recording)
+                span = cd_span(ctx, unit_bound=bound)
+            assert heights == [], (ctx.theta.label(), bound, heights)
+            assert span.finalize() == target, (ctx.theta.label(), bound)
+            acc = ctx.rel_acc.copy()
+            for rep in ctx.reps:
+                u0, v0 = space.symbols[rep]
+                stack = ctx.columns[space.table[u0, quotients * v0 % N]]
+                assert len(stack) <= phi
+                acc.add_rows(stack)
+            assert acc.finalize() == target, (ctx.theta.label(), bound)
+
+
 SETTLED_POOL = [
     pytest.param(p, k, M, ("full", "cusp0"), None, id=f"{p}-{k}-{M}")
     for p, k, M in [(5, 1, 4), (5, 2, 6), (7, 1, 5), (7, 2, 9), (11, 1, 4), (13, 1, 5)]
