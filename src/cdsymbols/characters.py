@@ -270,14 +270,27 @@ def enumerate_characters(N: int, ring: CoeffRing) -> list[DirichletCharacter]:
 
 
 def conductor(chi: DirichletCharacter) -> int:
-    """Minimal f | N such that chi factors through (Z/fZ)^x."""
-    N = chi.N
-    units = np.array(chi.group.units, dtype=np.int64)
-    is_one = chi._index == 0
-    for f in range(1, N + 1):
-        if N % f == 0 and is_one[units % f == 1 % f].all():
-            return f
-    return N
+    """Minimal f | N such that chi factors through (Z/fZ)^x, read off the
+    exponents per prime power l^e of N (n = q - 1): for l odd the least l^c
+    with s phi(l^c) = 0 mod n (phi(1) = 1), as g^phi(l^c) generates the
+    kernel mod l^c; for 2^e, e >= 3, on (-1, 5), the least 2^c, c >= 3, with
+    s_5 2^(c-2) = 0 when s_5 != 0, else 4 or 1 as s_-1 is; 2^2 gives 4 or 1."""
+    n = chi.ring.q - 1
+    expo = iter(chi.expo)
+    f = 1
+    for ell, e in sorted(prime_factorization(chi.N).items()):
+        if ell == 2 and e >= 3:
+            s_minus, s = next(expo), next(expo)
+            if s:
+                f *= 2 ** next(c for c in range(3, e + 1) if s * 2 ** (c - 2) % n == 0)
+            elif s_minus:
+                f *= 4
+        elif ell == 2:
+            f *= 4 if e == 2 and next(expo) else 1
+        else:
+            s = next(expo)
+            f *= ell ** next(c for c in range(e + 1) if s * (ell**c - ell ** (c - 1) if c else 1) % n == 0)
+    return f
 
 
 def teichmuller_character(M: int, p: int, ring: CoeffRing) -> DirichletCharacter:
@@ -322,10 +335,15 @@ def _from_exponents(N: int, ring: CoeffRing, expo: list[int]) -> DirichletCharac
 
 
 def _quadratic_of_conductor(N: int, ring: CoeffRing, D: int) -> DirichletCharacter:
+    """The one nontrivial character of conductor D with chi^2 trivial: its
+    exponents are 0 or (q-1)/2, the latter only on a generator of even
+    order (2^g - 1 candidates for g generators)."""
+    half = (ring.q - 1) // 2
+    choices = [(0, half) if o % 2 == 0 else (0,) for o in unit_group(N).orders]
     cands = [
         chi
-        for chi in enumerate_characters(N, ring)
-        if (chi * chi).is_trivial() and not chi.is_trivial() and chi.conductor() == D
+        for chi in (DirichletCharacter(N, ring, expo) for expo in product(*choices))
+        if not chi.is_trivial() and chi.conductor() == D
     ]
     if len(cands) != 1:
         raise ValueError(

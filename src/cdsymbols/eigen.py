@@ -30,8 +30,8 @@ c in U^-1 U (U the units visited; all of them unless a unit bound is given):
       x0, x1[b], x2[a] and x3[a, b]; the fiber rows lie in that span.
 (ii)  Only the x3 terms are needed: 1 is in U, so x0 = x3[1, 1],
       x1[b] = x3[1, b] and x2[a] = x3[a, 1].
-(iii) Each x3 term is a unit times a y_c: columns[<a> i] = theta(a)
-      columns[i] exactly (theta is even), and [a u0 : b v0] =
+(iii) Each x3 term is a unit times a y_c: the reduced column of <a> i is
+      theta(a) times that of i exactly (theta is even), and [a u0 : b v0] =
       <a>[u0 : a^-1 b v0], so x3[a, b] = theta(a) y_{a^-1 b}.
 
 Among them is y_1, the column of [u0:v0] itself: the reduced unit column of
@@ -43,9 +43,12 @@ span R^r'.
       depend on the representative (x2[a] = theta(a) y_{a^-1} by (iii)).
       So y_c may be replaced by its reduced representative modulo the
       running span S: S + span(stream) stays the same, and the reduced rows
-      vanish where S has a unit pivot.  At N = 35 the span stops growing
-      after at most two representatives; the later streams reduce to zero
-      and are not inserted.
+      vanish where S has a unit pivot.  This holds for every representative
+      of a block at once, with S the span before the block, so cd_span
+      visits the representatives in doubling blocks and inserts one stack
+      per block.  At N = 35 the span stops growing after at most two
+      representatives; the later blocks reduce to zero and are not
+      inserted, and the 24 representatives take 6 block visits.
 
 When p divides N, or p = 3, each unit a has one base s_a, and cd_span forms
 the bilinear stream: one row per (a, b) in U x U.  When U is the whole unit
@@ -80,6 +83,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
 from typing import Callable
 
@@ -94,7 +98,7 @@ from .characters import (
 )
 from .linalg import HowellAccumulator, Submodule, elementary_divisors, format_divisors
 from .rings import CoeffRing, RingError, is_prime, make_coeff_ring
-from .symbols import CUSP0, FULL, SymbolSpace, build_presentation, cd_terms
+from .symbols import CUSP0, FULL, SymbolSpace, _orbit_data, build_presentation, cd_terms
 
 __all__ = [
     "EigenContext",
@@ -153,9 +157,10 @@ class EigenContext:
     pi sends symbol i to scalars[i] times the unit column col_of[i], so a
     row of symbol terms reaches R^r' through `_scatter`; `reps` holds the
     representatives first in their sigma-pair, the ones `cd_span` visits (a
-    dropped orbit's among them); `basis` holds the unit columns reduced
-    against the relations, and `columns[i]` the reduced column of symbol i
-    (zero on a dropped orbit)."""
+    dropped orbit's among them).  `basis`, built on first read, holds the r'
+    unit columns reduced against the relations; the reduced column y of
+    symbol i is scalars[i] times basis[col_of[i]] (zero on a dropped orbit),
+    gathered only for the symbols a (c,d)-stream reads (`_symbol_columns`)."""
 
     space: SymbolSpace
     ring: CoeffRing
@@ -166,8 +171,7 @@ class EigenContext:
     scalars: np.ndarray = field(repr=False)
     rel_acc: HowellAccumulator = field(repr=False)
     reps: tuple[int, ...] = field(repr=False)
-    basis: np.ndarray = field(repr=False)
-    columns: np.ndarray = field(repr=False)
+    r: int
     omega: DirichletCharacter = field(repr=False)
     f: int = 0
 
@@ -182,7 +186,11 @@ class EigenContext:
     @property
     def dim_H(self) -> int:
         """Module length of H_theta = R^r' / (projected relations)."""
-        return len(self.basis) * self.ring.k - self.rel_length
+        return self.r * self.ring.k - self.rel_length
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return self.rel_acc.reduce_rows(_identity(self.ring, self.r))
 
     def psi(self, chi: DirichletCharacter) -> DirichletCharacter:
         return self.theta * chi.inverse()
@@ -190,31 +198,13 @@ class EigenContext:
     def htheta_target(self) -> HowellAccumulator:
         """The relations plus the reduced unit columns: all of R^r', whose
         Howell form is the identity (pivots e_j of valuation 0)."""
-        r = len(self.basis)
+        r = self.r
         identity = Submodule(self.ring, r, _identity(self.ring, r), tuple(range(r)), (0,) * r)
         return identity.accumulator()
 
 
 def _identity(ring: CoeffRing, r: int) -> np.ndarray:
     return np.eye(r, dtype=np.int64)[..., None] * ring.one().as_array()
-
-
-def _sign_pairs(space: SymbolSpace, reps, orbit_of: np.ndarray, theta_trans: np.ndarray):
-    """Per orbit O: its column, the coefficient of x_O there, and whether O
-    is first in its sigma-pair.  theta_trans[i] is theta of the unit that
-    carries the representative of symbol i's orbit to i."""
-    ring = space.ring
-    one = ring.one().as_array()
-    u, v = np.array([space.symbols[s] for s in reps], dtype=np.int64).T
-    image = space.table[-v % space.N, u]  # sigma rep(O) = <t_O> rep(sigma O)
-    partner = orbit_of[image]
-    theta_t = theta_trans[image]
-    ids = np.arange(len(reps))
-    first = partner >= ids
-    dropped = (partner == ids) & (theta_t == one).all(axis=1)
-    col = np.cumsum(first & ~dropped) - 1  # a dropped orbit's coefficient is 0
-    coef = np.where(first[:, None], one * ~dropped[:, None], -theta_t % ring.pk)
-    return np.where(first, col, col[partner]), coef, first
 
 
 def _scatter(ring: CoeffRing, col_of: np.ndarray, scalars: np.ndarray, r: int, idx, coeffs) -> np.ndarray:
@@ -231,7 +221,7 @@ def _scatter(ring: CoeffRing, col_of: np.ndarray, scalars: np.ndarray, r: int, i
     return rows % ring.pk
 
 
-def _relations_accumulator(ring: CoeffRing, orbit_of, col_of, scalars, r: int, blocks):
+def _relations_accumulator(ring: CoeffRing, orbit_of, col_of, scalars, r: int, parabolic, blocks):
     """Howell form of pi of the term blocks: the parabolic relations and every
     quotient block, each a diamond-stable set of rows (indices,
     coefficients).
@@ -240,14 +230,18 @@ def _relations_accumulator(ring: CoeffRing, orbit_of, col_of, scalars, r: int, b
     block whose first symbol is [u:v] to the row whose first symbol is
     [au:av], and pi(<a> R) = theta(a) pi(R), so the first row per diamond
     orbit of its first symbol spans the block: at most r rows per block
-    (48 parabolic rows instead of 864 relations at N = 35).  The kept rows,
-    padded to one width, reach R^r' in one scatter."""
+    (48 parabolic rows instead of 864 relations at N = 35).  The parabolic
+    block comes cut to those rows (`_orbit_data`); each quotient block is
+    cut here.  The kept rows, padded to one width, reach R^r' in one
+    scatter."""
+    blocks = [parabolic, *blocks]
     width = max(idx.shape[1] for idx, _ in blocks)
     kept = []
-    for idx, coeffs in blocks:
-        _, first = np.unique(orbit_of[idx[:, 0]], return_index=True)
-        padded = np.zeros((2, len(first), width), dtype=np.int64)  # index 0, coefficient 0
-        padded[:, :, : idx.shape[1]] = idx[first], coeffs[first]
+    for n, (idx, coeffs) in enumerate(blocks):
+        first = np.unique(orbit_of[idx[:, 0]], return_index=True)[1] if n else slice(None)
+        idx, coeffs = idx[first], coeffs[first]
+        padded = np.zeros((2, len(idx), width), dtype=np.int64)  # index 0, coefficient 0
+        padded[:, :, : idx.shape[1]] = idx, coeffs
         kept.append(padded)
     idx, coeffs = np.concatenate(kept, axis=1)
     acc = HowellAccumulator(ring, r)
@@ -274,17 +268,17 @@ def build_eigen_context(
         raise ValueError("theta must be an even character")
     if theta.N != N or theta.ring != ring:
         raise ValueError("theta does not live on this space")
-    reps, orbit_of, trans = space.orbits()
+    reps, orbit_of, trans, image, partner, first, parabolic = _orbit_data(N, space.variant)
     theta_trans = theta.values[np.searchsorted(ug.units, trans)]
-    col, coef, first = _sign_pairs(space, reps, orbit_of, theta_trans)
-    col_of = col[orbit_of]
+    # per orbit O its column and the coefficient of x_O there (sigma rep(O) = <t_O> rep(sigma O))
+    one, theta_t = ring.one().as_array(), theta_trans[image]
+    dropped = (partner == np.arange(len(reps))) & (theta_t == one).all(axis=1)
+    col = np.cumsum(first & ~dropped) - 1  # a dropped orbit's coefficient is 0
+    coef = np.where(first[:, None], one * ~dropped[:, None], -theta_t % ring.pk)
+    col_of = np.where(first, col, col[partner])[orbit_of]
     scalars = np.einsum("ni,nij->nj", theta_trans, ring.smatrix(coef[orbit_of])) % ring.pk
     r = int(col.max()) + 1
-    parabolic = np.flatnonzero(space.relation_coeffs[:, 2])  # a sign row's third term is 0
-    blocks = [(space.relation_rows[parabolic], space.relation_coeffs[parabolic]), *extra_rows]
-    rel_acc = _relations_accumulator(ring, orbit_of, col_of, scalars, r, blocks)
-    basis = rel_acc.reduce_rows(_identity(ring, r))
-    columns = np.einsum("nrc,ncd->nrd", basis[col_of], ring.smatrix(scalars)) % ring.pk
+    rel_acc = _relations_accumulator(ring, orbit_of, col_of, scalars, r, parabolic, extra_rows)
     omega = teichmuller_character(M, p, ring)
     theta_mp = theta if N == M * p else theta.extend(M * p)
     return EigenContext(
@@ -297,8 +291,7 @@ def build_eigen_context(
         scalars=scalars,
         rel_acc=rel_acc,
         reps=tuple(s for s, f in zip(reps, first) if f),
-        basis=basis,
-        columns=columns,
+        r=r,
         omega=omega,
         f=(theta_mp * omega ** (-2)).conductor(),
     )
@@ -363,13 +356,12 @@ def eigensymbol(ctx: EigenContext, chi: DirichletCharacter, g: int, h: int) -> n
     space, ring, N = ctx.space, ctx.ring, ctx.N
     if N % g or N % h or gcd(g, h) != 1:
         raise ValueError("g and h must be relatively prime divisors of N")
-    r = len(ctx.basis)
     if space.variant == CUSP0 and (g == N or h == N):
-        return np.zeros((r, ring.m), dtype=np.int64)
+        return np.zeros((ctx.r, ring.m), dtype=np.int64)
     ug = unit_group(N)
     idx = space.table[g % N, h * np.array(ug.units, dtype=np.int64) % N]
     coeffs = ring.vscale(ctx.psi(chi).inverse().values, ring.from_int(ug.phi).inverse().as_array())
-    return _scatter(ring, ctx.col_of, ctx.scalars, r, idx[None], coeffs[None])[0]
+    return _scatter(ring, ctx.col_of, ctx.scalars, ctx.r, idx[None], coeffs[None])[0]
 
 
 def cd_eigensymbol(ctx: EigenContext, c: int, d: int, chi: DirichletCharacter, g: int, h: int) -> np.ndarray:
@@ -403,45 +395,55 @@ def _stream_invariants(ctx: EigenContext, units: np.ndarray):
     return np.flatnonzero(seen), at[units], at[inverses], at[quotients], ring.smatrix(theta_a), s[pick], s
 
 
-def _cd_generators(ctx: EigenContext, rep: int, shared, span=None) -> np.ndarray:
-    """The bilinear generator stream of one orbit representative [u0:v0], as
-    a stack, formed from its symbol columns y_c of [u0 : c v0], c in U^-1 U
-    (`shared` is `_stream_invariants(ctx, U)`): for a on its a axis and b in
-    U, s_a s_b x0 - s_a x1 - s_b x2 + x3 with x0, x1, x2, x3 the columns of
-    [u0:v0], [u0:b v0], [a u0:v0], [a u0:b v0], then the fiber generators
-    p(s_b x0 - x1), p(s_a x0 - x2) (k >= 2) and p^2 x0 (k >= 3).  By (iii),
-    x0 = y_1, x1 = y_b, x2 = theta(a) y_{a^-1} and x3 = theta(a) y_{a^-1 b}
-    exactly.  The a axis is U under a unit bound, and the generators of
-    (Z/N)^x when U is the whole unit group, whose rows span the rows of
-    every a by (v): |gens| phi(N) + phi(N) + |gens| + 1 rows at most.
+def _symbol_columns(ctx: EigenContext, idx: np.ndarray) -> np.ndarray:
+    """The reduced columns y of the symbols `idx`, (*idx.shape, r', m): each
+    scalars[i] times basis[col_of[i]], a sum of m residue products per entry."""
+    ring = ctx.ring
+    return ctx.basis[ctx.col_of[idx]] @ ring.smatrix(ctx.scalars[idx]) % ring.pk
 
-    Given the running `span` (step (iv) of the module docstring), the y_c
-    are reduced modulo it once it has grown past the relations, the stream
-    is formed on the columns without a unit pivot, and zero rows are left out."""
+
+def _cd_generators(ctx: EigenContext, block, shared, span=None) -> np.ndarray:
+    """The bilinear generator streams of a block of orbit representatives
+    [u0:v0], as one stack, each formed from its symbol columns y_c of
+    [u0 : c v0], c in U^-1 U (`shared` is `_stream_invariants(ctx, U)`):
+    for a on its a axis and b in U, s_a s_b x0 - s_a x1 - s_b x2 + x3 with
+    x0, x1, x2, x3 the columns of [u0:v0], [u0:b v0], [a u0:v0], [a u0:b v0],
+    then the fiber generators p(s_b x0 - x1), p(s_a x0 - x2) (k >= 2) and
+    p^2 x0 (k >= 3).  By (iii), x0 = y_1, x1 = y_b, x2 = theta(a) y_{a^-1}
+    and x3 = theta(a) y_{a^-1 b} exactly.  The a axis is U under a unit
+    bound, and the generators of (Z/N)^x when U is the whole unit group,
+    whose rows span the rows of every a by (v): |gens| phi(N) + phi(N) +
+    |gens| + 1 rows per representative at most.
+
+    Given the running `span` (step (iv) of the module docstring), the
+    block's y_c are reduced modulo it once it has grown past the relations,
+    the streams are formed on the columns without a unit pivot, and zero
+    rows are left out."""
     space, ring, pk = ctx.space, ctx.ring, ctx.ring.pk
     ratios, at_b, at_inverse, at_ratio, theta_a, sa, sb = shared
-    u0, v0 = space.symbols[rep]
-    y = ctx.columns[space.table[u0, ratios * v0 % space.N]]
+    u0, v0 = space.u[list(block), None], space.v[list(block), None]
+    y = _symbol_columns(ctx, space.table[u0, ratios * v0 % space.N])  # (rep, c, r, m)
     if span is not None:
         if span.length > ctx.rel_length:  # the columns are reduced against the relations
-            y = span.reduce_rows(y)
+            y = span.reduce_rows(y.reshape(-1, *y.shape[2:])).reshape(y.shape)
         free = np.ones(span.ncols, dtype=bool)
         free[span.cols[span.pvals == 0]] = False
-        y = y[:, free]
+        y = y[:, :, free]
         if not y.any():
             return np.zeros((0, span.ncols, ring.m), dtype=np.int64)
-    x0, x1 = y[0], y[at_b]  # (r, m) and (b, r, m)
-    x2 = y[at_inverse] @ theta_a % pk  # (a, r, m)
-    x3 = y[at_ratio] @ theta_a[:, None] % pk  # (a, b, r, m)
+    x0, x1 = y[:, 0, None], y[:, at_b]  # (rep, 1, r, m) and (rep, b, r, m)
+    x2 = y[:, at_inverse] @ theta_a % pk  # (rep, a, r, m)
+    x3 = y[:, at_ratio] @ theta_a[:, None] % pk  # (rep, a, b, r, m)
     s, t = sa[:, None, None, None], sb[None, :, None, None]  # s_a and s_b on the axes (a, b, r, m)
     # each product is below p^(2k), so every sum stays inside the int64 bound
-    stacks = [(x0 * (s * t % pk) - x1[None] * s - x2[:, None] * t + x3) % pk]
+    stacks = [(x0[:, None] * (s * t % pk) - x1[:, None] * s - x2[:, :, None] * t + x3) % pk]  # (rep, a, b, r, m)
     if ring.k >= 2:
         stacks.append((x0 * sb[:, None, None] - x1) % pk * ring.p % pk)
         stacks.append((x0 * sa[:, None, None] - x2) % pk * ring.p % pk)
     if ring.k >= 3:
         stacks.append(x0 * ring.p**2 % pk)
-    rows = np.concatenate([g.reshape(-1, *x0.shape) for g in stacks])
+    rows = np.concatenate([g.reshape(len(y), -1, *y.shape[2:]) for g in stacks], axis=1)
+    rows = rows.reshape(-1, *rows.shape[2:])  # representative by representative
     if span is None:
         return rows
     out = np.zeros((len(rows), span.ncols, ring.m), dtype=np.int64)
@@ -463,11 +465,14 @@ def cd_span(ctx: EigenContext, unit_bound: int | None = None) -> HowellAccumulat
     diamond translate of sigma of the first one, and the class set is
     symmetric in (c, d), also under a unit_bound; so the partner's stream
     adds nothing.  When U is every unit the a axis of each bilinear stream
-    runs over the generators of (Z/N)^x only, by (v).  By (iv) every stream
-    is formed from columns reduced modulo the span so far, on the columns
-    without a unit pivot, and a zero stream is not inserted.  The visit
-    stops once the span is all of R^r' (length r' k), before the next
-    representative's stream is formed (before the first one when the
+    runs over the generators of (Z/N)^x only, by (v).
+
+    The representatives are visited in blocks of 1, 1, 2, 4, ..., each as
+    long as all the blocks before it, one stack per block.  By (iv) each
+    block's streams are formed from columns reduced modulo the span so far,
+    on the columns without a unit pivot, and a zero stack is not inserted.
+    The visit stops once the span is all of R^r' (length r' k), before the
+    next block's columns are gathered (before the first block when the
     relations already reach it)."""
     units = np.array(unit_group(ctx.N).units, dtype=np.int64)
     if unit_bound is not None:
@@ -476,15 +481,16 @@ def cd_span(ctx: EigenContext, unit_bound: int | None = None) -> HowellAccumulat
         raise ValueError("cd bound excludes every residue class")
     if ctx.p >= 5 and ctx.N % ctx.p:
         return ctx.htheta_target()
-    full = len(ctx.basis) * ctx.ring.k
+    full = ctx.r * ctx.ring.k
     shared = _stream_invariants(ctx, units)
     acc = ctx.rel_acc.copy()
-    for rep in ctx.reps:
-        if acc.length == full:
-            break
-        rows = _cd_generators(ctx, rep, shared, acc)
+    done = 0
+    while done < len(ctx.reps) and acc.length < full:
+        block = ctx.reps[done : 2 * done or 1]
+        rows = _cd_generators(ctx, block, shared, acc)
         if len(rows):
             acc.add_rows(rows)
+        done += len(block)
     return acc
 
 
@@ -643,20 +649,20 @@ def _generation_core(
     extra_rows = quotient(space, theta_w) if quotient else ()
     ctx = build_eigen_context(space, p, M, theta_w, extra_rows)
     case = _classify(ctx, variant, trivial_u, t2)
-    target = ctx.htheta_target()
     c_acc = cd_span(ctx, unit_bound=cd_bound)
+    full = ctx.r * k  # the length of H_theta's target R^r'
     dim_h = ctx.dim_H
     dim_c = c_acc.length - ctx.rel_length
-    equal = c_acc.length == target.length
+    equal = c_acc.length == full
     extras: list[str] = []
     divisors: list[str] = []
     if not equal:
         for chi, g, h in _case_extras(ctx, case):
             c_acc.add(eigensymbol(ctx, chi, g, h))
             extras.append(f"alpha(chi={chi.over(canonical).label()},g={g},h={h})")
-        if c_acc.length != target.length:
+        if c_acc.length != full:
             divisors = format_divisors(
-                elementary_divisors(c_acc.finalize(), target.finalize()), ring
+                elementary_divisors(c_acc.finalize(), ctx.htheta_target().finalize()), ring
             )
     millis = int(round((time.perf_counter() - t_start) * 1000))
     return GenerationReport(

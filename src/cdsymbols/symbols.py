@@ -87,8 +87,13 @@ def _diamond_action(N: int, variant: str) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _orbit_data(N: int, variant: str):
-    """(reps, orbit_of, transporter) of SymbolSpace.orbits, shared between
-    rings."""
+    """What the eigenspaces of one (N, variant) share, whatever the ring and
+    theta: (reps, orbit_of, transporter) of SymbolSpace.orbits; per orbit O,
+    the symbol `image` of sigma rep(O) = [-v:u], the orbit `partner` of
+    sigma O and whether O is `first` in its sigma-pair; and `parabolic`,
+    the parabolic relation block (indices, coefficients) cut to the first
+    row per diamond orbit of its first symbol."""
+    _, u, v, table, rows, coeffs = _ring_free_part(N, variant)
     action = _diamond_action(N, variant)
     nsym = action.shape[1]
     least = action.min(axis=0)
@@ -96,12 +101,18 @@ def _orbit_data(N: int, variant: str):
     orbit_of = np.searchsorted(reps, least)
     # action[:, reps] in unit-major order: the first hit of each symbol comes
     # from the first unit that reaches it
-    hits, first = np.unique(action[:, reps].ravel(), return_index=True)
+    hits, first_hit = np.unique(action[:, reps].ravel(), return_index=True)
     trans = np.zeros(nsym, dtype=np.int64)
-    trans[hits] = np.array(unit_group(N).units, dtype=np.int64)[first // len(reps)]
-    for a in (orbit_of, trans):
+    trans[hits] = np.array(unit_group(N).units, dtype=np.int64)[first_hit // len(reps)]
+    image = table[-v[reps] % N, u[reps]]
+    partner = orbit_of[image]
+    first = partner >= np.arange(len(reps))
+    parabolic = np.flatnonzero(coeffs[:, 2])  # a sign row's third term is 0
+    parabolic = parabolic[np.unique(orbit_of[rows[parabolic, 0]], return_index=True)[1]]
+    arrays = (orbit_of, trans, image, partner, first, rows[parabolic], coeffs[parabolic])
+    for a in arrays:
         a.flags.writeable = False
-    return tuple(int(i) for i in reps), orbit_of, trans
+    return (tuple(int(i) for i in reps), *arrays[:5], arrays[5:])
 
 
 class SymbolSpace:
@@ -122,7 +133,6 @@ class SymbolSpace:
         self.N = N
         self.variant = variant
         self.ring = ring
-        self.units = unit_group(N).units
         (self.symbols, self.u, self.v, self.table,
          self.relation_rows, self.relation_coeffs) = _ring_free_part(N, variant)
         self.nsym = len(self.symbols)
@@ -150,7 +160,7 @@ class SymbolSpace:
         transporter[i] is the first unit a (in unit-group order) with
         <a> rep = symbol i.  The orbit of i is the column {<a> i} of the
         action table, and its representative is the least index in it."""
-        return _orbit_data(self.N, self.variant)
+        return _orbit_data(self.N, self.variant)[:3]
 
     def __repr__(self):
         return f"SymbolSpace(N={self.N}, {self.variant}, {self.nsym} symbols, {self.ring})"

@@ -14,10 +14,13 @@ bilinear (c,d)-generator stream over them, the reference for the span
 reduced streams, and its coefficient matrix over the symbol columns; the dense
 six-term T2 vector and the per-orbit T2-Eisenstein loop; span membership with a witness; the cusp0 presentation
 against the full one; the column of e_theta[u:v] and the C^theta + [1:p]
-check of criterion 06; and characters kept by their generator images in
-RingElem arithmetic, with the Teichmueller lift, the reference for the
-exponent arithmetic of `DirichletCharacter`.  The verdict path never builds
-an (nsym, nsym) matrix."""
+check of criterion 06; the table of the reduced columns of all symbols,
+the reference for the columns `cd_span` gathers per block; characters kept
+by their generator images in RingElem arithmetic, with the Teichmueller
+lift, the reference for the exponent arithmetic of `DirichletCharacter`;
+and the conductor by its divisors and quad@D by the enumeration of every
+character, the references for `characters.conductor` and
+`parse_theta`.  The verdict path never builds an (nsym, nsym) matrix."""
 
 from __future__ import annotations
 
@@ -25,7 +28,13 @@ from math import gcd
 
 import numpy as np
 
-from cdsymbols.characters import DirichletCharacter, parse_theta, teichmuller_character, unit_group
+from cdsymbols.characters import (
+    DirichletCharacter,
+    enumerate_characters,
+    parse_theta,
+    teichmuller_character,
+    unit_group,
+)
 from cdsymbols.eigen import EigenContext, _scatter, _validate_scenario, build_eigen_context, cd_span
 from cdsymbols.linalg import HowellAccumulator, Submodule
 from cdsymbols.rings import CoeffRing, RingElem, RingError, make_coeff_ring, root_of_unity
@@ -219,10 +228,11 @@ def cd_generators_full(
     a_bases = bases[np.searchsorted(units, a_units)]
     u0, v0 = space.symbols[rep]
     au, bv = a_units * u0 % N, units * v0 % N
-    x0 = ctx.columns[rep]
-    x1 = ctx.columns[space.table[u0, bv]]  # (b, r, m)
-    x2 = ctx.columns[space.table[au, v0]]  # (a, r, m)
-    x3 = ctx.columns[space.table[au[:, None], bv[None, :]]]  # (a, b, r, m)
+    columns = column_table(ctx)
+    x0 = columns[rep]
+    x1 = columns[space.table[u0, bv]]  # (b, r, m)
+    x2 = columns[space.table[au, v0]]  # (a, r, m)
+    x3 = columns[space.table[au[:, None], bv[None, :]]]  # (a, b, r, m)
     s = a_bases[:, None, :, None, None, None]  # s0 on the axes (a, b, s0, t0, r, m)
     t = bases[None, :, None, :, None, None]  # t0 on the same axes
     main = (
@@ -417,7 +427,7 @@ def project(ctx: EigenContext, vecs) -> np.ndarray:
     vecs = np.asarray(vecs, dtype=np.int64)
     flat = vecs.reshape(-1, *vecs.shape[-2:])
     idx = np.broadcast_to(np.arange(ctx.space.nsym), flat.shape[:2])
-    out = _scatter(ctx.ring, ctx.col_of, ctx.scalars, len(ctx.basis), idx, flat)
+    out = _scatter(ctx.ring, ctx.col_of, ctx.scalars, ctx.r, idx, flat)
     return out.reshape(*vecs.shape[:-2], *out.shape[1:])
 
 
@@ -523,9 +533,17 @@ def cusp0_agreement(N: int, ring: CoeffRing) -> dict:
     }
 
 
+def column_table(ctx: EigenContext) -> np.ndarray:
+    """The reduced columns of all symbols, (nsym, r', m): the column of
+    symbol i is basis[col_of[i]] times scalars[i], one einsum over the
+    multiplication matrices of every scalar."""
+    ring = ctx.ring
+    return np.einsum("nrc,ncd->nrd", ctx.basis[ctx.col_of], ring.smatrix(ctx.scalars)) % ring.pk
+
+
 def etheta_column(ctx: EigenContext, u: int, v: int) -> np.ndarray:
     """Reduced representative of e_theta applied to the symbol (u, v)."""
-    return ctx.columns[ctx.space.idx(u, v)].copy()
+    return column_table(ctx)[ctx.space.idx(u, v)]
 
 
 def verify_cd_span_of_one_p(
@@ -629,3 +647,27 @@ class ImageCharacter:
         comp = self.N // D
         lift = {a % D: a for a in range(self.N) if a % comp == 1 % comp}
         return ImageCharacter(D, self.ring, [self(lift[g]) for g in unit_group(D).generators])
+
+
+def conductor_by_divisors(chi: DirichletCharacter) -> int:
+    """The least divisor f of N with chi trivial on the units = 1 mod f, by
+    a test of every divisor: the reference for `characters.conductor`."""
+    N = chi.N
+    units = np.array(chi.group.units, dtype=np.int64)
+    is_one = (chi.values == chi.ring.one().as_array()).all(axis=1)
+    return min(f for f in range(1, N + 1) if N % f == 0 and is_one[units % f == 1 % f].all())
+
+
+def quadratic_by_enumeration(N: int, ring: CoeffRing, D: int) -> DirichletCharacter:
+    """quad@D over every character mod N: the nontrivial ones with chi^2
+    trivial and conductor D (by divisors), which must be exactly one."""
+    cands = [
+        chi
+        for chi in enumerate_characters(N, ring)
+        if (chi * chi).is_trivial() and not chi.is_trivial() and conductor_by_divisors(chi) == D
+    ]
+    if len(cands) != 1:
+        raise ValueError(
+            f"quad@{D}: {'no' if not cands else 'several'} quadratic characters of conductor {D} mod {N}"
+        )
+    return cands[0]

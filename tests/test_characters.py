@@ -5,6 +5,7 @@ import pytest
 
 from cdsymbols.characters import (
     _prime_root,
+    _quadratic_of_conductor,
     enumerate_characters,
     parse_theta,
     restrict_to_part,
@@ -17,9 +18,10 @@ from cdsymbols.rings import (
     RingError,
     cyclotomic_polynomial,
     make_coeff_ring,
+    multiplicative_order,
     prime_factorization,
 )
-from dense_reference import ImageCharacter
+from dense_reference import ImageCharacter, conductor_by_divisors, quadratic_by_enumeration
 
 
 def test_unit_group_examples():
@@ -120,6 +122,40 @@ def test_conductor_multiplies_over_crt_components():
         for q, e in prime_factorization(35).items():
             f *= restrict_to_part(chi, q**e).conductor()
         assert f == chi.conductor()
+
+
+def test_conductor_from_exponents_matches_the_divisor_test():
+    """The conductor read off the exponents one prime power at a time equals
+    the least divisor f of N with chi trivial on the units = 1 mod f, for
+    every character mod N < 130 in every GR(p, m), p <= 19, m <= 3, that
+    holds them all (the 2-parts 4, 8, ..., 64 included)."""
+    count = 0
+    for N in range(3, 130):
+        phi = unit_group(N).phi
+        for p in (3, 5, 7, 11, 13, 17, 19):
+            if phi % p == 0 or (phi > 1 and multiplicative_order(p, phi) > 3):
+                continue
+            for chi in enumerate_characters(N, make_coeff_ring(p, 1, phi)):
+                assert chi.conductor() == conductor_by_divisors(chi), (N, p, chi.label())
+                count += 1
+    assert count > 5000
+
+
+@pytest.mark.parametrize("N,p", [(5, 7), (8, 3), (12, 5), (15, 7), (16, 3), (21, 5), (24, 5), (35, 7), (40, 3)])
+def test_quadratic_of_conductor_matches_the_enumeration(N, p):
+    """quad@D tries only the exponent vectors with entries 0 or (q-1)/2, and
+    returns the character the enumeration of all phi(N) characters finds,
+    or raises the same error, for every divisor D of N."""
+    ring = make_coeff_ring(p, 1, unit_group(N).phi)
+    for D in (d for d in range(1, N + 1) if N % d == 0):
+        try:
+            expected = quadratic_by_enumeration(N, ring, D)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                _quadratic_of_conductor(N, ring, D)
+        else:
+            assert _quadratic_of_conductor(N, ring, D) == expected, D
+            assert parse_theta(f"quad@{D}", N, p, ring) == expected, D
 
 
 def test_teichmuller_character_properties():

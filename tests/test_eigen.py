@@ -29,6 +29,7 @@ from dense_reference import (
     cd_eigensymbol_loop,
     cd_generators_full,
     cd_span_bruteforce,
+    column_table,
     diamond_perm,
     idempotent_projector,
     matrix_product,
@@ -553,6 +554,16 @@ def _stream_units(N, bound):
     return units if bound is None else units[units <= bound]
 
 
+def _block_ends(n):
+    """Where cd_span's blocks of n representatives end: after 1, 2, 4, 8, ...
+    representatives, the last block cut at n."""
+    ends, end = [], 1
+    while end < n:
+        ends.append(end)
+        end *= 2
+    return ends + [n] if n else []
+
+
 @pytest.mark.parametrize(
     "p,k,M,level",
     [(3, 1, 4, "M"), (3, 2, 5, "M"), (3, 1, 10, "M"), (5, 2, 1, "Mp"), (7, 1, 5, "Mp")],
@@ -576,7 +587,7 @@ def test_full_stream_kept_with_one_square_class(p, k, M, level):
         a_units = ug.generators if len(units) == ug.phi else None
         for rep in ctx.reps:
             assert np.array_equal(
-                eigen._cd_generators(ctx, rep, shared),
+                eigen._cd_generators(ctx, (rep,), shared),
                 cd_generators_full(ctx, rep, units, bases, a_units),
             )
 
@@ -622,25 +633,39 @@ def test_generator_pairs_span_the_full_coefficient_matrix(N, p):
     ],
 )
 def test_exhaustive_bilinear_stacks_are_at_most_gens_phi_rows(p, k, M, level, variant, monkeypatch):
-    """When p | N or p = 3, an exhaustive cd_span passes add_rows at most
-    |gens| phi(N) + phi(N) + |gens| + 1 rows per representative (the a axis
-    runs over the generators of (Z/N)^x), for every even character."""
+    """When p | N or p = 3, an exhaustive cd_span forms one stack per block
+    of representatives, of at most |gens| phi(N) + phi(N) + |gens| + 1 rows
+    per representative of the block (the a axis runs over the generators
+    of (Z/N)^x), for every even character, and every stack it passes
+    add_rows is one of them."""
+    import cdsymbols.eigen as eigen
+
     N, ring, sp = scenario(p, k, M, level, variant)
     ug = unit_group(N)
     g = len(ug.generators)
     contexts = [build_eigen_context(sp, p, M, c) for c in enumerate_characters(N, ring) if c.is_even()]
-    heights = []
-    add_rows = HowellAccumulator.add_rows
+    stacks, heights = [], []
+    add_rows, generators = HowellAccumulator.add_rows, eigen._cd_generators
 
     def recording(self, rows):
         heights.append(len(rows))
         return add_rows(self, rows)
 
+    def blocks(ctx, block, *args):
+        rows = generators(ctx, block, *args)
+        stacks.append((len(block), len(rows)))
+        return rows
+
     monkeypatch.setattr(HowellAccumulator, "add_rows", recording)
+    monkeypatch.setattr(eigen, "_cd_generators", blocks)
     for ctx in contexts:
+        stacks.clear()
         heights.clear()
         cd_span(ctx)
-        assert heights and max(heights) <= g * ug.phi + ug.phi + g + 1, (ctx.theta.label(), heights)
+        assert stacks and heights, ctx.theta.label()
+        for length, height in stacks:
+            assert height <= length * (g * ug.phi + ug.phi + g + 1), (ctx.theta.label(), stacks)
+        assert heights == [height for _, height in stacks if height], (ctx.theta.label(), stacks, heights)
 
 
 @pytest.mark.parametrize("p,k,M", [(5, 1, 4), (5, 2, 6), (7, 1, 5), (7, 2, 9), (11, 1, 4), (13, 1, 5)])
@@ -675,9 +700,10 @@ def test_cd_span_stacks_are_at_most_phi_rows_when_p_prime_to_N(p, k, M, monkeypa
             assert heights == [], (ctx.theta.label(), bound, heights)
             assert span.finalize() == target, (ctx.theta.label(), bound)
             acc = ctx.rel_acc.copy()
+            columns = column_table(ctx)
             for rep in ctx.reps:
                 u0, v0 = space.symbols[rep]
-                stack = ctx.columns[space.table[u0, quotients * v0 % N]]
+                stack = columns[space.table[u0, quotients * v0 % N]]
                 assert len(stack) <= phi
                 acc.add_rows(stack)
             assert acc.finalize() == target, (ctx.theta.label(), bound)
@@ -764,11 +790,12 @@ def test_cd_span_stops_at_target_with_the_exhaustive_length(p, k, M, level, vari
     """cd_span returns the length of the exhaustive span of the literal
     bilinear streams (dense_reference.cd_generators_full), and its Howell
     form when that span is the target.  It forms the streams of the
-    representatives first in their sigma-pair up to the first one after
-    which the reference span is all of R^r': before the last one in the
-    case-a scenarios, through every one when the span falls short, and none
-    when p does not divide N and p >= 5 or when the relations already fill
-    R^r' (dim_H = 0 at N = 5, cusp0, theta trivial)."""
+    representatives first in their sigma-pair in blocks of 1, 1, 2, 4, ...,
+    up to the end of the block in which the reference span becomes all of
+    R^r': before the last one in the case-a scenarios, through every one
+    when the span falls short, and none when p does not divide N and
+    p >= 5 or when the relations already fill R^r' (dim_H = 0 at N = 5,
+    cusp0, theta trivial)."""
     import cdsymbols.eigen as eigen
 
     N, ring, sp = scenario(p, k, M, level, variant)
@@ -777,18 +804,19 @@ def test_cd_span_stops_at_target_with_the_exhaustive_length(p, k, M, level, vari
     units = _stream_units(N, None)
     bases = scalar_bases(p, ring.pk, N, units)
     full = ctx.rel_acc.copy()
-    expected = []
+    prefix = 0  # the representatives the reference needs to fill R^r'
     for rep in ctx.reps:
         if full.length == target.length:
             break
-        expected.append(rep)
+        prefix += 1
         full.add_rows(cd_generators_full(ctx, rep, units, bases))
+    expected = list(ctx.reps[: next(end for end in [0, *_block_ends(len(ctx.reps))] if end >= prefix)])
     seen = []
     generators = eigen._cd_generators
 
-    def recording(ctx, rep, *args):
-        seen.append(rep)
-        return generators(ctx, rep, *args)
+    def recording(ctx, block, *args):
+        seen.extend(block)
+        return generators(ctx, block, *args)
 
     monkeypatch.setattr(eigen, "_cd_generators", recording)
     stopped = cd_span(ctx)
@@ -824,14 +852,15 @@ REDUCED_STREAM_POOL = [
 def test_reduced_streams_keep_the_span_after_every_representative(
     p, k, M, level, variant, theta, quotient, monkeypatch
 ):
-    """cd_span forms each representative's stream from its symbol columns
-    reduced modulo the running span, on the columns without a unit pivot,
-    and skips an all-zero stream.  After every representative its span has
-    the Howell form of the relations plus the bilinear streams inserted
-    unreduced (dense_reference.cd_generators_full), exhaustively and with
-    unit bounds 1 and 6, up to the first span that is all of R^r', where it
-    stops; the pool runs k = 1, 2, 3 and 19 (GR(3^19, 2), the top of the
-    int64 ladder), Galois rings, cusp0 and quotient contexts."""
+    """cd_span forms each block's streams from the symbol columns reduced
+    modulo the span before the block, on the columns without a unit pivot,
+    and skips an all-zero stack.  After every block its span has the Howell
+    form of the relations plus the bilinear streams of the representatives
+    so far inserted unreduced (dense_reference.cd_generators_full),
+    exhaustively and with unit bounds 1 and 6, up to the first block after
+    which that span is all of R^r', where it stops; the pool runs k = 1, 2,
+    3 and 19 (GR(3^19, 2), the top of the int64 ladder), Galois rings,
+    cusp0 and quotient contexts."""
     import cdsymbols.eigen as eigen
 
     N, ring, sp = scenario(p, k, M, level, variant)
@@ -841,9 +870,9 @@ def test_reduced_streams_keep_the_span_after_every_representative(
     spans = []
     generators = eigen._cd_generators
 
-    def recording(ctx, rep, shared, span):
+    def recording(ctx, block, shared, span):
         spans.append(span.finalize())
-        return generators(ctx, rep, shared, span)
+        return generators(ctx, block, shared, span)
 
     monkeypatch.setattr(eigen, "_cd_generators", recording)
     for bound in (None, 1, 6):
@@ -853,11 +882,13 @@ def test_reduced_streams_keep_the_span_after_every_representative(
         bases = scalar_bases(p, ring.pk, N, units)
         full = ctx.rel_acc.copy()
         expected = [full.finalize()]
-        for rep in ctx.reps:
-            if full.length == full_length:
+        ends = _block_ends(len(ctx.reps))
+        for i, rep in enumerate(ctx.reps):
+            if (i == 0 or i in ends) and full.length == full_length:
                 break
             full.add_rows(cd_generators_full(ctx, rep, units, bases))
-            expected.append(full.finalize())
+            if i + 1 in ends:
+                expected.append(full.finalize())
         assert spans == expected, (bound, [a == b for a, b in zip(spans, expected)])
 
 
@@ -886,6 +917,55 @@ def test_deficit_streams_reduce_to_zero_after_the_span_stops_growing(theta, call
     assert len(heights) == calls and min(heights) > 0
 
 
+@pytest.mark.parametrize(
+    "N,p,M,descend", [(35, 7, 5, True), (35, 7, 5, False), (43, 43, 1, True), (63, 7, 9, True)]
+)
+def test_gathered_columns_match_the_all_symbol_table(N, p, M, descend):
+    """The columns a (c,d)-stream gathers (scalars[i] times basis[col_of[i]])
+    equal the all-symbol einsum table (dense_reference.column_table) for
+    every symbol, at k = 1 and 2, full and cusp0, for every even theta: at
+    N = 35 over Z/7^k and over GR(7^k, 2), at N = 43 over Z/43^k, and at
+    N = 63 over Z/7^k."""
+    import cdsymbols.eigen as eigen
+
+    for k in (1, 2):
+        canonical = make_coeff_ring(p, k, unit_group(N).phi)
+        thetas = [c for c in enumerate_characters(N, canonical) if c.is_even() and c.descends == descend]
+        assert thetas
+        for variant in ("full", "cusp0"):
+            for theta in thetas:
+                ring = working_ring(theta)
+                assert ring.m == (1 if descend else 2)
+                sp = build_presentation(N, variant, ring)
+                ctx = build_eigen_context(sp, p, M, theta.over(ring))
+                gathered = eigen._symbol_columns(ctx, np.arange(sp.nsym))
+                assert np.array_equal(gathered, column_table(ctx)), (k, variant, theta.label())
+
+
+def test_contexts_of_one_level_share_the_orbit_frame(monkeypatch):
+    """Two rings and two theta of one (N, variant) read one `_orbit_data`
+    frame: the orbits, the sigma-pairs and the parabolic rows cut to one per
+    orbit are built once per (N, variant), and read-only."""
+    import cdsymbols.eigen as eigen
+
+    frames = []
+    orbit_data = eigen._orbit_data
+
+    def recording(N, variant):
+        frames.append(orbit_data(N, variant))
+        return frames[-1]
+
+    monkeypatch.setattr(eigen, "_orbit_data", recording)
+    gr = make_coeff_ring(7, 1, 24)
+    for theta in ("[2,4]", "[1,3]"):
+        chi = parse_theta(theta, 35, 7, gr)
+        for ring in {gr, working_ring(chi)}:
+            build_eigen_context(build_presentation(35, "full", ring), 7, 5, chi.over(ring))
+    assert len(frames) == 3 and all(frame is frames[0] for frame in frames)
+    assert frames[0] is not orbit_data(35, "cusp0")
+    assert not any(a.flags.writeable for a in (*frames[0][1:6], *frames[0][6]))
+
+
 @pytest.mark.parametrize("p,M,thetas", [(7, 5, ("[2,4]", "[0,4]")), (13, 1, None)])
 def test_sigma_partner_streams_add_nothing(p, M, thetas):
     """cd_span visits only the representatives first in their sigma-pair:
@@ -912,9 +992,37 @@ def test_sigma_partner_streams_add_nothing(p, M, thetas):
                 shared = eigen._stream_invariants(ctx, units)
                 acc = ctx.rel_acc.copy()
                 for rep in every:
-                    acc.add_rows(eigen._cd_generators(ctx, rep, shared))
+                    acc.add_rows(eigen._cd_generators(ctx, (rep,), shared))
                 span = cd_span(ctx, unit_bound=bound)
                 assert span.finalize() == acc.finalize(), (k, theta.label(), bound)
+
+
+@pytest.mark.parametrize(
+    "args,calls,equal",
+    [
+        ((7, 1, 9, "M", "full", "[2]"), 1, True),  # cd_span returns R^r' itself
+        ((7, 1, 5, "Mp", "full", "[2,4]"), 1, False),  # the elementary divisors
+        ((7, 1, 1, "Mp", "full", "omega^4"), 0, True),  # no target is built
+    ],
+)
+def test_generation_builds_at_most_one_htheta_target(args, calls, equal, monkeypatch):
+    """check_generation decides `equal` from the span's length against
+    r' k and builds the H_theta target only where it is read: returned by
+    cd_span when p does not divide N and p >= 5, or for the elementary
+    divisors of a span that falls short."""
+    from cdsymbols.eigen import EigenContext
+
+    built = []
+    target = EigenContext.htheta_target
+
+    def counting(ctx):
+        built.append(ctx.N)
+        return target(ctx)
+
+    monkeypatch.setattr(EigenContext, "htheta_target", counting)
+    report = check_generation(*args)
+    assert len(built) == calls, built
+    assert report.equal == equal and bool(report.divisors) != equal
 
 
 def test_cd_span_containment_and_bound_mode():
