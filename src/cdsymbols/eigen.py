@@ -472,8 +472,8 @@ def cd_span(ctx: EigenContext, unit_bound: int | None = None) -> HowellAccumulat
     block's streams are formed from columns reduced modulo the span so far,
     on the columns without a unit pivot, and a zero stack is not inserted.
     The visit stops once the span is all of R^r' (length r' k), before the
-    next block's columns are gathered (before the first block when the
-    relations already reach it)."""
+    next block's columns are gathered; when the relations already reach it
+    (dim_H = 0) no stream invariant is built either."""
     units = np.array(unit_group(ctx.N).units, dtype=np.int64)
     if unit_bound is not None:
         units = units[units <= unit_bound]
@@ -482,8 +482,8 @@ def cd_span(ctx: EigenContext, unit_bound: int | None = None) -> HowellAccumulat
     if ctx.p >= 5 and ctx.N % ctx.p:
         return ctx.htheta_target()
     full = ctx.r * ctx.ring.k
-    shared = _stream_invariants(ctx, units)
     acc = ctx.rel_acc.copy()
+    shared = _stream_invariants(ctx, units) if acc.length < full else None
     done = 0
     while done < len(ctx.reps) and acc.length < full:
         block = ctx.reps[done : 2 * done or 1]

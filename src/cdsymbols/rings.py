@@ -492,23 +492,15 @@ class CoeffRing:
         """Teichmueller lift of the canonical residue-field generator.
 
         Canonical: the first element, in base-p counting order of coefficient
-        vectors, whose residue has multiplicative order p^m - 1.
+        vectors, whose residue has multiplicative order p^m - 1.  For m > 1
+        the constants c < p are skipped: their order is at most p - 1.
         """
         if self._teich_gen_coeffs is None:
-            target = self.q - 1
-            gen = None
-            for c in range(2, self.q):
-                digs = []
-                cc = c
-                for _ in range(self.m):
-                    digs.append(cc % self.p)
-                    cc //= self.p
-                cand = _ptrim(list(digs))
-                if self.residue_order(cand) == target:
-                    gen = tuple(digs)
+            for c in range(self.p if self.m > 1 else 2, self.q):  # F_q^x is cyclic, so the scan breaks
+                digs = tuple(c // self.p**i % self.p for i in range(self.m))
+                if self.residue_order(digs) == self.q - 1:
                     break
-            assert gen is not None
-            x = RingElem(self, gen)
+            x = RingElem(self, digs)
             # x^(q^t) converges to the Teichmueller representative
             t = 0
             while self.m * t < self.k - 1:

@@ -6,6 +6,11 @@ sign relation [u:v] + [-v:u] = 0 and the parabolic relation
 [u:v] - [u:u+v] - [u+v:v] = 0 are kept as their (symbol, coefficient)
 terms.  The cuspidal-at-zero variant drops symbols with a zero coordinate
 and emits the parabolic relation only when u, v and u+v are all nonzero.
+
+The diamond operators <a>[u:v] = [au:av] permute the symbols.  Every
+stabiliser is {1, -1} ((a -+ 1)(u, v) = 0 with gcd(u, v, N) = 1 forces
+a = +-1), so an orbit has phi(N)/2 symbols, one per unit a < N/2 applied to
+its representative.
 """
 
 from __future__ import annotations
@@ -32,37 +37,43 @@ CUSP0 = "cusp0"
 _VARIANTS = (FULL, CUSP0)
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=None)
-def enumerate_symbols(N: int, variant: str) -> tuple[tuple[int, int], ...]:
-    """All canonical unimodular pairs mod N, in lexicographic order; cusp0
-    excludes zero coordinates.  Read off the N x N grid of pairs: (u, v) is
-    kept when gcd(u, v, N) = 1 and (u, v) <= (-u, -v) lexicographically."""
+def _ring_free_part(N: int, variant: str):
+    """What a presentation shares between rings: u, v and `table` (see
+    SymbolSpace), read off the N x N grid of pairs: (u, v) is a symbol when
+    gcd(u, v, N) = 1 and (u, v) <= (-u, -v) in grid order (cusp0: u, v != 0)."""
     if N < 4:
         raise ValueError(f"level must be at least 4, got {N}")
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}")
     u, v = np.divmod(np.arange(N * N), N)
-    nu, nv = -u % N, -v % N
-    keep = (np.gcd(np.gcd(u, v), N) == 1) & ((u < nu) | ((u == nu) & (v <= nv)))
-    if variant == CUSP0:
-        keep &= (u != 0) & (v != 0)
-    return tuple(zip(u[keep].tolist(), v[keep].tolist()))
+    neg = -u % N * N + -v % N  # grid position of (-u, -v)
+    keep = (np.gcd(np.gcd(u, v), N) == 1) & (np.arange(N * N) <= neg) & ((variant == FULL) | (u * v != 0))
+    sym = np.flatnonzero(keep)
+    table = np.full(N * N, -1, dtype=np.int64)
+    table[neg[sym]] = table[sym] = np.arange(len(sym))
+    return _read_only(u[sym], v[sym], table.reshape(N, N))
 
 
 @lru_cache(maxsize=None)
-def _ring_free_part(N: int, variant: str):
-    """What a presentation shares between rings: the symbols, their
-    coordinates u and v, `table` and the relation terms, as read-only arrays
-    (see SymbolSpace)."""
-    symbols = enumerate_symbols(N, variant)
-    n = len(symbols)
-    u, v = np.array(symbols, dtype=np.int64).reshape(-1, 2).T
-    table = np.full((N, N), -1, dtype=np.int64)
-    table[-u % N, -v % N] = np.arange(n)
-    table[u, v] = np.arange(n)
-    # Per symbol [u:v] in order: the sign row [u:v] + [-v:u] (once per pair)
-    # and the parabolic row [u:v] - [u:u+v] - [u+v:v].
-    me = np.arange(n)
+def enumerate_symbols(N: int, variant: str) -> tuple[tuple[int, int], ...]:
+    """The symbols as pairs (u, v), in lexicographic order (_ring_free_part)."""
+    u, v, _ = _ring_free_part(N, variant)
+    return tuple(zip(u.tolist(), v.tolist()))
+
+
+@lru_cache(maxsize=None)
+def _manin_terms(N: int, variant: str):
+    """SymbolSpace's relation terms: per symbol [u:v] in order, the sign row
+    [u:v] + [-v:u] (once per pair) and the admissible parabolic row."""
+    u, v, table = _ring_free_part(N, variant)
+    me = np.arange(len(u))
     w = (u + v) % N
     sign_partner = table[-v % N, u]
     keep = np.stack([me <= sign_partner, (w != 0) | (variant == FULL)], axis=1)
@@ -71,18 +82,7 @@ def _ring_free_part(N: int, variant: str):
     parabolic = np.stack([me, table[u, w], table[w, v]], axis=1)
     cols = np.stack([sign, parabolic], axis=1)
     coeffs = np.broadcast_to(np.array([[1, 1, 0], [1, -1, -1]], dtype=np.int64), cols.shape)
-    arrays = (u, v, table, cols[keep], coeffs[keep])
-    for a in arrays:
-        a.flags.writeable = False
-    return (symbols, *arrays)
-
-
-def _diamond_action(N: int, variant: str) -> np.ndarray:
-    """action[t, i] = index of <units[t]> symbol i, units in increasing order."""
-    _, u, v, table, _, _ = _ring_free_part(N, variant)
-    units = np.array(unit_group(N).units, dtype=np.int64)
-    times = units[:, None] * np.arange(N) % N  # times[t, x] = units[t] x mod N
-    return table.ravel()[times[:, u] * N + times[:, v]]
+    return _read_only(cols[keep], coeffs[keep])
 
 
 @lru_cache(maxsize=None)
@@ -91,51 +91,59 @@ def _orbit_data(N: int, variant: str):
     theta: (reps, orbit_of, transporter) of SymbolSpace.orbits; per orbit O,
     the symbol `image` of sigma rep(O) = [-v:u], the orbit `partner` of
     sigma O and whether O is `first` in its sigma-pair; and `parabolic`,
-    the parabolic relation block (indices, coefficients) cut to the first
-    row per diamond orbit of its first symbol."""
-    _, u, v, table, rows, coeffs = _ring_free_part(N, variant)
-    action = _diamond_action(N, variant)
-    nsym = action.shape[1]
-    least = action.min(axis=0)
-    reps = np.flatnonzero(least == np.arange(nsym))
+    the parabolic rows (indices, coefficients) of the admissible
+    representatives, the first row per orbit (admissibility is invariant).
+    The representative is the least symbol of its orbit, found by pointer
+    doubling: per generator g of the unit group, ceil(log2 ord g) rounds of
+    least = min(least, least[step]), step = step[step], from step = <g>.
+    The transporters are the units a < N/2 applied to the representatives.
+    Every gather has O(nsym) entries."""
+    u, v, table = _ring_free_part(N, variant)
+    ug = unit_group(N)
+    least = np.arange(len(u))
+    for g, order in zip(ug.generators, ug.orders):
+        step = table[g * u % N, g * v % N]
+        for _ in range((order - 1).bit_length()):
+            least = np.minimum(least, least[step])
+            step = step[step]
+    reps = np.flatnonzero(least == np.arange(len(u)))
     orbit_of = np.searchsorted(reps, least)
-    # action[:, reps] in unit-major order: the first hit of each symbol comes
-    # from the first unit that reaches it
-    hits, first_hit = np.unique(action[:, reps].ravel(), return_index=True)
-    trans = np.zeros(nsym, dtype=np.int64)
-    trans[hits] = np.array(unit_group(N).units, dtype=np.int64)[first_hit // len(reps)]
+    half = np.array(ug.units[: ug.phi // 2], dtype=np.int64)[:, None]
+    trans = np.empty(len(u), dtype=np.int64)
+    trans[table[half * u[reps] % N, half * v[reps] % N]] = half
     image = table[-v[reps] % N, u[reps]]
     partner = orbit_of[image]
+    w = (u[reps] + v[reps]) % N
+    rows = np.stack([reps, table[u[reps], w], table[w, v[reps]]], axis=1)[(w != 0) | (variant == FULL)]
+    coeffs = np.broadcast_to(np.array([1, -1, -1], dtype=np.int64), rows.shape)
     first = partner >= np.arange(len(reps))
-    parabolic = np.flatnonzero(coeffs[:, 2])  # a sign row's third term is 0
-    parabolic = parabolic[np.unique(orbit_of[rows[parabolic, 0]], return_index=True)[1]]
-    arrays = (orbit_of, trans, image, partner, first, rows[parabolic], coeffs[parabolic])
-    for a in arrays:
-        a.flags.writeable = False
-    return (tuple(int(i) for i in reps), *arrays[:5], arrays[5:])
+    return (tuple(reps.tolist()), *_read_only(orbit_of, trans, image, partner, first), _read_only(rows, coeffs))
 
 
 class SymbolSpace:
     """Presentation of a level-N modular-symbol space over a coefficient ring.
 
-    Holds the canonical generator list with its coordinates as arrays `u`
-    and `v`, the relations as sparse terms (relation t is
+    Holds the canonical generator list `symbols` with its coordinates as
+    arrays `u` and `v`, the relations as sparse terms (relation t is
     sum_s relation_coeffs[t, s] [relation_rows[t, s]], both arrays (nrel, 3)
-    over symbol indices), and `table`, the N x N array of
-    symbol indices of all pairs (u, v) mod N (both signs of a symbol share
-    its index; -1 where (u, v) is not a symbol), through which indexing, the
-    diamond orbits and every relation's terms are gathers.  None of these
-    depends on the ring: the spaces of one (N, variant) share them,
-    read-only, with their orbits.  Immutable after construction.
+    over symbol indices), and `table`, the N x N array of symbol indices of
+    all pairs (u, v) mod N (both signs of a symbol share its index; -1 where
+    (u, v) is not a symbol), through which indexing, the diamond orbits and
+    every relation's terms are gathers.  None of these depends on the ring:
+    the spaces of one (N, variant) share them, read-only, with their orbits;
+    `symbols` and the relation terms are built on first read.  Immutable.
     """
 
     def __init__(self, N: int, variant: str, ring: CoeffRing):
         self.N = N
         self.variant = variant
         self.ring = ring
-        (self.symbols, self.u, self.v, self.table,
-         self.relation_rows, self.relation_coeffs) = _ring_free_part(N, variant)
-        self.nsym = len(self.symbols)
+        self.u, self.v, self.table = _ring_free_part(N, variant)
+        self.nsym = len(self.u)
+
+    symbols = property(lambda self: enumerate_symbols(self.N, self.variant))
+    relation_rows = property(lambda self: _manin_terms(self.N, self.variant)[0])
+    relation_coeffs = property(lambda self: _manin_terms(self.N, self.variant)[1])
 
     # -- indexing ---------------------------------------------------------
     def idx(self, u: int, v: int) -> int:
@@ -157,9 +165,9 @@ class SymbolSpace:
 
     def orbits(self):
         """Diamond-orbit decomposition: (reps, orbit_of, transporter) where
-        transporter[i] is the first unit a (in unit-group order) with
-        <a> rep = symbol i.  The orbit of i is the column {<a> i} of the
-        action table, and its representative is the least index in it."""
+        transporter[i] is the least unit a with <a> rep = symbol i (a < N/2)
+        and the representative of an orbit is its least symbol index (see
+        `_orbit_data`)."""
         return _orbit_data(self.N, self.variant)[:3]
 
     def __repr__(self):

@@ -300,6 +300,66 @@ def diamond_action(space: SymbolSpace) -> np.ndarray:
     return np.stack([diamond_perm(space, a) for a in unit_group(space.N).units])
 
 
+def orbit_frame_by_table(N: int, variant: str) -> dict:
+    """The frame of one (N, variant) built through the phi(N) x nsym table
+    of every <a>: the symbols read off the N x N grid, `table`, the sign and
+    parabolic terms of every symbol, the diamond orbits (least index of each
+    column of the table), the transporters (first unit of the table to reach
+    each symbol), the sigma-pair data and the parabolic block cut to the
+    first row per orbit.  The reference for `symbols._ring_free_part`,
+    `_manin_terms` and `_orbit_data`."""
+    u, v = np.divmod(np.arange(N * N), N)
+    nu, nv = -u % N, -v % N
+    keep = (np.gcd(np.gcd(u, v), N) == 1) & ((u < nu) | ((u == nu) & (v <= nv)))
+    if variant == CUSP0:
+        keep &= (u != 0) & (v != 0)
+    symbols = tuple(zip(u[keep].tolist(), v[keep].tolist()))
+    n = len(symbols)
+    u, v = np.array(symbols, dtype=np.int64).reshape(-1, 2).T
+    table = np.full((N, N), -1, dtype=np.int64)
+    table[-u % N, -v % N] = np.arange(n)
+    table[u, v] = np.arange(n)
+    me = np.arange(n)
+    w = (u + v) % N
+    sign_partner = table[-v % N, u]
+    kept = np.stack([me <= sign_partner, (w != 0) | (variant == FULL)], axis=1)
+    sign = np.stack([me, sign_partner, me], axis=1)
+    parabolic = np.stack([me, table[u, w], table[w, v]], axis=1)
+    cols = np.stack([sign, parabolic], axis=1)
+    coeffs = np.broadcast_to(np.array([[1, 1, 0], [1, -1, -1]], dtype=np.int64), cols.shape)
+    rows, coeffs = cols[kept], coeffs[kept]
+    units = np.array(unit_group(N).units, dtype=np.int64)
+    times = units[:, None] * np.arange(N) % N  # times[t, x] = units[t] x mod N
+    action = table.ravel()[times[:, u] * N + times[:, v]]
+    least = action.min(axis=0)
+    reps = np.flatnonzero(least == np.arange(n))
+    orbit_of = np.searchsorted(reps, least)
+    hits, first_hit = np.unique(action[:, reps].ravel(), return_index=True)
+    trans = np.zeros(n, dtype=np.int64)
+    trans[hits] = units[first_hit // len(reps)]
+    image = table[-v[reps] % N, u[reps]]
+    partner = orbit_of[image]
+    cut = np.flatnonzero(coeffs[:, 2])
+    cut = cut[np.unique(orbit_of[rows[cut, 0]], return_index=True)[1]]
+    return {
+        "symbols": symbols, "u": u, "v": v, "table": table, "relation_rows": rows,
+        "relation_coeffs": coeffs, "action": action, "reps": tuple(reps.tolist()),
+        "orbit_of": orbit_of, "trans": trans, "image": image, "partner": partner,
+        "first": partner >= np.arange(len(reps)), "parabolic_rows": rows[cut], "parabolic_coeffs": coeffs[cut],
+    }
+
+
+def teich_residue_by_full_scan(ring: CoeffRing) -> tuple[int, ...]:
+    """The canonical residue-field generator by the scan from c = 2: the
+    base-p digits of the first c whose residue has order q - 1.  The
+    reference for the scan of `CoeffRing.teich_generator`."""
+    for c in range(2, ring.q):
+        digs = [c // ring.p**i % ring.p for i in range(ring.m)]
+        if ring.residue_order(tuple(digs)) == ring.q - 1:
+            return tuple(digs)
+    raise AssertionError("no generator of the residue field")
+
+
 def t2_vector(space: SymbolSpace, u: int, v: int) -> np.ndarray:
     """The dense six-term vector [2u:v] + [2u:u+v] + [u+v:2v] + [u:2v]
     - 2[u:v] - [2u:2v], one `idx` call per term."""

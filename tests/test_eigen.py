@@ -1,11 +1,13 @@
+import json
 import random
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cdsymbols.characters import enumerate_characters, parse_theta, teichmuller_character, unit_group
-from cdsymbols.cli import parse_quotient
+from cdsymbols.cli import parse_quotient, run_config
 from cdsymbols.eigen import (
     _case_extras,
     _classify,
@@ -832,6 +834,32 @@ def test_cd_span_stops_at_target_with_the_exhaustive_length(p, k, M, level, vari
     if full.length < target.length:
         first = sign_pairs(sp, ctx.theta)[2]
         assert seen == [rep for rep, f in zip(sp.orbits()[0], first) if f]
+
+
+PINNED_REPORTS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("p,k", [(11, 1), (11, 2), (43, 1), (43, 2)])
+def test_cd_span_returns_filled_relations_before_the_stream_invariants(p, k, monkeypatch):
+    """When the relations already fill R^r' (dim_H = 0, as in the cusp0
+    `t2eis` omega^2 scenarios of the benchmark), cd_span returns them before
+    `_stream_invariants` runs, and the report is the pinned one.  A unit
+    bound that excludes every class is still rejected first."""
+    import cdsymbols.eigen as eigen
+
+    def refuse(*args):
+        raise AssertionError("stream invariants built with dim_H = 0")
+
+    monkeypatch.setattr(eigen, "_stream_invariants", refuse)
+    config = {"p": p, "k": k, "M": 1, "level": "Mp", "variant": "cusp0", "theta": "omega^2", "quotient": "t2eis"}
+    report = run_config(config).to_json_dict()
+    assert report["dims"] == {"H_theta": 0, "C_theta": 0}
+    assert dict(report, millis=0) == PINNED_REPORTS[" ".join(f"--{f} {v}" for f, v in config.items())]
+    N, ring, sp = scenario(p, k, 1, "Mp", "cusp0")
+    theta = parse_theta("omega^2", N, p, ring)
+    ctx = build_eigen_context(sp, p, 1, theta, quotient_rows(sp, p, QuotientSpec(t2=True), theta))
+    with pytest.raises(ValueError, match="excludes every residue class"):
+        cd_span(ctx, unit_bound=0)
 
 
 REDUCED_STREAM_POOL = [

@@ -10,7 +10,7 @@ from cdsymbols.rings import (
     multiplicative_order,
     root_of_unity,
 )
-from dense_reference import teichmuller
+from dense_reference import teich_residue_by_full_scan, teichmuller
 
 
 def brute_order(a, n):
@@ -90,6 +90,22 @@ def test_teichmuller_examples():
         teichmuller(r, 5)
     r7 = make_coeff_ring(7, 1, 6)
     assert teichmuller(r7, 2).coeffs == (2,)  # at k = 1 the lift is the identity
+
+
+def test_teich_generator_scan_from_p_matches_the_scan_from_2():
+    """For m > 1 the scan for the canonical residue generator starts at
+    c = p; it finds the generator of the scan from c = 2 in every GR(p, m)
+    with p <= 13, root order e < 80, 2 <= m <= 4 and p^m <= 3 * 10^4."""
+    pairs = [
+        (p, e)
+        for p in (3, 5, 7, 11, 13)
+        for e in range(2, 80)
+        if e % p and 2 <= multiplicative_order(p, e) <= 4 and p ** multiplicative_order(p, e) <= 3 * 10**4
+    ]
+    assert len(pairs) == 92
+    for p, e in pairs:
+        ring = make_coeff_ring(p, 1, e)
+        assert ring.teich_generator().coeffs == teich_residue_by_full_scan(ring), (p, e)
 
 
 def test_reduction_compatibility():

@@ -7,13 +7,14 @@ import pytest
 from cdsymbols.linalg import HowellAccumulator
 from cdsymbols.rings import make_coeff_ring
 from cdsymbols.characters import unit_group
-from cdsymbols.symbols import build_presentation, enumerate_symbols
+from cdsymbols.symbols import _orbit_data, build_presentation, enumerate_symbols
 from dense_reference import (
     canonical_pair,
     cd_symbol,
     cusp0_agreement,
     diamond_action,
     diamond_perm,
+    orbit_frame_by_table,
     vector_to_dict,
 )
 
@@ -138,13 +139,23 @@ def test_diamond_action():
         assert np.array_equal(diamond_perm(sp, a)[diamond_perm(sp, b)], diamond_perm(sp, a * b))
     with pytest.raises(ValueError):
         diamond_perm(sp, 5)
-    # the action table behind the orbits is the same gather
-    from cdsymbols.symbols import _diamond_action
-
-    assert np.array_equal(_diamond_action(5, "full"), diamond_action(sp))
-    for N in (12, 35, 36):
+    # the frame of every level against the one built through the action table
+    for N in range(4, 90):
         for variant in ("full", "cusp0"):
-            assert np.array_equal(_diamond_action(N, variant), diamond_action(build_presentation(N, variant, ring)))
+            want = orbit_frame_by_table(N, variant)
+            sp = build_presentation(N, variant, ring)
+            assert np.array_equal(want["action"], diamond_action(sp))
+            assert enumerate_symbols(N, variant) == sp.symbols == want["symbols"]
+            reps, orbit_of, trans, image, partner, first, (rows, coeffs) = _orbit_data(N, variant)
+            assert reps == sp.orbits()[0] == want["reps"]
+            got = dict(
+                u=sp.u, v=sp.v, table=sp.table, relation_rows=sp.relation_rows, relation_coeffs=sp.relation_coeffs,
+                orbit_of=orbit_of, trans=trans, image=image, partner=partner, first=first,
+                parabolic_rows=rows, parabolic_coeffs=coeffs,
+            )
+            for name, array in got.items():
+                assert array.dtype == want[name].dtype and np.array_equal(array, want[name]), (N, variant, name)
+                assert not array.flags.writeable
 
 
 def test_diamond_preserves_relation_span():
