@@ -9,8 +9,8 @@ and emits the parabolic relation only when u, v and u+v are all nonzero.
 
 The diamond operators <a>[u:v] = [au:av] permute the symbols.  Every
 stabiliser is {1, -1} ((a -+ 1)(u, v) = 0 with gcd(u, v, N) = 1 forces
-a = +-1), so an orbit has phi(N)/2 symbols, one per unit a < N/2 applied to
-its representative.
+a = +-1), so an orbit is its least symbol, found by pointer doubling, moved
+by the phi(N)/2 units a < N/2; no phi(N) x nsym table (`_orbit_data`).
 """
 
 from __future__ import annotations
