@@ -17,7 +17,6 @@ from .characters import (
 from .symbols import SymbolSpace, build_presentation, enumerate_symbols
 from .linalg import (
     HowellAccumulator,
-    Submodule,
     elementary_divisors,
     howell_form,
 )
@@ -31,7 +30,7 @@ from .eigen import (
     check_generation,
     eigensymbol,
 )
-from .hecke import QuotientSpec, check_generation_with_quotient
+from .hecke import QuotientSpec
 from .properties import run_properties
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "build_presentation",
     "enumerate_symbols",
     "HowellAccumulator",
-    "Submodule",
     "elementary_divisors",
     "howell_form",
     "EigenContext",
@@ -64,7 +62,6 @@ __all__ = [
     "check_generation",
     "eigensymbol",
     "QuotientSpec",
-    "check_generation_with_quotient",
     "run_properties",
     "__version__",
 ]

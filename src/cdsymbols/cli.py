@@ -19,8 +19,8 @@ import shlex
 import sys
 
 from .eigen import GenerationReport, check_generation
-from .hecke import QuotientSpec, check_generation_with_quotient
-from .properties import run_properties
+from .hecke import QuotientSpec
+from .properties import SUITES, run_properties
 
 WORKERS_ENV = "CDSYMBOLS_WORKERS"
 
@@ -70,28 +70,16 @@ def _add_scenario_args(p: argparse.ArgumentParser):
 def run_config(config: dict) -> GenerationReport:
     """Execute one scenario described by a plain dict (picklable for the
     worker pool)."""
-    spec = parse_quotient(config.get("quotient", "none"))
-    if spec.trivial_u or spec.t2:
-        report = check_generation_with_quotient(
-            config["p"],
-            config["k"],
-            config["M"],
-            config["level"],
-            config["variant"],
-            config["theta"],
-            spec,
-            cd_bound=config.get("cd_bound"),
-        )
-    else:
-        report = check_generation(
-            config["p"],
-            config["k"],
-            config["M"],
-            config["level"],
-            config["variant"],
-            config["theta"],
-            cd_bound=config.get("cd_bound"),
-        )
+    report = check_generation(
+        config["p"],
+        config["k"],
+        config["M"],
+        config["level"],
+        config["variant"],
+        config["theta"],
+        parse_quotient(config.get("quotient", "none")),
+        cd_bound=config.get("cd_bound"),
+    )
     if config.get("stable"):
         report.millis = 0
     return report
@@ -219,6 +207,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _suite_names(text: str) -> list[str]:
+    names, valid = text.split(",") if text else [], [s.name for s in SUITES]
+    unknown = [n for n in names if n not in valid]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown suite {unknown[0]!r}; valid: {', '.join(valid)}")
+    return names
+
+
 def _worker_count(ns) -> int:
     """Workers from --workers, else $CDSYMBOLS_WORKERS, else 1; clamped to
     [1, os.cpu_count()]."""
@@ -260,9 +256,9 @@ def main(argv=None) -> int:
 
     pp = sub.add_parser("properties", help="run the seeded identity suites")
     pp.add_argument("--seed", type=int, default=0)
-    pp.add_argument("--cases", type=int, default=25, help="randomized cases per suite")
+    pp.add_argument("--cases", type=_positive_int, default=25, help="randomized cases per suite")
     pp.add_argument("--out", help="write the JSON report to this path")
-    pp.add_argument("--suites", help="comma-separated subset of suite names")
+    pp.add_argument("--suites", type=_suite_names, help="comma-separated subset of suite names")
 
     ns = parser.parse_args(argv)
 
@@ -334,8 +330,7 @@ def main(argv=None) -> int:
         return 0
 
     if ns.command == "properties":
-        suites = ns.suites.split(",") if ns.suites else None
-        report = run_properties(ns.seed, cases=ns.cases, suites=suites)
+        report = run_properties(ns.seed, cases=ns.cases, suites=ns.suites or None)
         payload = json.dumps(report, indent=2) + "\n"
         if ns.out:
             with open(ns.out, "w") as fh:

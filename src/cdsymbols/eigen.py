@@ -85,7 +85,6 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Callable
 
 import numpy as np
 
@@ -96,7 +95,9 @@ from .characters import (
     teichmuller_character,
     unit_group,
 )
-from .linalg import HowellAccumulator, Submodule, elementary_divisors, format_divisors
+from . import hecke
+from .hecke import QuotientSpec
+from .linalg import HowellAccumulator, elementary_divisors, format_divisors
 from .rings import CoeffRing, RingError, is_prime, make_coeff_ring
 from .symbols import CUSP0, FULL, SymbolSpace, _orbit_data, build_presentation, cd_terms
 
@@ -197,10 +198,11 @@ class EigenContext:
 
     def htheta_target(self) -> HowellAccumulator:
         """The relations plus the reduced unit columns: all of R^r', whose
-        Howell form is the identity (pivots e_j of valuation 0)."""
-        r = self.r
-        identity = Submodule(self.ring, r, _identity(self.ring, r), tuple(range(r)), (0,) * r)
-        return identity.accumulator()
+        Howell form is the identity (pivots e_j of valuation 0), set without
+        an elimination."""
+        acc = HowellAccumulator(self.ring, self.r)
+        acc._set(_identity(self.ring, self.r), np.arange(self.r), np.zeros(self.r, dtype=np.int64))
+        return acc
 
 
 def _identity(ring: CoeffRing, r: int) -> np.ndarray:
@@ -568,9 +570,9 @@ def _validate_scenario(p: int, k: int, M: int, level: str):
     return N
 
 
-def _classify(ctx: EigenContext, variant: str, trivial_u: tuple[int, ...], t2: bool) -> str:
+def _classify(ctx: EigenContext, spec: QuotientSpec) -> str:
     p, M, N, f = ctx.p, ctx.M, ctx.N, ctx.f
-    theta = ctx.theta
+    theta, variant, trivial_u = ctx.theta, ctx.space.variant, spec.trivial_u
     if N == M * p and f % M == 0 and trivial_u:
         if p >= 5 and f == N:
             return "U-i"
@@ -585,7 +587,7 @@ def _classify(ctx: EigenContext, variant: str, trivial_u: tuple[int, ...], t2: b
         for ell in trivial_u:
             if M % ell == 0 and (p >= 5 or (f == N and variant == CUSP0)):
                 return "U-iii"
-    if t2 and M == 1 and variant == CUSP0 and theta == ctx.omega**2:
+    if spec.t2 and M == 1 and variant == CUSP0 and theta == ctx.omega**2:
         return "T2"
     if p >= 5 and f == N:
         return "a"
@@ -621,21 +623,19 @@ def working_ring(theta: DirichletCharacter) -> CoeffRing:
     return make_coeff_ring(ring.p, ring.k) if theta.descends else ring
 
 
-def _generation_core(
+def check_generation(
     p: int,
     k: int,
     M: int,
     level: str,
     variant: str,
     theta,
-    quotient: Callable[[SymbolSpace, DirichletCharacter], list] | None = None,
-    quotient_label: str = "none",
-    trivial_u: tuple[int, ...] = (),
-    t2: bool = False,
+    quotient: QuotientSpec = QuotientSpec(),
     cd_bound: int | None = None,
 ) -> GenerationReport:
-    """The verdict of one scenario; `quotient` gives the quotient blocks of
-    the presented space and theta in the working ring."""
+    """Classify the scenario into its theorem case, impose the quotient's
+    Hecke-type relations, compute the spans, and report whether the
+    prescribed generation identity holds."""
     t_start = time.perf_counter()
     N = _validate_scenario(p, k, M, level)
     canonical = make_coeff_ring(p, k, unit_group(N).phi)
@@ -646,9 +646,8 @@ def _generation_core(
     ring = working_ring(theta)
     space = build_presentation(N, variant, ring)
     theta_w = theta.over(ring)
-    extra_rows = quotient(space, theta_w) if quotient else ()
-    ctx = build_eigen_context(space, p, M, theta_w, extra_rows)
-    case = _classify(ctx, variant, trivial_u, t2)
+    ctx = build_eigen_context(space, p, M, theta_w, hecke.quotient_rows(space, p, quotient, theta_w))
+    case = _classify(ctx, quotient)
     c_acc = cd_span(ctx, unit_bound=cd_bound)
     full = ctx.r * k  # the length of H_theta's target R^r'
     dim_h = ctx.dim_H
@@ -661,9 +660,7 @@ def _generation_core(
             c_acc.add(eigensymbol(ctx, chi, g, h))
             extras.append(f"alpha(chi={chi.over(canonical).label()},g={g},h={h})")
         if c_acc.length != full:
-            divisors = format_divisors(
-                elementary_divisors(c_acc.finalize(), ctx.htheta_target().finalize()), ring
-            )
+            divisors = format_divisors(elementary_divisors(c_acc, ctx.htheta_target()), ring)
     millis = int(round((time.perf_counter() - t_start) * 1000))
     return GenerationReport(
         p=p,
@@ -672,7 +669,7 @@ def _generation_core(
         N=N,
         variant=variant,
         theta=theta.label(),
-        quotient=quotient_label,
+        quotient=quotient.label(),
         cd="exhaustive" if cd_bound is None else f"bound={cd_bound}",
         case=case,
         dim_H=dim_h,
@@ -682,17 +679,3 @@ def _generation_core(
         equal=equal,
         millis=millis,
     )
-
-
-def check_generation(
-    p: int,
-    k: int,
-    M: int,
-    level: str,
-    variant: str,
-    theta,
-    cd_bound: int | None = None,
-) -> GenerationReport:
-    """Classify the scenario into its theorem case, compute the spans, and
-    report whether the prescribed generation identity holds."""
-    return _generation_core(p, k, M, level, variant, theta, cd_bound=cd_bound)

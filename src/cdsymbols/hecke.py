@@ -1,5 +1,5 @@
 """Hecke-type quotient relations: trivial U_ell operators and the T2
-eigenvalue condition, plus the strengthened generation checks they enable.
+eigenvalue condition, which the strengthened generation checks impose.
 
 A trivial U_ell operator on a symbol space means the defining identity
 U_ell [ell*u : v] = sum_k [u + k N/ell : v] holds with U_ell = 1; imposing
@@ -9,6 +9,8 @@ omega^2-eigenspace, following the identity
 e_{omega^2}(<2> T2 [u:v] - 2 [u:v] - [2u:2v]) = 0.  Both kinds of rows
 reach an eigenspace as term blocks, symbol indices and integer
 coefficients, like the Manin relations of the presentation.
+`quotient_rows` turns a `QuotientSpec` into those blocks;
+`eigen.check_generation` takes the spec and imposes them.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import DirichletCharacter, teichmuller_character
-from .eigen import GenerationReport, _generation_core
 from .rings import is_prime
 # build_presentation is not called here since the verdict path builds its
 # space in eigen; perfbench/tracer.py still wraps it under this name.
@@ -29,7 +30,6 @@ __all__ = [
     "trivial_Ul_relations",
     "t2_eisenstein_relations",
     "quotient_rows",
-    "check_generation_with_quotient",
 ]
 
 
@@ -52,7 +52,7 @@ class QuotientSpec:
         if self.trivial_u:
             parts.append("trivU:" + ",".join(str(x) for x in self.trivial_u))
         if self.t2:
-            parts.append("t2eis" + ("-global" if self.t2_global else ""))
+            parts.append("t2eis" + ("-global" if self.t2_global else "-full" if self.t2_allow_full else ""))
         return "+".join(parts) if parts else "none"
 
     def validate(self, N: int, variant: str):
@@ -67,7 +67,7 @@ class QuotientSpec:
             if variant != CUSP0 and not self.t2_allow_full:
                 raise ValueError(
                     "the T2 condition is only asserted on cuspidal-at-zero spaces; "
-                    "set t2_allow_full to explore the full variant"
+                    "use --quotient t2eis-full to explore the full variant"
                 )
 
 
@@ -130,30 +130,3 @@ def quotient_rows(space: SymbolSpace, p: int, spec: QuotientSpec, theta: Dirichl
     if spec.t2:
         blocks.append(t2_eisenstein_relations(space, spec.t2_allow_full))
     return blocks
-
-
-def check_generation_with_quotient(
-    p: int,
-    k: int,
-    M: int,
-    level: str,
-    variant: str,
-    theta,
-    spec: QuotientSpec,
-    cd_bound: int | None = None,
-) -> GenerationReport:
-    """Impose the requested Hecke-type relations, recompute the spans in the
-    quotient, and report the applicable strengthened case."""
-    return _generation_core(
-        p,
-        k,
-        M,
-        level,
-        variant,
-        theta,
-        quotient=lambda space, chi: quotient_rows(space, p, spec, chi),
-        quotient_label=spec.label(),
-        trivial_u=spec.trivial_u,
-        t2=spec.t2,
-        cd_bound=cd_bound,
-    )

@@ -34,7 +34,6 @@ from .rings import CoeffRing
 
 __all__ = [
     "HowellAccumulator",
-    "Submodule",
     "howell_form",
     "elementary_divisors",
     "format_divisors",
@@ -72,8 +71,9 @@ class HowellAccumulator:
     `pvals`) and fully reduced: at every other pivot column c its entries lie
     in [0, p^v_c)^m, so they vanish where the pivot is a unit.  `length` is
     the module length of the span, the sum of k - v over pivots, so two
-    nested spans are equal iff lengths agree.  The arrays are replaced, never
-    written into, so copies and finalized Submodules share them.
+    nested spans are equal iff lengths agree, and two spans are equal iff
+    their bases are (`==`).  The arrays are replaced, never written into, so
+    copies share them and keep their span while the source grows.
     """
 
     def __init__(self, ring: CoeffRing, ncols: int, rows=None):
@@ -253,61 +253,30 @@ class HowellAccumulator:
             self._set(pivots, new_cols, new_vals)
         return unit_cols
 
-    def finalize(self) -> "Submodule":
-        """The basis as an immutable Submodule; it is already in canonical form."""
-        return Submodule(self.ring, self.ncols, self.mat, tuple(self.cols.tolist()), tuple(self.pvals.tolist()))
-
-
-class Submodule:
-    """Canonical Howell-form generating set of a row module.
-
-    Two Submodules over the same ring span the same set iff their rows are
-    identical arrays.
-    """
-
-    def __init__(self, ring, ncols, rows, pivot_cols, pivot_vals):
-        self.ring = ring
-        self.ncols = ncols
-        self.rows = rows  # (r, ncols, m)
-        self.pivot_cols = pivot_cols
-        self.pivot_vals = pivot_vals
-
-    @property
-    def length(self) -> int:
-        return sum(self.ring.k - v for v in self.pivot_vals)
-
-    def accumulator(self) -> HowellAccumulator:
-        """An accumulator that shares these rows as its basis."""
-        acc = HowellAccumulator(self.ring, self.ncols)
-        acc._set(self.rows, np.array(self.pivot_cols, dtype=np.int64), np.array(self.pivot_vals, dtype=np.int64))
-        return acc
+    # perfbench/tracer.py times this name as the linalg.finalize layer
+    finalize = copy
 
     def __eq__(self, other):
+        """Equal spans: the basis is canonical, so its arrays decide."""
         return (
-            isinstance(other, Submodule)
+            isinstance(other, HowellAccumulator)
             and self.ring == other.ring
             and self.ncols == other.ncols
-            and self.pivot_cols == other.pivot_cols
-            and self.pivot_vals == other.pivot_vals
-            and np.array_equal(self.rows, other.rows)
+            and np.array_equal(self.cols, other.cols)
+            and np.array_equal(self.pvals, other.pvals)
+            and np.array_equal(self.mat, other.mat)
         )
 
-    def __hash__(self):
-        return hash((self.ring, self.ncols, self.pivot_cols, self.pivot_vals, self.rows.tobytes()))
 
-    def __repr__(self):
-        return f"Submodule({self.ring}, ambient {self.ncols}, {len(self.rows)} rows, length {self.length})"
-
-
-def howell_form(rows, ring: CoeffRing, ncols: int | None = None) -> Submodule:
+def howell_form(rows, ring: CoeffRing, ncols: int | None = None) -> HowellAccumulator:
     """Howell normal form of the span of the given rows."""
     rows, ncols = _as_rows(rows, ring, ncols)
     if ncols is None:
         ncols = 0
-    return HowellAccumulator(ring, ncols, rows).finalize()
+    return HowellAccumulator(ring, ncols, rows)
 
 
-def elementary_divisors(A: Submodule, B: Submodule) -> list[int]:
+def elementary_divisors(A: HowellAccumulator, B: HowellAccumulator) -> list[int]:
     """Exponents (e_1 <= e_2 <= ...) of the p-power invariants of B/A.
 
     Requires A a submodule of B over the same chain ring.  An exponent equal
@@ -317,13 +286,13 @@ def elementary_divisors(A: Submodule, B: Submodule) -> list[int]:
     if A.ring != B.ring or A.ncols != B.ncols:
         raise ValueError("modules live in different ambients")
     ring = A.ring
-    if B.accumulator().reduce_rows(A.rows).any():
+    if B.reduce_rows(A.mat).any():
         raise ValueError("A is not contained in B")
     lengths = []
     for j in range(ring.k + 1):
-        acc = A.accumulator()
+        acc = A.copy()
         if j < ring.k:
-            acc.add_rows(B.rows * ring.p**j)
+            acc.add_rows(B.mat * ring.p**j)
         lengths.append(acc.length)
     out: list[int] = []
     for t in range(1, ring.k + 1):

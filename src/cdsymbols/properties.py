@@ -118,7 +118,7 @@ def check_howell(case: dict) -> bool:
         raise InvalidCase from None
     ring = chain_ring(p, k)
     sub = howell_form(rows, ring, ncols=n)
-    if _span_set(rows, p**k, n) != _span_set([r[:, 0] for r in sub.rows], p**k, n):
+    if _span_set(rows, p**k, n) != _span_set([r[:, 0] for r in sub.mat], p**k, n):
         return False
     shuffled = list(rows)
     random.Random(case["seed"]).shuffle(shuffled)

@@ -311,10 +311,6 @@ class RingElem:
     def is_unit(self) -> bool:
         return any(c % self.ring.p for c in self.coeffs)
 
-    def valuation(self) -> int:
-        """Largest v <= k with p^v dividing the element (v = k for zero)."""
-        return self.ring._val(self.coeffs)
-
     def as_array(self) -> np.ndarray:
         return np.array(self.coeffs, dtype=np.int64)
 
@@ -433,12 +429,6 @@ class CoeffRing:
                 for t in range(self.m):
                     out[t] += c * int(row[t])
         return tuple(x % self.pk for x in out)
-
-    def _val(self, a) -> int:
-        v = 0
-        while v < self.k and all(c % self.p ** (v + 1) == 0 for c in a):
-            v += 1
-        return v
 
     def _inv(self, a):
         if self.m == 1:

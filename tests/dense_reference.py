@@ -36,7 +36,7 @@ from cdsymbols.characters import (
     unit_group,
 )
 from cdsymbols.eigen import EigenContext, _scatter, _validate_scenario, build_eigen_context, cd_span
-from cdsymbols.linalg import HowellAccumulator, Submodule
+from cdsymbols.linalg import HowellAccumulator
 from cdsymbols.rings import CoeffRing, RingElem, RingError, make_coeff_ring, root_of_unity
 from cdsymbols.symbols import CUSP0, FULL, SymbolSpace, build_presentation, cd_terms
 
@@ -536,7 +536,7 @@ def cd_eigensymbol_loop(ctx: EigenContext, c: int, d: int, chi: DirichletCharact
     return ring.vscale(acc, np.array(inv_phi2.coeffs, dtype=np.int64))
 
 
-def membership(vec, sub: Submodule):
+def membership(vec, sub: HowellAccumulator):
     """Decide vec in span(sub); on success return (True, witness) where
     witness maps pivot columns to coefficients recombining exactly to vec."""
     v = np.asarray(vec, dtype=np.int64)
@@ -547,7 +547,7 @@ def membership(vec, sub: Submodule):
     ring = sub.ring
     rem = v % ring.pk
     witness: dict[int, np.ndarray] = {}
-    for row, j, pv in zip(sub.rows, sub.pivot_cols, sub.pivot_vals):
+    for row, j, pv in zip(sub.mat, sub.cols, sub.pvals):
         q = rem[j] // ring.p**pv
         if q.any():
             rem = (rem - ring.vscale(row, q)) % ring.pk

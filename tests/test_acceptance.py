@@ -313,7 +313,7 @@ def test_criterion_08_howell_oracle():
             nrows = rng.randint(0, 3)
             rows = [[rng.randrange(pk) for _ in range(n)] for _ in range(nrows)]
             sub = howell_form(rows, ring, ncols=n)
-            ok &= span_set(rows, pk, n) == span_set([r[:, 0] for r in sub.rows], pk, n)
+            ok &= span_set(rows, pk, n) == span_set([r[:, 0] for r in sub.mat], pk, n)
             shuffled = rows[:]
             rng.shuffle(shuffled)
             ok &= howell_form(shuffled, ring, ncols=n) == sub

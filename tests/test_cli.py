@@ -217,6 +217,39 @@ def test_properties_cli_deterministic(tmp_path):
     assert payload["seed"] == 7 and payload["all_passed"] is True
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--suites", "howell_orcale"], "unknown suite 'howell_orcale'; valid: howell_oracle, ring_invariants"),
+    (["--suites", "howell_oracle,u_operators"], "unknown suite 'u_operators'"),
+    (["--cases", "0"], "argument --cases: must be at least 1, got 0"),
+    (["--cases", "-1"], "argument --cases: must be at least 1, got -1"),
+])
+def test_properties_rejects_runs_that_check_nothing(args, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["properties", *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "all_passed" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "none", "trivU:7", "trivU:5,7", "t2eis", "t2eis-global", "t2eis-full",
+    "trivU:7+t2eis", "trivU:5+t2eis-global", "trivU:3,5+t2eis-full",
+])
+def test_quotient_label_spells_what_parses(text):
+    assert parse_quotient(text).label() == text
+
+
+def test_t2eis_full_report_replays(capsys):
+    args = ["verify", "--p", "5", "--M", "1", "--theta", "omega^2", "--stable"]
+    assert main([*args, "--quotient", "t2eis-full"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["params"]["quotient"] == "t2eis-full"
+    assert main([*args, "--quotient", report["params"]["quotient"]]) == 0
+    assert json.loads(capsys.readouterr().out) == report
+    assert main([*args, "--quotient", "t2eis"]) == 2
+    assert "use --quotient t2eis-full" in capsys.readouterr().err
+
+
 def test_acceptance_grid_is_wellformed():
     lines = acceptance_grid()
     assert len(lines) >= 40

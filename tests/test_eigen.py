@@ -828,7 +828,7 @@ def test_cd_span_stops_at_target_with_the_exhaustive_length(p, k, M, level, vari
     assert seen == ([] if p >= 5 and N % p else expected)
     if ctx.dim_H == 0:
         assert seen == [] and stopped.length == ctx.rel_length
-    if _classify(ctx, variant, (), False) == "a":
+    if _classify(ctx, QuotientSpec()) == "a":
         assert full.length == target.length
         assert len(seen) < len(ctx.reps)
     if full.length < target.length:
@@ -1078,7 +1078,7 @@ def _descent_invariants(N, p, k, M, spec, quotient, ring):
     target = ctx.htheta_target()
     span = cd_span(ctx)
     cd_length = span.length
-    case = _classify(ctx, "full", quotient, False)
+    case = _classify(ctx, QuotientSpec(trivial_u=quotient))
     for chi, g, h in _case_extras(ctx, case):
         span.add(eigensymbol(ctx, chi, g, h))
     divisors = elementary_divisors(span.finalize(), target.finalize())

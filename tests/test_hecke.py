@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from cdsymbols.characters import enumerate_characters, parse_theta, teichmuller_character, unit_group
-from cdsymbols.eigen import _scatter, build_eigen_context, eigensymbol_free
+from cdsymbols.eigen import _scatter, build_eigen_context, check_generation, eigensymbol_free
 from cdsymbols.hecke import (
     QuotientSpec,
-    check_generation_with_quotient,
     quotient_rows,
     t2_eisenstein_relations,
     trivial_Ul_relations,
@@ -245,47 +244,45 @@ def test_t2_relation_vector_matches_independent_evaluation():
 
 
 def test_criterion_scenarios_pass_at_k1():
-    r = check_generation_with_quotient(7, 1, 5, "Mp", "full", "omega^2*quad@5", QuotientSpec(trivial_u=(7,)))
+    r = check_generation(7, 1, 5, "Mp", "full", "omega^2*quad@5", QuotientSpec(trivial_u=(7,)))
     assert (r.case, r.equal, r.claim_ok) == ("U-ii", True, True)
-    r = check_generation_with_quotient(3, 1, 4, "Mp", "cusp0", "[1,1]", QuotientSpec(trivial_u=(2,)))
+    r = check_generation(3, 1, 4, "Mp", "cusp0", "[1,1]", QuotientSpec(trivial_u=(2,)))
     assert (r.case, r.equal, r.claim_ok) == ("U-iii", True, True)
-    r = check_generation_with_quotient(5, 1, 1, "Mp", "cusp0", "omega^2", QuotientSpec(t2=True))
+    r = check_generation(5, 1, 1, "Mp", "cusp0", "omega^2", QuotientSpec(t2=True))
     assert (r.case, r.equal, r.claim_ok) == ("T2", True, True)
 
 
 def test_t2_condition_is_not_vacuous():
     # without the T2 condition the omega^2 cusp0 eigenspace is strictly
     # bigger than the (c,d)-span; the condition collapses both
-    from cdsymbols.eigen import check_generation
-
     before = check_generation(5, 1, 1, "Mp", "cusp0", "omega^2")
     assert before.dim_H == 2 and before.dim_C == 1
-    after = check_generation_with_quotient(5, 1, 1, "Mp", "cusp0", "omega^2", QuotientSpec(t2=True))
+    after = check_generation(5, 1, 1, "Mp", "cusp0", "omega^2", QuotientSpec(t2=True))
     assert after.dim_H == after.dim_C == 0 and after.equal
 
 
 def test_u_iii_with_ell_dividing_M_at_p7():
-    r = check_generation_with_quotient(7, 1, 5, "Mp", "full", "omega^2*quad@5", QuotientSpec(trivial_u=(5,)))
+    r = check_generation(7, 1, 5, "Mp", "full", "omega^2*quad@5", QuotientSpec(trivial_u=(5,)))
     assert (r.case, r.equal, r.claim_ok) == ("U-iii", True, True)
 
 
 def test_full_eisenstein_quotient():
     # all U_ell - 1 imposed: the Eisenstein-component statement
-    r = check_generation_with_quotient(7, 1, 5, "Mp", "full", "omega^2*quad@5", QuotientSpec(trivial_u=(5, 7)))
+    r = check_generation(7, 1, 5, "Mp", "full", "omega^2*quad@5", QuotientSpec(trivial_u=(5, 7)))
     assert r.equal and r.claim_ok
-    r2 = check_generation_with_quotient(3, 1, 4, "Mp", "cusp0", "[1,1]", QuotientSpec(trivial_u=(2, 3)))
+    r2 = check_generation(3, 1, 4, "Mp", "cusp0", "[1,1]", QuotientSpec(trivial_u=(2, 3)))
     assert r2.equal and r2.claim_ok
 
 
 def test_u_i_case_labels():
-    r = check_generation_with_quotient(7, 1, 1, "Mp", "full", "[0]", QuotientSpec(trivial_u=(7,)))
+    r = check_generation(7, 1, 1, "Mp", "full", "[0]", QuotientSpec(trivial_u=(7,)))
     assert (r.case, r.equal, r.claim_ok) == ("U-i", True, True)
 
 
 def test_t2_at_p3_is_out_of_range():
     # M = 1, p = 3 gives N = 3 < 4: below the level floor of the presentation
     with pytest.raises(ValueError):
-        check_generation_with_quotient(3, 1, 1, "Mp", "cusp0", "1", QuotientSpec(t2=True))
+        check_generation(3, 1, 1, "Mp", "cusp0", "1", QuotientSpec(t2=True))
 
 
 def test_quotient_monotonicity():
@@ -309,7 +306,6 @@ def test_verdict_path_never_densifies_relations(monkeypatch):
     """Plain and quotient verdicts, including the case-b route through the
     extras and the elementary divisors, run with the dense relation helper
     disabled: the relations reach the eigenspace only as sparse terms."""
-    from cdsymbols.eigen import check_generation
     from cdsymbols.symbols import SymbolSpace
 
     def refuse(space):
@@ -318,7 +314,7 @@ def test_verdict_path_never_densifies_relations(monkeypatch):
     monkeypatch.setattr(SymbolSpace, "dense_relation_rows", refuse)
     report = check_generation(7, 1, 5, "Mp", "full", "[2,4]")
     assert (report.case, report.dim_H, report.dim_C, report.divisors) == ("b", 8, 6, (">=7",))
-    u = check_generation_with_quotient(7, 1, 1, "Mp", "full", "omega^4", QuotientSpec(trivial_u=(7,)))
-    t2 = check_generation_with_quotient(7, 2, 1, "Mp", "cusp0", "omega^2", QuotientSpec(t2=True))
+    u = check_generation(7, 1, 1, "Mp", "full", "omega^4", QuotientSpec(trivial_u=(7,)))
+    t2 = check_generation(7, 2, 1, "Mp", "cusp0", "omega^2", QuotientSpec(t2=True))
     assert (u.case, t2.case) == ("U-i", "T2")
     assert u.equal and t2.equal

@@ -30,14 +30,14 @@ def test_identity_rows_are_fixed():
     ring = chain_ring(3, 2)
     rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     sub = howell_form(rows, ring, ncols=3)
-    assert len(sub.rows) == 3
-    assert [list(r[:, 0]) for r in sub.rows] == rows
+    assert len(sub.mat) == 3
+    assert [list(r[:, 0]) for r in sub.mat] == rows
 
 
 def test_z4_example_span():
     ring = chain_ring(2, 2)
     sub = howell_form([[2, 0], [1, 1]], ring, ncols=2)
-    got = span_set([r[:, 0] for r in sub.rows], 4, 2)
+    got = span_set([r[:, 0] for r in sub.mat], 4, 2)
     want = span_set([[2, 0], [1, 1]], 4, 2)
     assert got == want and len(want) == 8
 
@@ -50,10 +50,10 @@ def test_principal_multiple_row():
         if not any(v % 5 for v in x):
             continue
         sub = howell_form([[5 * v % 25 for v in x]], ring, ncols=3)
-        assert len(sub.rows) == 1
-        j = sub.pivot_cols[0]
-        assert sub.pivot_vals[0] >= 1
-        assert int(sub.rows[0][j, 0]) == 5 ** sub.pivot_vals[0]
+        assert len(sub.mat) == 1
+        j = sub.cols[0]
+        assert sub.pvals[0] >= 1
+        assert int(sub.mat[0][j, 0]) == 5 ** sub.pvals[0]
 
 
 def test_membership_basics():
@@ -81,9 +81,9 @@ def test_membership_witness_recombines_exactly():
         ok, wit = membership(combo, sub)
         assert ok
         total = ring.vzeros(4)
-        cols = list(sub.pivot_cols)
+        cols = list(sub.cols)
         for j, q in wit.items():
-            total = (total + ring.vscale(sub.rows[cols.index(j)], q)) % 25
+            total = (total + ring.vscale(sub.mat[cols.index(j)], q)) % 25
         assert list(total[:, 0]) == list(combo)
 
 
@@ -125,7 +125,7 @@ def test_howell_oracle_random(p, k):
         nrows = rng.randint(0, 3)
         rows = [[rng.randrange(pk) for _ in range(n)] for _ in range(nrows)]
         sub = howell_form(rows, ring, ncols=n)
-        assert span_set(rows, pk, n) == span_set([r[:, 0] for r in sub.rows], pk, n)
+        assert span_set(rows, pk, n) == span_set([r[:, 0] for r in sub.mat], pk, n)
         shuffled = rows[:]
         rng.shuffle(shuffled)
         assert howell_form(shuffled, ring, ncols=n) == sub
@@ -158,7 +158,7 @@ def test_howell_oracle_galois_ring():
             for _ in range(rng.randint(1, 2))
         ]
         sub = howell_form(rows, ring, ncols=2)
-        assert gr_span(rows) == gr_span(list(sub.rows))
+        assert gr_span(rows) == gr_span(list(sub.mat))
 
 
 @settings(max_examples=40, deadline=None)
@@ -180,7 +180,7 @@ def test_howell_membership_closed_under_combinations(rows, rnd):
 def test_empty_input_is_zero_module():
     ring = chain_ring(3, 2)
     sub = howell_form([], ring)
-    assert len(sub.rows) == 0 and sub.length == 0
+    assert len(sub.mat) == 0 and sub.length == 0
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,7 @@ def test_reduce_rows_is_rowwise_canonical_reduction(make_ring):
         acc = greedy_accumulator(ring, ncols, _random_stack(rng, ring, int(rng.integers(1, ncols + 2)), ncols))
         V = _random_stack(rng, ring, 12, ncols)
         R = acc.reduce_rows(V)
-        span = acc.finalize().rows
+        span = acc.finalize().mat
         for v, r in zip(V, R):
             assert np.array_equal(r, _reduce_reference(acc, v))
             assert not greedy_reduce(acc, (v - r) % ring.pk).any()
@@ -378,6 +378,24 @@ def test_add_rows_empty_stack_changes_nothing(make_ring):
     length = acc.length
     assert acc.add_rows(np.zeros((0, 5, ring.m), dtype=np.int64)) is False
     assert acc.length == length and acc.finalize() == before
+
+
+@pytest.mark.parametrize("make_ring", KERNEL_RINGS)
+def test_copy_is_a_snapshot_the_source_cannot_grow(make_ring):
+    """The basis arrays are replaced, never written into: a copy keeps its
+    span while the source grows, and then the two compare unequal."""
+    ring = make_ring()
+    rng = np.random.default_rng(ring.pk * 10 + ring.m + 5)
+    acc = HowellAccumulator(ring, 6, _random_stack(rng, ring, 2, 6))
+    snap = acc.copy()
+    kept = (snap.mat.copy(), snap.cols.copy(), snap.pvals.copy(), snap.length)
+    assert snap == acc and acc.finalize() == acc
+    assert acc.add_rows(np.eye(6, dtype=np.int64)[..., None] * ring.one().as_array())
+    assert np.array_equal(snap.mat, kept[0]) and np.array_equal(snap.cols, kept[1])
+    assert np.array_equal(snap.pvals, kept[2]) and snap.length == kept[3] < acc.length
+    assert snap != acc
+    assert HowellAccumulator(ring, 6) != HowellAccumulator(ring, 5)
+    assert HowellAccumulator(ring, 6) != HowellAccumulator(chain_ring(ring.p, ring.k + 1), 6)
 
 
 # ---------------------------------------------------------------------------

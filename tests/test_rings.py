@@ -150,9 +150,6 @@ def test_ring_arithmetic_is_associative_and_distributive():
 
 def test_valuation_and_powers():
     ring = make_coeff_ring(5, 3, 4)
-    assert ring.zero().valuation() == 3
-    assert ring.one().valuation() == 0
-    assert (ring.from_int(25)).valuation() == 2
     x = ring.from_int(7)
     assert x ** 0 == ring.one()
     assert x ** -1 == x.inverse()
