@@ -353,10 +353,10 @@ def _quadratic_of_conductor(N: int, ring: CoeffRing, D: int) -> DirichletCharact
 
 
 def _component_character(N: int, ring: CoeffRing, D: int, e: int) -> DirichletCharacter:
+    if D < 1 or N % D != 0 or gcd(D, N // D) != 1:
+        raise ValueError(f"chi@{D}: {D} is not a unitary divisor of {N}")
     ug = unit_group(N)
     hits = [i for i, g in enumerate(ug.generators) if g % D != 1 % D]
-    if N % D != 0 or gcd(D, N // D) != 1:
-        raise ValueError(f"chi@{D}: {D} is not a unitary divisor of {N}")
     if len(hits) != 1:
         raise ValueError(f"chi@{D} is ambiguous: component has {len(hits)} generators")
     i = hits[0]

@@ -22,8 +22,6 @@ from .eigen import GenerationReport, check_generation
 from .hecke import QuotientSpec
 from .properties import SUITES, run_properties
 
-WORKERS_ENV = "CDSYMBOLS_WORKERS"
-
 
 def parse_quotient(text: str) -> QuotientSpec:
     """Parse 'trivU:5,7', 't2eis', 't2eis-global', or '+'-combinations.  At
@@ -35,9 +33,11 @@ def parse_quotient(text: str) -> QuotientSpec:
     for part in text.split("+"):
         part = part.strip()
         if part.startswith("trivU:"):
-            body = part[len("trivU:") :]
+            body = [x for x in part[len("trivU:") :].split(",") if x]
+            if not body:
+                raise ValueError(f"empty trivU prime list in {part!r}")
             try:
-                trivial.extend(int(x) for x in body.split(",") if x)
+                trivial.extend(int(x) for x in body)
             except ValueError:
                 raise ValueError(f"bad trivU prime list in {part!r}") from None
         elif part in ("t2eis", "t2eis-global", "t2eis-full"):
@@ -216,16 +216,8 @@ def _suite_names(text: str) -> list[str]:
 
 
 def _worker_count(ns) -> int:
-    """Workers from --workers, else $CDSYMBOLS_WORKERS, else 1; clamped to
-    [1, os.cpu_count()]."""
-    workers = getattr(ns, "workers", None)
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        try:
-            workers = int(env) if env else 1
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return max(1, min(workers, os.cpu_count() or 1))
+    """--workers (at least 1), clamped to os.cpu_count()."""
+    return min(ns.workers, os.cpu_count() or 1)
 
 
 def main(argv=None) -> int:
@@ -251,8 +243,8 @@ def main(argv=None) -> int:
     pg.add_argument("--csv", help="write the CSV mirror to this path")
     pg.add_argument("--assert", dest="assert_mode", action="store_true")
     pg.add_argument("--stable", action="store_true")
-    pg.add_argument("--workers", type=_positive_int, default=None,
-                    help=f"worker processes, at most the CPU count (default: ${WORKERS_ENV} or 1)")
+    pg.add_argument("--workers", type=_positive_int, default=1,
+                    help="worker processes, at most the CPU count (default 1)")
 
     pp = sub.add_parser("properties", help="run the seeded identity suites")
     pp.add_argument("--seed", type=int, default=0)
@@ -288,18 +280,18 @@ def main(argv=None) -> int:
         if ns.acceptance:
             lines = acceptance_grid()
         else:
-            with open(ns.config) as fh:
-                lines = [ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")]
+            try:
+                with open(ns.config) as fh:
+                    lines = [ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")]
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
         configs = []
         for line in lines:
             cfg = _parse_grid_line(line, line_parser)
             cfg["stable"] = ns.stable
             configs.append(cfg)
-        try:
-            workers = _worker_count(ns)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        workers = _worker_count(ns)
         reports: list = []
         errors: list[dict] = []
         if workers > 1:

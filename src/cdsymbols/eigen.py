@@ -108,6 +108,7 @@ __all__ = [
     "eigensymbol",
     "cd_eigensymbol",
     "cd_span",
+    "project",
     "bezout_units",
     "check_generation",
     "working_ring",
@@ -156,7 +157,8 @@ class EigenContext:
     `rel_acc`, the projected parabolic and quotient relations.
 
     pi sends symbol i to scalars[i] times the unit column col_of[i], so a
-    row of symbol terms reaches R^r' through `_scatter`; `reps` holds the
+    row of symbol terms reaches R^r' through `_scatter`, and a dense ambient
+    row through `project`; `reps` holds the
     representatives first in their sigma-pair, the ones `cd_span` visits (a
     dropped orbit's among them).  `basis`, built on first read, holds the r'
     unit columns reduced against the relations; the reduced column y of
@@ -221,6 +223,16 @@ def _scatter(ring: CoeffRing, col_of: np.ndarray, scalars: np.ndarray, r: int, i
     rows = np.zeros((len(idx), r, ring.m), dtype=np.int64)
     np.add.at(rows, (np.arange(len(idx))[:, None], col_of[idx]), terms)
     return rows % ring.pk
+
+
+def project(ctx: EigenContext, vecs) -> np.ndarray:
+    """pi of dense ambient rows (..., nsym, m): the scatter over all symbols,
+    with the entries as ring-valued coefficients."""
+    vecs = np.asarray(vecs, dtype=np.int64)
+    flat = vecs.reshape(-1, *vecs.shape[-2:])
+    idx = np.broadcast_to(np.arange(ctx.space.nsym), flat.shape[:2])
+    out = _scatter(ctx.ring, ctx.col_of, ctx.scalars, ctx.r, idx, flat)
+    return out.reshape(*vecs.shape[:-2], *out.shape[1:])
 
 
 def _relations_accumulator(ring: CoeffRing, orbit_of, col_of, scalars, r: int, parabolic, blocks):

@@ -8,7 +8,7 @@ row per admissible symbol.  The T2 condition is imposed inside the
 omega^2-eigenspace, following the identity
 e_{omega^2}(<2> T2 [u:v] - 2 [u:v] - [2u:2v]) = 0.  Both kinds of rows
 reach an eigenspace as term blocks, symbol indices and integer
-coefficients, like the Manin relations of the presentation.
+coefficients, like the parabolic relations of `symbols._orbit_data`.
 `quotient_rows` turns a `QuotientSpec` into those blocks;
 `eigen.check_generation` takes the spec and imposes them.
 """

@@ -18,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .characters import enumerate_characters, teichmuller_character, unit_group
-from .eigen import bezout_units, build_eigen_context, cd_eigensymbol, eigensymbol_free
+from .eigen import EigenContext, bezout_units, build_eigen_context, cd_eigensymbol, eigensymbol_free, project
 from .hecke import trivial_Ul_relations
-from .linalg import HowellAccumulator, howell_form
+from .linalg import howell_form
 from .rings import chain_ring, make_coeff_ring, root_of_unity
 from .symbols import build_presentation
 
@@ -72,13 +72,28 @@ def _characters(N: int, ring) -> tuple[tuple, tuple]:
 
 
 @lru_cache(maxsize=16)
-def _ambient_relations(space, trivial_u: tuple[int, ...] = ()) -> HowellAccumulator:
-    """Howell form of the ambient relation rows plus the trivial U_ell rows
-    of trivial_u: the eigensymbol identities are checked in the ambient
-    quotient."""
-    blocks = [trivial_Ul_relations(space, ell) for ell in trivial_u]
-    rows = np.concatenate([space.dense_relation_rows()] + [space.dense_relation_rows(b) for b in blocks])
-    return HowellAccumulator(space.ring, space.nsym, rows)
+def _theta_context(space, p: int, M: int, theta, trivial_u: tuple[int, ...] = ()) -> EigenContext:
+    """The theta-eigenspace of the space modulo its relations and the trivial
+    U_ell rows of trivial_u, built once per key."""
+    return build_eigen_context(space, p, M, theta, [trivial_Ul_relations(space, ell) for ell in trivial_u])
+
+
+def _in_relations(space, p: int, M: int, theta, vec: np.ndarray, trivial_u: tuple[int, ...] = ()) -> bool:
+    """Whether the ambient vector lies in the relations plus the trivial
+    U_ell rows of trivial_u.  It must be theta-eigen, vec = theta(g)
+    <g>^-1 vec for each generator g of (Z/N)^x; then it lies there iff its
+    image under pi lies in the projected relations.  The relations are
+    diamond-stable and p does not divide phi(N), so e_theta of a relation
+    is a relation, pi = pi e_theta, and the kernel of pi on the eigenspace
+    is e_theta of the sign relations.  pi alone would drop the components
+    outside theta."""
+    ring, N = space.ring, space.N
+    for g in unit_group(N).generators:
+        moved = vec[space.table[g * space.u % N, g * space.v % N]]
+        if not np.array_equal(vec, ring.vscale(moved, theta(g).as_array())):
+            return False
+    ctx = _theta_context(space, p, M, theta, trivial_u)
+    return ctx.rel_acc.contains(project(ctx, vec))
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +257,12 @@ def check_projected_symbol_expansion(case: dict) -> bool:
     inv_phi = ring.from_int(phi).inverse()
     lhs = ring.vzeros(space.nsym)
     for a in unit_group(N).units:
-        coeff = th_inv(a) * inv_phi
         i = space.idx(a * g * u, a * h * v)
-        lhs[i] = (lhs[i] + np.array(coeff.coeffs, dtype=np.int64)) % ring.pk
+        lhs[i] = (lhs[i] + (th_inv(a) * inv_phi).as_array()) % ring.pk
     rhs = ring.vzeros(space.nsym)
     for cchi in _characters(N, ring)[0]:
         psi = theta * cchi.inverse()
-        coeff = cchi(u) * psi(v)
-        al = eigensymbol_free(space, cchi, psi, g, h)
-        rhs = (rhs + ring.vscale(al, np.array(coeff.coeffs, dtype=np.int64))) % ring.pk
+        rhs = (rhs + ring.vscale(eigensymbol_free(space, cchi, psi, g, h), (cchi(u) * psi(v)).as_array())) % ring.pk
     return bool(np.array_equal(lhs, rhs))
 
 
@@ -268,8 +280,8 @@ def check_antisymmetry(case: dict) -> bool:
     psi = theta * chi.inverse()
     v1 = eigensymbol_free(space, chi, psi, g, h)
     v2 = eigensymbol_free(space, psi, chi, h, g)
-    tot = (v1 + ring.vscale(v2, np.array(chi(-1).coeffs, dtype=np.int64))) % ring.pk
-    return _ambient_relations(space).contains(tot)
+    tot = (v1 + ring.vscale(v2, chi(-1).as_array())) % ring.pk
+    return _in_relations(space, p, M, theta, tot)
 
 
 def check_cd_scalar_identity(case: dict) -> bool:
@@ -284,9 +296,7 @@ def check_cd_scalar_identity(case: dict) -> bool:
     dd = next(x for x in range(d, d + 2 * L + 2, N) if x > 1 and gcd(x, 6 * N) == 1)
     lhs = cd_eigensymbol(ctx, cc, dd, chi, g, h)
     scalar = (ring.from_int(cc * cc) - chi(cc)) * (ring.from_int(dd * dd) - psi(dd))
-    rhs = ring.vscale(
-        eigensymbol_free(space, chi, psi, g, h), np.array(scalar.coeffs, dtype=np.int64)
-    )
+    rhs = ring.vscale(eigensymbol_free(space, chi, psi, g, h), scalar.as_array())
     return bool(np.array_equal(lhs, rhs))
 
 
@@ -298,28 +308,10 @@ def check_bezout_splitting(case: dict) -> bool:
     r2 = ring.vzeros(space.nsym)
     for cchi in _characters(N, ring)[0]:
         psi = theta * cchi.inverse()
-        lhs = (
-            lhs
-            + ring.vscale(
-                eigensymbol_free(space, cchi, psi, g, h),
-                np.array((cchi(a) * psi(b)).coeffs, dtype=np.int64),
-            )
-        ) % ring.pk
-        r1 = (
-            r1
-            + ring.vscale(
-                eigensymbol_free(space, cchi, psi, g, delta),
-                np.array(cchi(a).coeffs, dtype=np.int64),
-            )
-        ) % ring.pk
-        r2 = (
-            r2
-            + ring.vscale(
-                eigensymbol_free(space, cchi, psi, delta, h),
-                np.array(psi(b).coeffs, dtype=np.int64),
-            )
-        ) % ring.pk
-    return _ambient_relations(space).contains((lhs - r1 - r2) % ring.pk)
+        lhs = (lhs + ring.vscale(eigensymbol_free(space, cchi, psi, g, h), (cchi(a) * psi(b)).as_array())) % ring.pk
+        r1 = (r1 + ring.vscale(eigensymbol_free(space, cchi, psi, g, delta), cchi(a).as_array())) % ring.pk
+        r2 = (r2 + ring.vscale(eigensymbol_free(space, cchi, psi, delta, h), psi(b).as_array())) % ring.pk
+    return _in_relations(space, p, M, theta, (lhs - r1 - r2) % ring.pk)
 
 
 def check_omega2_vanishing(case: dict) -> bool:
@@ -365,21 +357,12 @@ def check_u_operator(case: dict) -> bool:
     psi = theta * chi.inverse()
     if t < s:
         lhs = eigensymbol_free(space, chi, psi, ell**t * g, h)
-        rhs = ring.vscale(
-            eigensymbol_free(space, chi, psi, ell ** (t - 1) * g, h),
-            np.array(ring.from_int(ell).coeffs, dtype=np.int64),
-        )
+        rhs = ring.vscale(eigensymbol_free(space, chi, psi, ell ** (t - 1) * g, h), ring.from_int(ell).as_array())
     else:
-        chi_ell = chi.primitive_eval(ell)
-        lhs = ring.vscale(
-            eigensymbol_free(space, chi, psi, ell**s * g, h),
-            np.array((ring.one() - chi_ell.inverse()).coeffs, dtype=np.int64),
-        )
-        rhs = ring.vscale(
-            eigensymbol_free(space, chi, psi, ell ** (s - 1) * g, h),
-            np.array(ring.from_int(ell - 1).coeffs, dtype=np.int64),
-        )
-    return _ambient_relations(space, (ell,)).contains((lhs - rhs) % ring.pk)
+        scalar = ring.one() - chi.primitive_eval(ell).inverse()
+        lhs = ring.vscale(eigensymbol_free(space, chi, psi, ell**s * g, h), scalar.as_array())
+        rhs = ring.vscale(eigensymbol_free(space, chi, psi, ell ** (s - 1) * g, h), ring.from_int(ell - 1).as_array())
+    return _in_relations(space, p, M, theta, (lhs - rhs) % ring.pk, (ell,))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Finite presentations of modular-symbol spaces with their diamond action.
 
 Generators are unimodular pairs (u, v) in (Z/NZ)^2 identified with
-(-u, -v); that identification is performed at the index level, while the
-sign relation [u:v] + [-v:u] = 0 and the parabolic relation
-[u:v] - [u:u+v] - [u+v:v] = 0 are kept as their (symbol, coefficient)
-terms.  The cuspidal-at-zero variant drops symbols with a zero coordinate
-and emits the parabolic relation only when u, v and u+v are all nonzero.
+(-u, -v); that identification is performed at the index level.  The
+relations are the sign relation [u:v] + [-v:u] = 0 and the parabolic
+relation [u:v] - [u:u+v] - [u+v:v] = 0; the cuspidal-at-zero variant drops
+symbols with a zero coordinate and keeps the parabolic relation only when
+u, v and u+v are all nonzero.  No relation is stored whole: the eigenspaces
+quotient the sign relations out through the sigma-pairing of the orbits and
+take the parabolic relation of each orbit representative (`_orbit_data`).
 
 The diamond operators <a>[u:v] = [au:av] permute the symbols.  Every
 stabiliser is {1, -1} ((a -+ 1)(u, v) = 0 with gcd(u, v, N) = 1 forces
@@ -69,26 +71,11 @@ def enumerate_symbols(N: int, variant: str) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _manin_terms(N: int, variant: str):
-    """SymbolSpace's relation terms: per symbol [u:v] in order, the sign row
-    [u:v] + [-v:u] (once per pair) and the admissible parabolic row."""
-    u, v, table = _ring_free_part(N, variant)
-    me = np.arange(len(u))
-    w = (u + v) % N
-    sign_partner = table[-v % N, u]
-    keep = np.stack([me <= sign_partner, (w != 0) | (variant == FULL)], axis=1)
-    # (symbol, kind, term); the sign row's third term has coefficient 0
-    sign = np.stack([me, sign_partner, me], axis=1)
-    parabolic = np.stack([me, table[u, w], table[w, v]], axis=1)
-    cols = np.stack([sign, parabolic], axis=1)
-    coeffs = np.broadcast_to(np.array([[1, 1, 0], [1, -1, -1]], dtype=np.int64), cols.shape)
-    return _read_only(cols[keep], coeffs[keep])
-
-
-@lru_cache(maxsize=None)
 def _orbit_data(N: int, variant: str):
     """What the eigenspaces of one (N, variant) share, whatever the ring and
-    theta: (reps, orbit_of, transporter) of SymbolSpace.orbits; per orbit O,
+    theta: the orbit representatives `reps`, each symbol's orbit `orbit_of`
+    and its `transporter`, the least unit a with <a> rep = symbol (a < N/2);
+    per orbit O,
     the symbol `image` of sigma rep(O) = [-v:u], the orbit `partner` of
     sigma O and whether O is `first` in its sigma-pair; and `parabolic`,
     the parabolic rows (indices, coefficients) of the admissible
@@ -124,14 +111,14 @@ class SymbolSpace:
     """Presentation of a level-N modular-symbol space over a coefficient ring.
 
     Holds the canonical generator list `symbols` with its coordinates as
-    arrays `u` and `v`, the relations as sparse terms (relation t is
-    sum_s relation_coeffs[t, s] [relation_rows[t, s]], both arrays (nrel, 3)
-    over symbol indices), and `table`, the N x N array of symbol indices of
+    arrays `u` and `v`, and `table`, the N x N array of symbol indices of
     all pairs (u, v) mod N (both signs of a symbol share its index; -1 where
     (u, v) is not a symbol), through which indexing, the diamond orbits and
-    every relation's terms are gathers.  None of these depends on the ring:
-    the spaces of one (N, variant) share them, read-only, with their orbits;
-    `symbols` and the relation terms are built on first read.  Immutable.
+    the terms of every relation are gathers.  The relations themselves are
+    the sign and parabolic rows of the module docstring; an eigenspace reads
+    them from the orbit data.  None of this depends on the ring: the spaces
+    of one (N, variant) share it, read-only, with their orbits; `symbols` is
+    built on first read.  Immutable.
     """
 
     def __init__(self, N: int, variant: str, ring: CoeffRing):
@@ -142,8 +129,6 @@ class SymbolSpace:
         self.nsym = len(self.u)
 
     symbols = property(lambda self: enumerate_symbols(self.N, self.variant))
-    relation_rows = property(lambda self: _manin_terms(self.N, self.variant)[0])
-    relation_coeffs = property(lambda self: _manin_terms(self.N, self.variant)[1])
 
     # -- indexing ---------------------------------------------------------
     def idx(self, u: int, v: int) -> int:
@@ -152,33 +137,14 @@ class SymbolSpace:
             raise ValueError(f"({u}, {v}) is not a symbol of this space")
         return i
 
-    # -- relations ---------------------------------------------------------
-    def dense_relation_rows(self, terms=None) -> np.ndarray:
-        """The term block `terms` = (indices, coefficients), both (rows, t),
-        as dense rows (rows, nsym, m); the Manin relations by default.  For
-        reference checks in the ambient space; the verdict path never builds
-        them."""
-        cols, coeffs = terms or (self.relation_rows, self.relation_coeffs)
-        rows = np.zeros((len(cols), self.nsym, self.ring.m), dtype=np.int64)
-        np.add.at(rows[..., 0], (np.arange(len(cols))[:, None], cols), coeffs)
-        return rows % self.ring.pk
-
-    def orbits(self):
-        """Diamond-orbit decomposition: (reps, orbit_of, transporter) where
-        transporter[i] is the least unit a with <a> rep = symbol i (a < N/2)
-        and the representative of an orbit is its least symbol index (see
-        `_orbit_data`)."""
-        return _orbit_data(self.N, self.variant)[:3]
-
     def __repr__(self):
         return f"SymbolSpace(N={self.N}, {self.variant}, {self.nsym} symbols, {self.ring})"
 
 
 @lru_cache(maxsize=None)
 def build_presentation(N: int, variant: str, ring: CoeffRing) -> SymbolSpace:
-    """Presentation with the sign rows, the parabolic rows admissible for the
-    variant, and the diamond orbits; its ring-free part is built once per
-    (N, variant)."""
+    """Presentation of the level-N space of the variant over the ring; its
+    ring-free part is built once per (N, variant)."""
     return SymbolSpace(N, variant, ring)
 
 

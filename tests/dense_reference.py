@@ -1,8 +1,12 @@
-"""Reference code that only the tests call: the diamond permutations, the
+"""Reference code that only the tests call: the Manin relations of a space
+as sign and parabolic terms (`relation_rows`, `relation_coeffs`), dense
+(`dense_relation_rows`) and in Howell form over all symbols
+(`ambient_relations`, the oracle of the membership test of the property
+suites, which goes through pi); the diamond orbits of a space (`orbits`);
+the diamond permutations, the
 dense eigenspace projector, the projection through it and ring matrix
 products on the ambient free module, which the sigma-pair coordinate map of
-`cdsymbols.eigen` is checked against, and that map on dense rows (the
-scatter over all symbols); the literal double
+`cdsymbols.eigen` is checked against; the literal double
 loop behind `cd_eigensymbol`; a Howell basis as dicts by pivot column, and
 row-at-a-time greedy Howell insertion, which keeps the basis fully reduced
 one row at a time, the reference for `HowellAccumulator.add_rows` and
@@ -24,6 +28,7 @@ character, the references for `characters.conductor` and
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -35,10 +40,75 @@ from cdsymbols.characters import (
     teichmuller_character,
     unit_group,
 )
-from cdsymbols.eigen import EigenContext, _scatter, _validate_scenario, build_eigen_context, cd_span
+from cdsymbols.eigen import EigenContext, _validate_scenario, build_eigen_context, cd_span, project
+from cdsymbols.hecke import trivial_Ul_relations
 from cdsymbols.linalg import HowellAccumulator
 from cdsymbols.rings import CoeffRing, RingElem, RingError, make_coeff_ring, root_of_unity
-from cdsymbols.symbols import CUSP0, FULL, SymbolSpace, build_presentation, cd_terms
+from cdsymbols.symbols import (
+    CUSP0,
+    FULL,
+    SymbolSpace,
+    _orbit_data,
+    _read_only,
+    _ring_free_part,
+    build_presentation,
+    cd_terms,
+)
+
+
+@lru_cache(maxsize=None)
+def _manin_terms(N: int, variant: str):
+    """The Manin relation terms of one (N, variant): per symbol [u:v] in
+    order, the sign row [u:v] + [-v:u] (once per pair) and the admissible
+    parabolic row, as symbol indices (nrel, 3) and coefficients (nrel, 3)
+    (1, 1, 0 for a sign row, 1, -1, -1 for a parabolic one)."""
+    u, v, table = _ring_free_part(N, variant)
+    me = np.arange(len(u))
+    w = (u + v) % N
+    sign_partner = table[-v % N, u]
+    keep = np.stack([me <= sign_partner, (w != 0) | (variant == FULL)], axis=1)
+    # (symbol, kind, term); the sign row's third term has coefficient 0
+    sign = np.stack([me, sign_partner, me], axis=1)
+    parabolic = np.stack([me, table[u, w], table[w, v]], axis=1)
+    cols = np.stack([sign, parabolic], axis=1)
+    coeffs = np.broadcast_to(np.array([[1, 1, 0], [1, -1, -1]], dtype=np.int64), cols.shape)
+    return _read_only(cols[keep], coeffs[keep])
+
+
+def relation_rows(space: SymbolSpace) -> np.ndarray:
+    """The symbol indices of every Manin relation of the space: relation t
+    is sum_s relation_coeffs[t, s] [relation_rows[t, s]]."""
+    return _manin_terms(space.N, space.variant)[0]
+
+
+def relation_coeffs(space: SymbolSpace) -> np.ndarray:
+    """The coefficients of every Manin relation (see relation_rows)."""
+    return _manin_terms(space.N, space.variant)[1]
+
+
+def dense_relation_rows(space: SymbolSpace, terms=None) -> np.ndarray:
+    """The term block `terms` = (indices, coefficients), both (rows, t),
+    as dense rows (rows, nsym, m); the Manin relations by default."""
+    cols, coeffs = terms or _manin_terms(space.N, space.variant)
+    rows = np.zeros((len(cols), space.nsym, space.ring.m), dtype=np.int64)
+    np.add.at(rows[..., 0], (np.arange(len(cols))[:, None], cols), coeffs)
+    return rows % space.ring.pk
+
+
+def orbits(space: SymbolSpace):
+    """Diamond-orbit decomposition: (reps, orbit_of, transporter) where
+    transporter[i] is the least unit a with <a> rep = symbol i (a < N/2)
+    and the representative of an orbit is its least symbol index."""
+    return _orbit_data(space.N, space.variant)[:3]
+
+
+@lru_cache(maxsize=16)
+def ambient_relations(space: SymbolSpace, trivial_u: tuple[int, ...] = ()) -> HowellAccumulator:
+    """Howell form of the dense Manin relation rows plus the trivial U_ell
+    rows of trivial_u over all nsym columns: the ambient relation module."""
+    blocks = [trivial_Ul_relations(space, ell) for ell in trivial_u]
+    rows = np.concatenate([dense_relation_rows(space)] + [dense_relation_rows(space, b) for b in blocks])
+    return HowellAccumulator(space.ring, space.nsym, rows)
 
 
 def basis_dicts(acc: HowellAccumulator) -> tuple[dict, dict]:
@@ -306,8 +376,8 @@ def orbit_frame_by_table(N: int, variant: str) -> dict:
     parabolic terms of every symbol, the diamond orbits (least index of each
     column of the table), the transporters (first unit of the table to reach
     each symbol), the sigma-pair data and the parabolic block cut to the
-    first row per orbit.  The reference for `symbols._ring_free_part`,
-    `_manin_terms` and `_orbit_data`."""
+    first row per orbit.  The reference for `symbols._ring_free_part` and
+    `_orbit_data`, and for the relation terms of `_manin_terms`."""
     u, v = np.divmod(np.arange(N * N), N)
     nu, nv = -u % N, -v % N
     keep = (np.gcd(np.gcd(u, v), N) == 1) & ((u < nu) | ((u == nu) & (v <= nv)))
@@ -388,7 +458,7 @@ def t2_eisenstein_relations_loop(space: SymbolSpace, ring: CoeffRing, p: int) ->
     coeffs = ring.vscale(omega2.inverse().values, inv_phi.as_array())
     moves = diamond_action(space)
     rows = []
-    for rep in space.orbits()[0]:
+    for rep in orbits(space)[0]:
         u, v = space.symbols[rep]
         if space.variant == CUSP0 and (u + v) % N == 0:
             continue
@@ -425,13 +495,13 @@ def idempotent_projector(space: SymbolSpace, theta: DirichletCharacter, strict: 
 
 
 def sign_pairs(sp: SymbolSpace, theta: DirichletCharacter):
-    """Per diamond orbit O (in sp.orbits() order): its sigma-pair column, the
+    """Per diamond orbit O (in `orbits` order): its sigma-pair column, the
     coefficient of e_O there, and whether O is first in its pair.  With
     sigma rep(O) = <t_O> rep(sigma O), S(e_O) is e_c(O) for the first orbit
     of a pair, -theta(t_O) e_c(sigma O) for its partner, and 0 for an orbit
     that is its own partner with theta(t_O) = 1."""
     ring = sp.ring
-    reps, orbit_of, trans = sp.orbits()
+    reps, orbit_of, trans = orbits(sp)
     units = list(unit_group(sp.N).units)
     one = ring.one().as_array()
     col, coef, first = [], [], []
@@ -473,22 +543,11 @@ def reference_projection(space: SymbolSpace, theta: DirichletCharacter, vecs) ->
     the scatter of `cdsymbols.eigen`, which it is the reference for."""
     ring = space.ring
     P = idempotent_projector(space, theta)
-    reps = list(space.orbits()[0])
+    reps = list(orbits(space)[0])
     half_phi = ring.from_int(unit_group(space.N).phi // 2).as_array()
     return np.stack([
         sign_pair_map(space, theta, ring.vscale(apply_matrix(ring, P, vec)[reps], half_phi)) for vec in vecs
     ])
-
-
-def project(ctx: EigenContext, vecs) -> np.ndarray:
-    """pi of dense ambient rows (..., nsym, m): the scatter of
-    `cdsymbols.eigen` over all symbols, with the entries as ring-valued
-    coefficients."""
-    vecs = np.asarray(vecs, dtype=np.int64)
-    flat = vecs.reshape(-1, *vecs.shape[-2:])
-    idx = np.broadcast_to(np.arange(ctx.space.nsym), flat.shape[:2])
-    out = _scatter(ctx.ring, ctx.col_of, ctx.scalars, ctx.r, idx, flat)
-    return out.reshape(*vecs.shape[:-2], *out.shape[1:])
 
 
 def _contract(ring: CoeffRing, spec: str, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -576,9 +635,9 @@ def cusp0_agreement(N: int, ring: CoeffRing) -> dict:
     """
     full = build_presentation(N, FULL, ring)
     cusp = build_presentation(N, CUSP0, ring)
-    acc_c = HowellAccumulator(ring, cusp.nsym, cusp.dense_relation_rows())
+    acc_c = HowellAccumulator(ring, cusp.nsym, dense_relation_rows(cusp))
     abstract_len = cusp.nsym * ring.k - acc_c.length
-    acc_f = HowellAccumulator(ring, full.nsym, full.dense_relation_rows())
+    acc_f = HowellAccumulator(ring, full.nsym, dense_relation_rows(full))
     base = acc_f.length
     for (u, v) in cusp.symbols:
         row = ring.vzeros(full.nsym)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cdsymbols.cli import WORKERS_ENV, _worker_count, acceptance_grid, main, parse_quotient
+from cdsymbols.cli import _worker_count, acceptance_grid, main, parse_quotient
 from cdsymbols.hecke import QuotientSpec
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -184,26 +184,44 @@ def test_grid_worker_pool_subprocess(tmp_path):
 
 def test_worker_count_is_clamped_and_validated(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert _worker_count(argparse.Namespace(workers=None)) == 1
     assert _worker_count(argparse.Namespace(workers=1)) == 1
     assert _worker_count(argparse.Namespace(workers=10**6)) == 2
-    monkeypatch.setenv(WORKERS_ENV, "64")
-    assert _worker_count(argparse.Namespace(workers=None)) == 2
-    assert _worker_count(argparse.Namespace(workers=1)) == 1  # the flag wins
-    monkeypatch.setenv(WORKERS_ENV, "0")
-    assert _worker_count(argparse.Namespace(workers=None)) == 1
-    monkeypatch.setenv(WORKERS_ENV, "two")
-    with pytest.raises(ValueError, match=WORKERS_ENV):
-        _worker_count(argparse.Namespace(workers=None))
     cfg = tmp_path / "grid.txt"
     cfg.write_text("--p 5 --k 1 --M 1 --theta [0]\n")
-    assert main(["grid", "--config", str(cfg)]) == 2
-    assert WORKERS_ENV in capsys.readouterr().err
     for bad in ("0", "-3", "x"):
         with pytest.raises(SystemExit) as exc:
             main(["grid", "--config", str(cfg), "--workers", bad])
         assert exc.value.code == 2
+
+
+def test_grid_config_that_cannot_be_read_is_an_error(tmp_path, capsys):
+    """A missing grid file exits 2 with a one-line message, not a traceback
+    with the exit code of a failed --assert."""
+    missing = tmp_path / "missing.grid"
+    assert main(["grid", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--quotient", "trivU:"], "empty trivU prime list in 'trivU:'"),
+    (["--quotient", "trivU:7+trivU:"], "empty trivU prime list in 'trivU:'"),
+    (["--theta", "chi@0"], "chi@0: 0 is not a unitary divisor of 35"),
+    (["--theta", "chi@-5"], "chi@-5: -5 is not a unitary divisor of 35"),
+])
+def test_malformed_quotient_and_theta_are_rejected(extra, message, capsys):
+    """An empty trivU prime list is not read as no quotient, and chi@D checks
+    that D is a unitary divisor before it reduces by D (the later flag wins)."""
+    assert main(["verify", "--p", "7", "--M", "5", "--theta", "[0,0]", *extra]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_properties_report_matches_pinned_bytes(tmp_path, capsys):
+    """`cdsymbols properties --seed 0 --cases 25` reproduces its pinned report."""
+    out = tmp_path / "props.json"
+    assert main(["properties", "--seed", "0", "--cases", "25", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "properties_stable.json").read_bytes()
 
 
 def test_properties_cli_deterministic(tmp_path):

@@ -19,6 +19,7 @@ from cdsymbols.eigen import (
     check_generation,
     eigensymbol,
     eigensymbol_free,
+    project,
     working_ring,
 )
 from cdsymbols.hecke import QuotientSpec, quotient_rows, t2_eisenstein_relations, trivial_Ul_relations
@@ -32,11 +33,14 @@ from dense_reference import (
     cd_generators_full,
     cd_span_bruteforce,
     column_table,
+    dense_relation_rows,
     diamond_perm,
     idempotent_projector,
     matrix_product,
-    project,
+    orbits,
     reference_projection,
+    relation_coeffs,
+    relation_rows,
     scalar_bases,
     sign_pair_map,
     sign_pairs,
@@ -117,7 +121,7 @@ def test_projectors_idempotent_orthogonal_and_complete():
         assert np.array_equal(matrix_product(ring, P, P), P)
     assert not matrix_product(ring, mats[0], mats[1]).any()
     # the even projectors sum to the identity on the presented quotient
-    acc = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()))
+    acc = HowellAccumulator(ring, sp.nsym, list(dense_relation_rows(sp)))
     total = (mats[0] + mats[1]) % ring.pk
     for j in range(sp.nsym):
         vec = ring.vzeros(sp.nsym)
@@ -138,7 +142,7 @@ def test_projector_commutes_with_diamonds():
 def test_eigenspace_dims_sum_to_quotient_length():
     for (p, k, M) in [(5, 1, 1), (7, 1, 1), (3, 1, 4)]:
         N, ring, sp = scenario(p, k, M)
-        acc = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()))
+        acc = HowellAccumulator(ring, sp.nsym, list(dense_relation_rows(sp)))
         qlen = sp.nsym * ring.k - acc.length
         total = 0
         for theta in enumerate_characters(N, ring):
@@ -157,8 +161,8 @@ def test_orbit_projection_matches_dense_projector(p, k, M):
     sets V (the largest spans the eigenspace), V adds as much length over the
     ambient relations after P as pi(V) adds over the projected relations."""
     N, ring, sp = scenario(p, k, M)
-    amb = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()))
-    reps = list(sp.orbits()[0])
+    amb = HowellAccumulator(ring, sp.nsym, list(dense_relation_rows(sp)))
+    reps = list(orbits(sp)[0])
     half_phi = ring.from_int(unit_group(N).phi // 2).as_array()
     rng = random.Random(1000 * N + k)
     for theta in enumerate_characters(N, ring):
@@ -196,7 +200,7 @@ def first_per_orbit(sp, block):
     by row: the first of each diamond orbit of its first symbol, in orbit
     order."""
     idx, coeffs = block
-    orbit_of = sp.orbits()[1]
+    orbit_of = orbits(sp)[1]
     first = {}
     for i, row in enumerate(idx):
         first.setdefault(int(orbit_of[row[0]]), i)
@@ -215,7 +219,7 @@ def quotient_cases(N, p, sp, evens):
     ell = min(q for q in (2, 3, 5, 7) if N % q == 0)
     cases = [
         (evens[0], QuotientSpec(), np.zeros((0, sp.nsym, ring.m), dtype=np.int64)),
-        (evens[-1], QuotientSpec(trivial_u=(ell,)), sp.dense_relation_rows(trivial_Ul_relations(sp, ell))),
+        (evens[-1], QuotientSpec(trivial_u=(ell,)), dense_relation_rows(sp, trivial_Ul_relations(sp, ell))),
     ]
     if N % 2:
         admissible = [(u, v) for u, v in sp.symbols if not cusp0 or (u + v) % N]
@@ -252,16 +256,16 @@ def test_projected_relations_equal_projected_dense_rows(N, p, M, monkeypatch):
         evens = [c for c in enumerate_characters(N, ring) if c.is_even()]
         for variant in ("full", "cusp0"):
             sp = build_presentation(N, variant, ring)
-            dense = sp.dense_relation_rows()
-            parabolic = sp.relation_coeffs[:, 2] != 0
+            dense = dense_relation_rows(sp)
+            parabolic = relation_coeffs(sp)[:, 2] != 0
             for theta, spec, quotient in quotient_cases(N, p, sp, evens):
                 blocks = quotient_rows(sp, p, spec, theta)
                 stacks.clear()
                 with monkeypatch.context() as m:
                     m.setattr(HowellAccumulator, "add_rows", recording)
                     ctx = build_eigen_context(sp, p, M, theta, blocks)
-                manin = (sp.relation_rows[parabolic], sp.relation_coeffs[parabolic])
-                selected = [sp.dense_relation_rows(first_per_orbit(sp, b)) for b in [manin, *blocks]]
+                manin = (relation_rows(sp)[parabolic], relation_coeffs(sp)[parabolic])
+                selected = [dense_relation_rows(sp, first_per_orbit(sp, b)) for b in [manin, *blocks]]
                 expected = project(ctx, np.concatenate(selected))
                 assert len(stacks) == 1 and np.array_equal(stacks[0], expected), spec.label()
                 r = len(ctx.basis)
@@ -297,7 +301,7 @@ def test_every_term_with_a_nonzero_coefficient_is_a_symbol(N, p, M, monkeypatch)
     divs = [d for d in range(1, N + 1) if N % d == 0]
     for variant in ("full", "cusp0"):
         sp = build_presentation(N, variant, ring)
-        blocks = [(sp.relation_rows, sp.relation_coeffs)]
+        blocks = [(relation_rows(sp), relation_coeffs(sp))]
         blocks += [trivial_Ul_relations(sp, ell) for ell in divs if is_prime(ell)]
         if N % 2:
             blocks.append(t2_eisenstein_relations(sp, allow_full=True))
@@ -438,7 +442,7 @@ def test_eigensymbol_conductor_support_vanishing():
 def test_eigensymbol_antisymmetry_in_quotient():
     N, ring, sp = scenario(5, 2, 1)
     ctx = build_eigen_context(sp, 5, 1, [c for c in enumerate_characters(5, ring) if c.is_even()][1])
-    rel = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()))
+    rel = HowellAccumulator(ring, sp.nsym, list(dense_relation_rows(sp)))
     chars = enumerate_characters(5, ring)
     for chi in chars:
         psi = ctx.theta * chi.inverse()
@@ -456,7 +460,7 @@ def test_alpha_omega2_omega2_vanishes_at_p5():
     ctx = build_eigen_context(sp, 5, 1, theta)
     om2 = ctx.omega**2
     beta = eigensymbol_free(sp, om2, ctx.psi(om2), 1, 1)
-    assert HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows())).contains(beta)
+    assert HowellAccumulator(ring, sp.nsym, list(dense_relation_rows(sp))).contains(beta)
 
 
 def test_cusp0_alpha_with_g_equal_N_is_zero():
@@ -833,7 +837,7 @@ def test_cd_span_stops_at_target_with_the_exhaustive_length(p, k, M, level, vari
         assert len(seen) < len(ctx.reps)
     if full.length < target.length:
         first = sign_pairs(sp, ctx.theta)[2]
-        assert seen == [rep for rep, f in zip(sp.orbits()[0], first) if f]
+        assert seen == [rep for rep, f in zip(orbits(sp)[0], first) if f]
 
 
 PINNED_REPORTS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
@@ -1009,7 +1013,7 @@ def test_sigma_partner_streams_add_nothing(p, M, thetas):
             chars = [c for c in enumerate_characters(N, ring) if c.is_even()]
         else:
             chars = [parse_theta(t, N, p, ring) for t in thetas]
-        every = sp.orbits()[0]
+        every = orbits(sp)[0]
         for theta in chars:
             ctx = build_eigen_context(sp, p, M, theta)
             assert len(ctx.reps) < len(every)

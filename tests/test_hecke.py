@@ -17,8 +17,10 @@ from cdsymbols.symbols import build_presentation
 from dense_reference import (
     apply_matrix,
     basis_dicts,
+    dense_relation_rows,
     diamond_perm,
     idempotent_projector,
+    orbits,
     reference_projection,
     t2_eisenstein_relations_loop,
 )
@@ -49,16 +51,16 @@ def test_quotient_spec_validation():
 
 def test_trivial_ul_relations_idempotent():
     N, ring, sp = scenario(7, 1, 5)
-    rows = sp.dense_relation_rows(trivial_Ul_relations(sp, 7))
-    acc1 = HowellAccumulator(ring, sp.nsym, np.concatenate([sp.dense_relation_rows(), rows]))
-    acc2 = HowellAccumulator(ring, sp.nsym, np.concatenate([sp.dense_relation_rows(), rows, rows]))
+    rows = dense_relation_rows(sp, trivial_Ul_relations(sp, 7))
+    acc1 = HowellAccumulator(ring, sp.nsym, np.concatenate([dense_relation_rows(sp), rows]))
+    acc2 = HowellAccumulator(ring, sp.nsym, np.concatenate([dense_relation_rows(sp), rows, rows]))
     assert acc1.finalize() == acc2.finalize()
 
 
 def test_trivial_ul_relations_are_diamond_stable():
     N, ring, sp = scenario(3, 1, 4)
-    rows = sp.dense_relation_rows(trivial_Ul_relations(sp, 2))
-    acc = HowellAccumulator(ring, sp.nsym, np.concatenate([sp.dense_relation_rows(), rows]))
+    rows = dense_relation_rows(sp, trivial_Ul_relations(sp, 2))
+    acc = HowellAccumulator(ring, sp.nsym, np.concatenate([dense_relation_rows(sp), rows]))
     rng = random.Random(51)
     units = unit_group(12).units
     for row in rows[:10]:
@@ -84,7 +86,7 @@ def test_trivial_ul_relations_match_definition(p, M, ell, variant):
             if ell * u % N == w:
                 row[sp.idx(u, z), 0] -= 1
         want.append(row % ring.pk)
-    got = sp.dense_relation_rows(trivial_Ul_relations(sp, ell))
+    got = dense_relation_rows(sp, trivial_Ul_relations(sp, ell))
     assert len(got) == len(want) > 0
     assert np.array_equal(got, np.stack(want))
 
@@ -92,9 +94,9 @@ def test_trivial_ul_relations_match_definition(p, M, ell, variant):
 def test_u_operator_identity_at_35():
     # in the trivial-U_7 quotient: (1 - chi^{-1}(7)) alpha^{7g,h} = 6 alpha^{g,h}
     N, ring, sp = scenario(7, 1, 5)
-    rows = sp.dense_relation_rows(trivial_Ul_relations(sp, 7))
+    rows = dense_relation_rows(sp, trivial_Ul_relations(sp, 7))
     theta = parse_theta("[2,2]", N, 7, ring)
-    rel = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()) + list(rows))
+    rel = HowellAccumulator(ring, sp.nsym, list(dense_relation_rows(sp)) + list(rows))
     rng = random.Random(52)
     chars = enumerate_characters(N, ring)
     checked = 0
@@ -121,9 +123,9 @@ def test_u_operator_t_less_than_s_at_45():
     # N = 45 has a square factor: U_3 with t = 1 < s = 2 gives
     # alpha^{3g,h} = 3 alpha^{g,h} in the trivial-U_3 quotient
     N, ring, sp = scenario(5, 1, 9)
-    rows = sp.dense_relation_rows(trivial_Ul_relations(sp, 3))
+    rows = dense_relation_rows(sp, trivial_Ul_relations(sp, 3))
     theta = parse_theta("[0,0]", N, 5, ring)
-    rel = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()) + list(rows))
+    rel = HowellAccumulator(ring, sp.nsym, list(dense_relation_rows(sp)) + list(rows))
     chars = enumerate_characters(N, ring)
     rng = random.Random(53)
     checked = 0
@@ -170,9 +172,9 @@ def test_t2_relations_match_the_orbit_loop(p, M, variant):
         for ring in (make_coeff_ring(p, k), make_coeff_ring(p, k, unit_group(N).phi)):
             sp = build_presentation(N, variant, ring)
             idx, coeffs = t2_eisenstein_relations(sp, allow_full=True)
-            reps = np.isin(idx[:, 4], sp.orbits()[0])  # the term -2[u:v] is the symbol [u:v]
+            reps = np.isin(idx[:, 4], orbits(sp)[0])  # the term -2[u:v] is the symbol [u:v]
             P = idempotent_projector(sp, teichmuller_character(M, p, ring) ** 2)
-            rows = [apply_matrix(ring, P, row) for row in sp.dense_relation_rows((idx[reps], coeffs[reps]))]
+            rows = [apply_matrix(ring, P, row) for row in dense_relation_rows(sp, (idx[reps], coeffs[reps]))]
             expected = t2_eisenstein_relations_loop(sp, ring, p)
             assert len(rows) == len(expected) > 0
             assert np.array_equal(np.stack(rows), np.stack(expected)), (N, k, str(ring))
@@ -205,7 +207,7 @@ def test_t2_block_is_the_projection_of_the_eisenstein_rows(p, k, M, variant, m):
     omega2 = teichmuller_character(M, p, ring) ** 2
     loop = np.stack(t2_eisenstein_relations_loop(sp, ring, p))
     idx, coeffs = t2_eisenstein_relations(sp, allow_full=True)
-    reps = np.isin(idx[:, 4], sp.orbits()[0])  # the term -2[u:v] is the symbol [u:v]
+    reps = np.isin(idx[:, 4], orbits(sp)[0])  # the term -2[u:v] is the symbol [u:v]
     eisenstein = QuotientSpec(t2=True, t2_allow_full=variant == "full")
     everywhere = QuotientSpec(t2=True, t2_global=True, t2_allow_full=variant == "full")
     thetas = [c for c in enumerate_characters(N, ring) if c.is_even()]
@@ -239,7 +241,7 @@ def test_t2_relation_vector_matches_independent_evaluation():
             i = sp.idx(*pair)
             expected[i] = (expected[i] + c * np.array(coeff, dtype=np.int64)) % ring.pk
     row = list(idx[:, 4]).index(sp.idx(1, 1))  # the term -2[u:v]
-    dense = sp.dense_relation_rows((idx[row : row + 1], coeffs[row : row + 1]))[0]
+    dense = dense_relation_rows(sp, (idx[row : row + 1], coeffs[row : row + 1]))[0]
     assert np.array_equal(apply_matrix(ring, idempotent_projector(sp, omega2), dense), expected)
 
 
@@ -304,17 +306,25 @@ def test_quotient_monotonicity():
 
 def test_verdict_path_never_densifies_relations(monkeypatch):
     """Plain and quotient verdicts, including the case-b route through the
-    extras and the elementary divisors, run with the dense relation helper
-    disabled: the relations reach the eigenspace only as sparse terms."""
-    from cdsymbols.symbols import SymbolSpace
+    extras and the elementary divisors, run with every Howell basis over as
+    many columns as the space has symbols refused: the relations reach the
+    eigenspace only as sparse terms."""
+    from cdsymbols.symbols import enumerate_symbols
 
-    def refuse(space):
-        raise AssertionError("the verdict path densified the relations")
+    init, nsym = HowellAccumulator.__init__, []
 
-    monkeypatch.setattr(SymbolSpace, "dense_relation_rows", refuse)
+    def refuse(self, ring, ncols, rows=None):
+        if ncols >= nsym[-1]:
+            raise AssertionError("the verdict path densified the relations")
+        init(self, ring, ncols, rows)
+
+    monkeypatch.setattr(HowellAccumulator, "__init__", refuse)
+    nsym.append(len(enumerate_symbols(35, "full")))
     report = check_generation(7, 1, 5, "Mp", "full", "[2,4]")
     assert (report.case, report.dim_H, report.dim_C, report.divisors) == ("b", 8, 6, (">=7",))
+    nsym.append(len(enumerate_symbols(7, "full")))
     u = check_generation(7, 1, 1, "Mp", "full", "omega^4", QuotientSpec(trivial_u=(7,)))
+    nsym.append(len(enumerate_symbols(7, "cusp0")))
     t2 = check_generation(7, 2, 1, "Mp", "cusp0", "omega^2", QuotientSpec(t2=True))
     assert (u.case, t2.case) == ("U-i", "T2")
     assert u.equal and t2.equal

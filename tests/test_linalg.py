@@ -14,7 +14,7 @@ from cdsymbols.linalg import (
 )
 from cdsymbols.rings import chain_ring, make_coeff_ring
 from cdsymbols.symbols import FULL, build_presentation
-from dense_reference import basis_dicts, greedy_accumulator, greedy_add, greedy_reduce, membership
+from dense_reference import basis_dicts, dense_relation_rows, greedy_accumulator, greedy_add, greedy_reduce, membership
 
 
 def span_set(rows, pk, n):
@@ -361,7 +361,7 @@ def test_add_rows_ambient_relations_match_greedy(k):
     in one add_rows call and by greedy insertion."""
     ring = make_coeff_ring(7, k, 24)
     sp = build_presentation(35, FULL, ring)
-    rows = sp.dense_relation_rows()
+    rows = dense_relation_rows(sp)
     batched = HowellAccumulator(ring, sp.nsym)
     assert batched.add_rows(rows)
     seq = greedy_accumulator(ring, sp.nsym, rows)

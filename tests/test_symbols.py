@@ -12,9 +12,13 @@ from dense_reference import (
     canonical_pair,
     cd_symbol,
     cusp0_agreement,
+    dense_relation_rows,
     diamond_action,
     diamond_perm,
     orbit_frame_by_table,
+    orbits,
+    relation_coeffs,
+    relation_rows,
     vector_to_dict,
 )
 
@@ -84,7 +88,7 @@ def test_enumerate_symbols_matches_the_loop():
 
 def presentation_dim(N, variant, ring):
     sp = build_presentation(N, variant, ring)
-    acc = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()))
+    acc = HowellAccumulator(ring, sp.nsym, list(dense_relation_rows(sp)))
     return sp, sp.nsym * ring.k - acc.length
 
 
@@ -92,11 +96,11 @@ def test_presentation_dimensions_full():
     r5 = make_coeff_ring(5, 1, 4)
     sp, dim = presentation_dim(5, "full", r5)
     assert dim == 3
-    assert rank_mod_p_oracle([row[:, 0] for row in sp.dense_relation_rows()], 5) == sp.nsym - 3
+    assert rank_mod_p_oracle([row[:, 0] for row in dense_relation_rows(sp)], 5) == sp.nsym - 3
     r7 = make_coeff_ring(7, 1, 6)
     sp7, dim7 = presentation_dim(7, "full", r7)
     assert dim7 == 5
-    assert rank_mod_p_oracle([row[:, 0] for row in sp7.dense_relation_rows()], 7) == sp7.nsym - 5
+    assert rank_mod_p_oracle([row[:, 0] for row in dense_relation_rows(sp7)], 7) == sp7.nsym - 5
 
 
 def test_presentation_dimension_cusp0_and_full_space_image():
@@ -106,7 +110,7 @@ def test_presentation_dimension_cusp0_and_full_space_image():
     r5 = make_coeff_ring(5, 1, 4)
     sp, dim = presentation_dim(5, "cusp0", r5)
     assert dim == 2
-    assert rank_mod_p_oracle([row[:, 0] for row in sp.dense_relation_rows()], 5) == sp.nsym - 2
+    assert rank_mod_p_oracle([row[:, 0] for row in dense_relation_rows(sp)], 5) == sp.nsym - 2
     agree = cusp0_agreement(5, r5)
     assert agree["abstract_length"] == 2
     assert agree["submodule_length"] == 1
@@ -117,8 +121,8 @@ def test_cusp0_natural_map_carries_relations():
     ring = make_coeff_ring(5, 1, 4)
     full = build_presentation(5, "full", ring)
     cusp = build_presentation(5, "cusp0", ring)
-    acc = HowellAccumulator(ring, full.nsym, list(full.dense_relation_rows()))
-    for row in cusp.dense_relation_rows():
+    acc = HowellAccumulator(ring, full.nsym, list(dense_relation_rows(full)))
+    for row in dense_relation_rows(cusp):
         mapped = ring.vzeros(full.nsym)
         for i, (u, v) in enumerate(cusp.symbols):
             if row[i].any():
@@ -147,9 +151,9 @@ def test_diamond_action():
             assert np.array_equal(want["action"], diamond_action(sp))
             assert enumerate_symbols(N, variant) == sp.symbols == want["symbols"]
             reps, orbit_of, trans, image, partner, first, (rows, coeffs) = _orbit_data(N, variant)
-            assert reps == sp.orbits()[0] == want["reps"]
+            assert reps == orbits(sp)[0] == want["reps"]
             got = dict(
-                u=sp.u, v=sp.v, table=sp.table, relation_rows=sp.relation_rows, relation_coeffs=sp.relation_coeffs,
+                u=sp.u, v=sp.v, table=sp.table, relation_rows=relation_rows(sp), relation_coeffs=relation_coeffs(sp),
                 orbit_of=orbit_of, trans=trans, image=image, partner=partner, first=first,
                 parabolic_rows=rows, parabolic_coeffs=coeffs,
             )
@@ -161,7 +165,7 @@ def test_diamond_action():
 def test_diamond_preserves_relation_span():
     ring = make_coeff_ring(3, 1, 4)
     sp = build_presentation(12, "full", ring)
-    rows = sp.dense_relation_rows()
+    rows = dense_relation_rows(sp)
     acc = HowellAccumulator(ring, sp.nsym, list(rows))
     rng = random.Random(32)
     units = unit_group(12).units
@@ -199,7 +203,7 @@ def test_cd_symbol_congruent_c_gives_zero():
 def test_cd_symbol_swap_antisymmetry():
     ring = make_coeff_ring(5, 1, 4)
     sp = build_presentation(5, "full", ring)
-    acc = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()))
+    acc = HowellAccumulator(ring, sp.nsym, list(dense_relation_rows(sp)))
     rng = random.Random(33)
     for _ in range(25):
         u, v = sp.symbols[rng.randrange(sp.nsym)]
@@ -236,7 +240,7 @@ def test_parabolic_row_with_zero_sum_forces_diagonal_symbol():
     # the u + v = 0 instance of the three-term relation makes [1:1] a boundary
     ring = make_coeff_ring(5, 1, 4)
     sp = build_presentation(5, "full", ring)
-    acc = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows()))
+    acc = HowellAccumulator(ring, sp.nsym, list(dense_relation_rows(sp)))
     e11 = ring.vzeros(sp.nsym)
     e11[sp.idx(1, 1), 0] = 1
     assert acc.contains(e11)
@@ -246,18 +250,18 @@ def test_quotient_dimension_invariant_under_relabeling():
     rng = random.Random(34)
     ring = make_coeff_ring(3, 1, 4)
     sp = build_presentation(12, "full", ring)
-    base = HowellAccumulator(ring, sp.nsym, list(sp.dense_relation_rows())).length
+    base = HowellAccumulator(ring, sp.nsym, list(dense_relation_rows(sp))).length
     for _ in range(5):
         perm = list(range(sp.nsym))
         rng.shuffle(perm)
-        shuffled = [row[perm] for row in sp.dense_relation_rows()]
+        shuffled = [row[perm] for row in dense_relation_rows(sp)]
         assert HowellAccumulator(ring, sp.nsym, shuffled).length == base
 
 
 def test_orbits_partition_and_transporters():
     ring = make_coeff_ring(7, 1, 24)
     sp = build_presentation(35, "full", ring)
-    reps, orbit_of, trans = sp.orbits()
+    reps, orbit_of, trans = orbits(sp)
     assert sorted(set(int(x) for x in orbit_of)) == list(range(len(reps)))
     # every stabilizer is {1, -1}: the eigenspaces have one column per orbit
     assert (np.bincount(orbit_of) == unit_group(35).phi // 2).all()
@@ -305,6 +309,6 @@ def test_relation_terms_densify_to_reference_rows(N, p):
         assert ring.m == (2 if p == 7 else 1)
         for variant in ("full", "cusp0"):
             sp = build_presentation(N, variant, ring)
-            dense = sp.dense_relation_rows()
-            assert len(sp.relation_rows) == len(dense)
+            dense = dense_relation_rows(sp)
+            assert len(relation_rows(sp)) == len(dense)
             assert np.array_equal(dense, reference_relation_rows(sp))
