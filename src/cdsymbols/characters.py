@@ -365,6 +365,13 @@ def _component_character(N: int, ring: CoeffRing, D: int, e: int) -> DirichletCh
     return DirichletCharacter(N, ring, tuple(expo))
 
 
+def _parse_int(text: str, what: str, token: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad {what} in {token!r}") from None
+
+
 def parse_theta(spec: str, N: int, p: int, ring: CoeffRing) -> DirichletCharacter:
     """Resolve a character specifier, either "[e1,e2,...]" on the canonical
     generator list or a '*'-product of tokens:
@@ -383,7 +390,7 @@ def parse_theta(spec: str, N: int, p: int, ring: CoeffRing) -> DirichletCharacte
         if not s.endswith("]"):
             raise ValueError(f"unterminated exponent vector: {spec!r}")
         inner = s[1:-1].strip()
-        expo = [int(t) for t in inner.split(",")] if inner else []
+        expo = [_parse_int(t, "exponent", spec) for t in inner.split(",")] if inner else []
         return _from_exponents(N, ring, expo)
     chi = _trivial(N, ring)
     for token in s.split("*"):
@@ -393,28 +400,21 @@ def parse_theta(spec: str, N: int, p: int, ring: CoeffRing) -> DirichletCharacte
         if token == "1":
             continue
         if token.startswith("omega"):
-            rest = token[len("omega") :]
-            if rest.startswith("^"):
-                rest = rest[1:]
-            try:
-                j = int(rest) if rest else 1
-            except ValueError:
-                raise ValueError(f"bad omega power in {token!r}") from None
+            rest = token[len("omega") :].removeprefix("^")
+            j = _parse_int(rest, "omega power", token) if rest else 1
             if N % p != 0:
                 raise ValueError(f"omega is undefined at level {N} prime to p = {p}")
             omega = teichmuller_character(N // p, p, ring)
             chi = chi * omega**j
             continue
         if token.startswith("quad@"):
-            chi = chi * _quadratic_of_conductor(N, ring, int(token[len("quad@") :]))
+            D = _parse_int(token[len("quad@") :], "quad conductor", token)
+            chi = chi * _quadratic_of_conductor(N, ring, D)
             continue
         if token.startswith("chi@"):
-            body = token[len("chi@") :]
-            if "^" in body:
-                d_str, e_str = body.split("^", 1)
-                chi = chi * _component_character(N, ring, int(d_str), int(e_str))
-            else:
-                chi = chi * _component_character(N, ring, int(body), 1)
+            d, power, e = token[len("chi@") :].partition("^")
+            e = _parse_int(e, "chi power", token) if power else 1
+            chi = chi * _component_character(N, ring, _parse_int(d, "chi divisor", token), e)
             continue
         raise ValueError(
             f"cannot resolve theta factor {token!r}; use 1, omega^J, quad@D, chi@D^E or [e1,...]"

@@ -174,6 +174,13 @@ def acceptance_grid() -> list[str]:
     return lines
 
 
+class _GridLineParser(argparse.ArgumentParser):
+    """The flags of one grid line; a bad line raises ValueError, for the grid to name."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _parse_grid_line(line: str, parser: argparse.ArgumentParser) -> dict:
     ns = parser.parse_args(shlex.split(line))
     return _config_from_namespace(ns)
@@ -275,20 +282,24 @@ def main(argv=None) -> int:
         return 0
 
     if ns.command == "grid":
-        line_parser = argparse.ArgumentParser(prog="grid-line", add_help=False)
+        line_parser = _GridLineParser(prog="grid-line", add_help=False)
         _add_scenario_args(line_parser)
         if ns.acceptance:
-            lines = acceptance_grid()
+            lines = list(enumerate(acceptance_grid(), 1))
         else:
             try:
                 with open(ns.config) as fh:
-                    lines = [ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")]
+                    lines = [(n, ln) for n, ln in enumerate(map(str.strip, fh), 1) if ln and not ln.startswith("#")]
             except OSError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
         configs = []
-        for line in lines:
-            cfg = _parse_grid_line(line, line_parser)
+        for n, line in lines:
+            try:
+                cfg = _parse_grid_line(line, line_parser)
+            except ValueError as exc:
+                print(f"error: {ns.config} line {n}: {exc}", file=sys.stderr)
+                return 2
             cfg["stable"] = ns.stable
             configs.append(cfg)
         workers = _worker_count(ns)

@@ -39,16 +39,17 @@ its sigma-pair (zero for a dropped orbit, which has no column).  So the
 relations and the streams of the representatives first in their sigma-pair
 span R^r'.
 
-(iv)  Every stream is R-linear in the y_c with coefficients that do not
-      depend on the representative (x2[a] = theta(a) y_{a^-1} by (iii)).
-      So y_c may be replaced by its reduced representative modulo the
-      running span S: S + span(stream) stays the same, and the reduced rows
-      vanish where S has a unit pivot.  This holds for every representative
-      of a block at once, with S the span before the block, so cd_span
-      visits the representatives in doubling blocks and inserts one stack
-      per block.  At N = 35 the span stops growing after at most two
-      representatives; the later blocks reduce to zero and are not
-      inserted, and the 24 representatives take 6 block visits.
+(iv)  Every stream is R-linear in the symbol columns, and the column of
+      symbol i is scalars[i] times unit column col_of[i].  So the r' unit
+      columns may be reduced modulo the running span S, and every symbol
+      gathered from them: S + span(stream) stays the same, and the gathered
+      columns vanish where S has a unit pivot.  This holds for every
+      representative of a block at once, with S the span before the block,
+      so cd_span reduces the unit columns once per block, visits the
+      representatives in doubling blocks and inserts one stack per block.
+      At N = 35 the span stops growing after at most two representatives;
+      the later blocks reduce to zero and are not inserted, and the 24
+      representatives take 6 block visits.
 
 When p divides N, or p = 3, each unit a has one base s_a, and cd_span forms
 the bilinear stream: one row per (a, b) in U x U.  When U is the whole unit
@@ -162,8 +163,8 @@ class EigenContext:
     representatives first in their sigma-pair, the ones `cd_span` visits (a
     dropped orbit's among them).  `basis`, built on first read, holds the r'
     unit columns reduced against the relations; the reduced column y of
-    symbol i is scalars[i] times basis[col_of[i]] (zero on a dropped orbit),
-    gathered only for the symbols a (c,d)-stream reads (`_symbol_columns`)."""
+    symbol i is scalars[i] times basis[col_of[i]] (zero on a dropped orbit);
+    a (c,d)-stream gathers it from `basis` reduced modulo its span."""
 
     space: SymbolSpace
     ring: CoeffRing
@@ -315,6 +316,14 @@ def build_eigen_context(
 # eigensymbols
 
 
+def _vanishes(space: SymbolSpace, g: int, h: int) -> bool:
+    """Checks that g and h are relatively prime divisors of N; whether [ga:hb]
+    is zero by the cuspidal-at-zero convention (g = N or h = N)."""
+    if space.N % g or space.N % h or gcd(g, h) != 1:
+        raise ValueError("g and h must be relatively prime divisors of N")
+    return space.variant == CUSP0 and space.N in (g, h)
+
+
 def _character_average(
     space: SymbolSpace,
     chi: DirichletCharacter,
@@ -330,11 +339,8 @@ def _character_average(
 
     In the cuspidal-at-zero variant the symbols with g = N or h = N are zero
     by convention."""
-    ring = space.ring
-    N = space.N
-    if N % g or N % h or gcd(g, h) != 1:
-        raise ValueError("g and h must be relatively prime divisors of N")
-    if space.variant == CUSP0 and (g == N or h == N):
+    ring, N = space.ring, space.N
+    if _vanishes(space, g, h):
         return ring.vzeros(space.nsym)
     ug = unit_group(N)
     units = np.array(ug.units, dtype=np.int64)
@@ -368,9 +374,7 @@ def eigensymbol(ctx: EigenContext, chi: DirichletCharacter, g: int, h: int) -> n
     (1/phi(N)) sum_c psi^{-1}(c) [g : hc] through the scatter (zero in the
     cuspidal-at-zero variant when g = N or h = N)."""
     space, ring, N = ctx.space, ctx.ring, ctx.N
-    if N % g or N % h or gcd(g, h) != 1:
-        raise ValueError("g and h must be relatively prime divisors of N")
-    if space.variant == CUSP0 and (g == N or h == N):
+    if _vanishes(space, g, h):
         return np.zeros((ctx.r, ring.m), dtype=np.int64)
     ug = unit_group(N)
     idx = space.table[g % N, h * np.array(ug.units, dtype=np.int64) % N]
@@ -390,64 +394,50 @@ def cd_eigensymbol(ctx: EigenContext, c: int, d: int, chi: DirichletCharacter, g
 
 
 def _stream_invariants(ctx: EigenContext, units: np.ndarray):
-    """What the streams of all representatives share: the sorted ratio set
-    U^-1 U (1 first), the positions in it of b, a^-1 and a^-1 b for a on
-    the stream's a axis and b in U, the multiplication matrices of theta(a),
-    and the bases s_a and s_b.  The a axis is U itself, or only the
-    generators of (Z/N)^x when U is the whole unit group (step (v) of the
-    module docstring).  Each unit has the one base (a mod p)^2 when p | N,
-    and 1 when p = 3 does not divide N."""
+    """What the streams of all representatives share: the a axis (the
+    generators of (Z/N)^x when U is every unit, by step (v) of the module
+    docstring, else U), U, and the bases s_a and s_b: (a mod p)^2 when
+    p | N, and 1 when p = 3 does not divide N."""
     N, ring = ctx.N, ctx.ring
     ug = unit_group(N)
     pick = np.searchsorted(units, ug.generators) if len(units) == ug.phi else np.arange(len(units))
-    inverses = np.array([pow(int(a), -1, N) for a in units[pick]], dtype=np.int64)
-    quotients = inverses[:, None] * units[None, :] % N  # a^-1 b on the axes (a, b)
-    seen = np.bincount(quotients.ravel(), minlength=N) > 0
-    at = np.cumsum(seen) - 1  # position in the ratio set
-    theta_a = ctx.theta.values[np.searchsorted(ug.units, units[pick])]
     s = (units % ring.p) ** 2 % ring.pk if N % ring.p == 0 else np.ones(len(units), dtype=np.int64)
-    return np.flatnonzero(seen), at[units], at[inverses], at[quotients], ring.smatrix(theta_a), s[pick], s
+    return units[pick], units, s[pick], s
 
 
-def _symbol_columns(ctx: EigenContext, idx: np.ndarray) -> np.ndarray:
-    """The reduced columns y of the symbols `idx`, (*idx.shape, r', m): each
+def _symbol_columns(ctx: EigenContext, idx: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """The columns of the symbols `idx` over the unit columns `basis`: each
     scalars[i] times basis[col_of[i]], a sum of m residue products per entry."""
     ring = ctx.ring
-    return ctx.basis[ctx.col_of[idx]] @ ring.smatrix(ctx.scalars[idx]) % ring.pk
+    return basis[ctx.col_of[idx]] @ ring.smatrix(ctx.scalars[idx]) % ring.pk
 
 
-def _cd_generators(ctx: EigenContext, block, shared, span=None) -> np.ndarray:
+def _cd_generators(ctx: EigenContext, block, shared, span: HowellAccumulator) -> np.ndarray:
     """The bilinear generator streams of a block of orbit representatives
-    [u0:v0], as one stack, each formed from its symbol columns y_c of
-    [u0 : c v0], c in U^-1 U (`shared` is `_stream_invariants(ctx, U)`):
-    for a on its a axis and b in U, s_a s_b x0 - s_a x1 - s_b x2 + x3 with
-    x0, x1, x2, x3 the columns of [u0:v0], [u0:b v0], [a u0:v0], [a u0:b v0],
-    then the fiber generators p(s_b x0 - x1), p(s_a x0 - x2) (k >= 2) and
-    p^2 x0 (k >= 3).  By (iii), x0 = y_1, x1 = y_b, x2 = theta(a) y_{a^-1}
-    and x3 = theta(a) y_{a^-1 b} exactly.  The a axis is U under a unit
-    bound, and the generators of (Z/N)^x when U is the whole unit group,
-    whose rows span the rows of every a by (v): |gens| phi(N) + phi(N) +
-    |gens| + 1 rows per representative at most.
+    [u0:v0], as one stack (`shared` is `_stream_invariants(ctx, U)`): for a
+    on its a axis and b in U, s_a s_b x0 - s_a x1 - s_b x2 + x3 with x0, x1,
+    x2, x3 the columns of [u0:v0], [u0:b v0], [a u0:v0], [a u0:b v0], then
+    the fiber generators p(s_b x0 - x1), p(s_a x0 - x2) (k >= 2) and p^2 x0
+    (k >= 3): at most |gens| phi(N) + phi(N) + |gens| + 1 rows per
+    representative when the a axis is the generators of (Z/N)^x (step (v)).
 
-    Given the running `span` (step (iv) of the module docstring), the
-    block's y_c are reduced modulo it once it has grown past the relations,
-    the streams are formed on the columns without a unit pivot, and zero
-    rows are left out."""
-    space, ring, pk = ctx.space, ctx.ring, ctx.ring.pk
-    ratios, at_b, at_inverse, at_ratio, theta_a, sa, sb = shared
+    By step (iv) of the module docstring the unit columns are reduced modulo
+    the running `span` once per block (not while it is only the relations),
+    and the four symbols are gathered from them, on the columns without a
+    unit pivot; zero rows are left out."""
+    space, ring, pk, N = ctx.space, ctx.ring, ctx.ring.pk, ctx.N
+    a_axis, units, sa, sb = shared
+    basis = ctx.basis if span.length == ctx.rel_length else span.reduce_rows(ctx.basis)
+    free = np.bincount(span.cols[span.pvals == 0], minlength=span.ncols) == 0
+    basis = basis[:, free]
+    if not basis.any():
+        return np.zeros((0, span.ncols, ring.m), dtype=np.int64)
     u0, v0 = space.u[list(block), None], space.v[list(block), None]
-    y = _symbol_columns(ctx, space.table[u0, ratios * v0 % space.N])  # (rep, c, r, m)
-    if span is not None:
-        if span.length > ctx.rel_length:  # the columns are reduced against the relations
-            y = span.reduce_rows(y.reshape(-1, *y.shape[2:])).reshape(y.shape)
-        free = np.ones(span.ncols, dtype=bool)
-        free[span.cols[span.pvals == 0]] = False
-        y = y[:, :, free]
-        if not y.any():
-            return np.zeros((0, span.ncols, ring.m), dtype=np.int64)
-    x0, x1 = y[:, 0, None], y[:, at_b]  # (rep, 1, r, m) and (rep, b, r, m)
-    x2 = y[:, at_inverse] @ theta_a % pk  # (rep, a, r, m)
-    x3 = y[:, at_ratio] @ theta_a[:, None] % pk  # (rep, a, b, r, m)
+    au, bv = a_axis * u0 % N, units * v0 % N  # (rep, a) and (rep, b)
+    x0 = _symbol_columns(ctx, space.table[u0, v0], basis)  # (rep, 1, r, m)
+    x1 = _symbol_columns(ctx, space.table[u0, bv], basis)  # (rep, b, r, m)
+    x2 = _symbol_columns(ctx, space.table[au, v0], basis)  # (rep, a, r, m)
+    x3 = _symbol_columns(ctx, space.table[au[:, :, None], bv[:, None]], basis)  # (rep, a, b, r, m)
     s, t = sa[:, None, None, None], sb[None, :, None, None]  # s_a and s_b on the axes (a, b, r, m)
     # each product is below p^(2k), so every sum stays inside the int64 bound
     stacks = [(x0[:, None] * (s * t % pk) - x1[:, None] * s - x2[:, :, None] * t + x3) % pk]  # (rep, a, b, r, m)
@@ -456,10 +446,8 @@ def _cd_generators(ctx: EigenContext, block, shared, span=None) -> np.ndarray:
         stacks.append((x0 * sa[:, None, None] - x2) % pk * ring.p % pk)
     if ring.k >= 3:
         stacks.append(x0 * ring.p**2 % pk)
-    rows = np.concatenate([g.reshape(len(y), -1, *y.shape[2:]) for g in stacks], axis=1)
+    rows = np.concatenate([g.reshape(len(block), -1, *basis.shape[1:]) for g in stacks], axis=1)
     rows = rows.reshape(-1, *rows.shape[2:])  # representative by representative
-    if span is None:
-        return rows
     out = np.zeros((len(rows), span.ncols, ring.m), dtype=np.int64)
     out[:, free] = rows
     return out[rows.any(axis=(1, 2))]
@@ -483,7 +471,7 @@ def cd_span(ctx: EigenContext, unit_bound: int | None = None) -> HowellAccumulat
 
     The representatives are visited in blocks of 1, 1, 2, 4, ..., each as
     long as all the blocks before it, one stack per block.  By (iv) each
-    block's streams are formed from columns reduced modulo the span so far,
+    block's streams are gathered from unit columns reduced modulo the span,
     on the columns without a unit pivot, and a zero stack is not inserted.
     The visit stops once the span is all of R^r' (length r' k), before the
     next block's columns are gathered; when the relations already reach it

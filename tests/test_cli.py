@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -208,12 +209,44 @@ def test_grid_config_that_cannot_be_read_is_an_error(tmp_path, capsys):
     (["--quotient", "trivU:7+trivU:"], "empty trivU prime list in 'trivU:'"),
     (["--theta", "chi@0"], "chi@0: 0 is not a unitary divisor of 35"),
     (["--theta", "chi@-5"], "chi@-5: -5 is not a unitary divisor of 35"),
+    (["--theta", "quad@5^2"], "bad quad conductor in 'quad@5^2'"),
+    (["--theta", "quad@x"], "bad quad conductor in 'quad@x'"),
+    (["--theta", "chi@5^x"], "bad chi power in 'chi@5^x'"),
+    (["--theta", "chi@x"], "bad chi divisor in 'chi@x'"),
+    (["--theta", "[a]"], "bad exponent in '[a]'"),
 ])
 def test_malformed_quotient_and_theta_are_rejected(extra, message, capsys):
-    """An empty trivU prime list is not read as no quotient, and chi@D checks
-    that D is a unitary divisor before it reduces by D (the later flag wins)."""
+    """An empty trivU prime list is not read as no quotient, chi@D checks
+    that D is a unitary divisor before it reduces by D (the later flag wins),
+    and a number that does not parse is named with its token."""
     assert main(["verify", "--p", "7", "--M", "5", "--theta", "[0,0]", *extra]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("line,reason", [
+    ("--p 5 --M 1", "the following arguments are required: --theta"),
+    ("--p 5 --M 1 --theta [0] --frob 3", "unrecognized arguments: --frob 3"),
+    ("--p x --M 1 --theta [0]", "argument --p: invalid int value: 'x'"),
+])
+def test_grid_names_the_malformed_config_line(tmp_path, line, reason, capsys):
+    """A grid line that does not parse exits 2 with its file line and the
+    reason, counting comment and blank lines, and runs no scenario."""
+    cfg = tmp_path / "grid.txt"
+    cfg.write_text(f"# header\n--p 5 --M 1 --theta [0]\n\n{line}\n")
+    assert main(["grid", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {cfg} line 4: {reason}\n")
+
+
+LARGE_LEVELS = json.loads((Path(__file__).parent / "data" / "large_levels_stable.json").read_text())["scenarios"]
+
+
+@pytest.mark.parametrize("scenario", LARGE_LEVELS, ids=["N210-k2-omega^2", "N210-cusp0", "N396"])
+def test_large_levels_match_pinned_reports(scenario, capsys):
+    """`cdsymbols verify --stable` at N = 210 and 396 reproduces the reports
+    pinned in data/large_levels_stable.json."""
+    assert main(["verify", *shlex.split(scenario["args"]), "--stable"]) == 0
+    assert capsys.readouterr().out == json.dumps(scenario["report"], indent=2) + "\n"
 
 
 def test_properties_report_matches_pinned_bytes(tmp_path, capsys):

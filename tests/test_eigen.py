@@ -576,9 +576,11 @@ def _block_ends(n):
 )
 def test_full_stream_kept_with_one_square_class(p, k, M, level):
     """With one square-class base per unit (p = 3, or p | N) the stream is
-    the bilinear one, row for row: over every a in U when a unit bound
-    leaves out some unit, and over the generators of (Z/N)^x when U is the
-    whole unit group (at N = 4 and 5 the bound 6 admits every unit)."""
+    the bilinear one, row for row once its zero rows are left out (the
+    columns vanish on the relations' unit pivots): over every a in U when a
+    unit bound leaves out some unit, and over the generators of (Z/N)^x
+    when U is the whole unit group (at N = 4 and 5 the bound 6 admits every
+    unit)."""
     import cdsymbols.eigen as eigen
 
     N, ring, sp = scenario(p, k, M, level)
@@ -592,9 +594,10 @@ def test_full_stream_kept_with_one_square_class(p, k, M, level):
         ug = unit_group(N)
         a_units = ug.generators if len(units) == ug.phi else None
         for rep in ctx.reps:
+            full = cd_generators_full(ctx, rep, units, bases, a_units)
             assert np.array_equal(
-                eigen._cd_generators(ctx, (rep,), shared),
-                cd_generators_full(ctx, rep, units, bases, a_units),
+                eigen._cd_generators(ctx, (rep,), shared, ctx.rel_acc),
+                full[full.any(axis=(1, 2))],
             )
 
 
@@ -949,6 +952,39 @@ def test_deficit_streams_reduce_to_zero_after_the_span_stops_growing(theta, call
     assert len(heights) == calls and min(heights) > 0
 
 
+@pytest.mark.parametrize("theta", ["[2,4]", "[0,4]"])
+def test_streams_reduce_the_unit_columns_once_per_block(theta, monkeypatch):
+    """By step (iv) of the eigen docstring, `_cd_generators` reduces only the
+    r' unit columns, as one (r', r', m) stack and at most once per block,
+    and gathers every symbol of its streams from them (N = 35, p = 7, k = 1,
+    the deficit scenarios in the ring they run in)."""
+    import cdsymbols.eigen as eigen
+
+    gr = make_coeff_ring(7, 1, 24)
+    chi = parse_theta(theta, 35, 7, gr)
+    ring = working_ring(chi)
+    ctx = build_eigen_context(build_presentation(35, "full", ring), 7, 5, chi.over(ring))
+    per_block = []  # the shapes of the stacks each block reduced
+    reduce_rows, generators = HowellAccumulator.reduce_rows, eigen._cd_generators
+
+    def recording(ctx, block, *args):
+        shapes = []
+        per_block.append(shapes)
+
+        def reducing(self, rows):
+            shapes.append(np.shape(rows))
+            return reduce_rows(self, rows)
+
+        with monkeypatch.context() as m:
+            m.setattr(HowellAccumulator, "reduce_rows", reducing)
+            return generators(ctx, block, *args)
+
+    monkeypatch.setattr(eigen, "_cd_generators", recording)
+    cd_span(ctx)
+    assert len(per_block) == 6 and sum(map(len, per_block)) >= 2, per_block
+    assert all(shapes in ([], [(ctx.r, ctx.r, ring.m)]) for shapes in per_block), per_block
+
+
 @pytest.mark.parametrize(
     "N,p,M,descend", [(35, 7, 5, True), (35, 7, 5, False), (43, 43, 1, True), (63, 7, 9, True)]
 )
@@ -970,7 +1006,7 @@ def test_gathered_columns_match_the_all_symbol_table(N, p, M, descend):
                 assert ring.m == (1 if descend else 2)
                 sp = build_presentation(N, variant, ring)
                 ctx = build_eigen_context(sp, p, M, theta.over(ring))
-                gathered = eigen._symbol_columns(ctx, np.arange(sp.nsym))
+                gathered = eigen._symbol_columns(ctx, np.arange(sp.nsym), ctx.basis)
                 assert np.array_equal(gathered, column_table(ctx)), (k, variant, theta.label())
 
 
@@ -1024,7 +1060,7 @@ def test_sigma_partner_streams_add_nothing(p, M, thetas):
                 shared = eigen._stream_invariants(ctx, units)
                 acc = ctx.rel_acc.copy()
                 for rep in every:
-                    acc.add_rows(eigen._cd_generators(ctx, (rep,), shared))
+                    acc.add_rows(eigen._cd_generators(ctx, (rep,), shared, acc))
                 span = cd_span(ctx, unit_bound=bound)
                 assert span.finalize() == acc.finalize(), (k, theta.label(), bound)
 
